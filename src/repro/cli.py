@@ -35,13 +35,13 @@ across its three models.  Both paths are schedule-preserving: the
 simulated results are bit-identical whichever knobs are set.
 
 Two more knobs scale the multi-cell commands (see ``docs/harness.md``):
-``--workers N`` fans independent experiment cells across a **persistent
-worker pool** — spawned once per CLI process, shared by bench, compare,
-tune and serve, reused across dispatches (byte-identical results for any
-count) — and ``--trace-cache-dir [PATH]`` layers a persistent on-disk
-store under the replay cache so workers — and later invocations — share
-recorded traces instead of re-running stage code; reused workers keep
-those traces decoded in memory between dispatches.
+``--workers N`` (``compare``, ``bench``, ``tune`` and ``serve``) fans
+independent experiment cells across a **persistent worker pool** —
+spawned once per CLI process, reused across dispatches (byte-identical
+results for any count) — and ``--trace-cache-dir [PATH]`` layers a
+persistent on-disk store under the replay cache so workers — and later
+invocations — share recorded traces instead of re-running stage code;
+reused workers keep those traces decoded in memory between dispatches.
 """
 
 from __future__ import annotations
@@ -345,7 +345,7 @@ def cmd_compare(args) -> int:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
     parallel = args.workers is not None and args.workers > 1
     if cache is not None and cache.last_run is not None and (
-        parallel or cache.disk is not None
+        parallel or cache.root is not None
     ):
         print(
             f"  (workers={args.workers or 1}; trace cache: "
@@ -372,16 +372,12 @@ def cmd_stats(args) -> int:
     )
     print(result.report.summary_text())
     size = "unlimited" if batch_size is None else str(batch_size)
-    workers = getattr(args, "workers", None) or 1
     if cache is None:
         replay = "off (--no-replay-cache)"
     else:
         delta = cache.last_run if cache.last_run is not None else cache.stats()
         replay = f"on ({len(cache)} trace(s), last run: {delta.describe()})"
-    print(
-        f"batching: batch-size={size}; workers={workers}; "
-        f"replay cache: {replay}"
-    )
+    print(f"batching: batch-size={size}; replay cache: {replay}")
     if getattr(args, "cache_dir", None):
         from .harness.runner import tune_workload
 
@@ -611,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="show workloads, devices and models")
 
-    def add_exec_knobs(p, workers=True):
+    def add_exec_knobs(p):
         p.add_argument(
             "--batch-size",
             type=_positive_int,
@@ -626,17 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="re-run stage code for every model instead of recording "
             "the task trace once and replaying it (default: cache on)",
         )
-        if workers:
-            p.add_argument(
-                "--workers",
-                type=_positive_int,
-                default=None,
-                metavar="N",
-                help="worker processes for multi-cell commands (compare/"
-                "bench fan cells across a persistent pool reused "
-                "between dispatches; results are byte-identical for "
-                "any count; default 1, bench: one per core)",
-            )
         p.add_argument(
             "--trace-cache-dir",
             metavar="PATH",
@@ -648,7 +633,18 @@ def build_parser() -> argparse.ArgumentParser:
             f"stage code (default PATH: {DEFAULT_TRACE_CACHE_DIR})",
         )
 
-    def add_common(p, workers=True):
+    def add_workers(p, default):
+        p.add_argument(
+            "--workers",
+            type=_positive_int,
+            default=None,
+            metavar="N",
+            help="worker processes: cells fan across a persistent pool "
+            "reused between dispatches; results are byte-identical for "
+            f"any count (default {default})",
+        )
+
+    def add_common(p):
         p.add_argument("workload", help="workload name (see `list`)")
         p.add_argument(
             "--device", default="K20c", help="GPU preset (default K20c)"
@@ -658,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="use paper-scale parameters instead of quick ones",
         )
-        add_exec_knobs(p, workers=workers)
+        add_exec_knobs(p)
 
     def add_obs(p):
         p.add_argument(
@@ -687,9 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(compare)
     add_obs(compare)
+    add_workers(compare, "1")
 
     tune = sub.add_parser("tune", help="run the offline auto-tuner")
-    add_common(tune, workers=False)
+    add_common(tune)
     tune.add_argument(
         "--budget", type=int, default=80, help="max configurations to try"
     )
@@ -773,6 +770,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use paper-scale parameters instead of quick ones",
     )
     add_exec_knobs(bench)
+    add_workers(bench, "one per core")
     bench.add_argument(
         "--bench-json",
         metavar="PATH",

@@ -13,19 +13,17 @@ Three parts, mirroring Figure 2's *Auto Tuner* box:
   and is enabled on the tuned configuration.
 """
 
-from .cache import CACHE_SCHEMA_VERSION, CachedEvaluation, ProfileCache
+from .cache import CachedEvaluation
 from .offline import EvaluatedConfig, OfflineTuner, TunerOptions, TunerReport
 from .pool import default_workers, map_shards, stride_shards
 from .profiler import PipelineProfile, StageProfile, profile_pipeline
 from .space import enumerate_configs, throughput_bound_cycles
 
 __all__ = [
-    "CACHE_SCHEMA_VERSION",
     "CachedEvaluation",
     "EvaluatedConfig",
     "OfflineTuner",
     "PipelineProfile",
-    "ProfileCache",
     "StageProfile",
     "TunerOptions",
     "TunerReport",

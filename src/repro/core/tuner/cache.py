@@ -1,4 +1,4 @@
-"""Persistent on-disk cache of tuner evaluations.
+"""Memoized tuner evaluations: keys, entries and the deadline rule.
 
 Replaying a candidate configuration is deterministic: the same pipeline
 topology, device spec, recorded trace and configuration always produce
@@ -6,21 +6,14 @@ the same simulated time.  That makes every evaluated cell memoizable —
 repeated ``tune``/``compare`` invocations (and CI reruns) can skip
 already-simulated cells entirely.
 
-Layout
-------
-
-Each cell is one small JSON file::
-
-    <cache_dir>/<space_key[:16]>/<config_key>.json
-
-``space_key`` fingerprints everything shared by a search — the cache
-schema version, the pipeline topology (stage names, edges and kernel
-resources), the device spec, and the recorded trace (the workload seed:
-every task's stage, cost and children).  ``config_key`` additionally
-hashes the candidate configuration.  Any change to pipeline, device,
-workload or schema therefore lands in a different directory and misses
-cleanly; bumping :data:`CACHE_SCHEMA_VERSION` invalidates every existing
-entry at once.
+Cells live in the ``evals`` namespace of :mod:`repro.store` (JSON on
+disk; docs/harness.md describes the layout).  :func:`space_key`
+fingerprints everything shared by a search — the namespace schema, the
+pipeline topology (stage names, edges and kernel resources), the device
+spec, and the recorded trace (the workload seed: every task's stage,
+cost and children) — and :func:`eval_key` adds the candidate
+configuration.  Any change to pipeline, device, workload or schema
+therefore lands on a different key and misses cleanly.
 
 Entries record one of three outcomes:
 
@@ -32,19 +25,7 @@ Entries record one of three outcomes:
 * ``timeout`` — the replay ran past ``exceeded_cycles``.  A timeout
   entry is only a hit when the *current* deadline is no larger than the
   recorded one (the run would provably time out again); otherwise the
-  cell is re-evaluated and the entry overwritten.
-
-Writes are atomic (temp file + ``os.replace``) so concurrent tuner
-workers sharing one cache directory never observe torn entries.
-
-On top of the disk store each :class:`ProfileCache` keeps a bounded
-in-memory layer, and :func:`shared_cache` hands every process one cache
-object per ``(root, space key)`` — so a persistent pool worker that
-re-searches the same space skips even the JSON reads.  Because those
-shared objects (and their hit/miss counters) outlive a dispatch, shard
-code must report *per-dispatch deltas* — snapshot :meth:`stats` before,
-subtract after — never the lifetime totals (the same discipline the
-harness applies to its trace cache).
+  cell is re-evaluated and the entry overwritten (:func:`lookup`).
 """
 
 from __future__ import annotations
@@ -53,30 +34,18 @@ import hashlib
 import json
 import math
 import os
-import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ...gpu.specs import GPUSpec
+from ...store import NAMESPACES, Store, digest
 from ..config import PipelineConfig
 from ..pipeline import Pipeline
 from ..trace import Trace
-from ...gpu.specs import GPUSpec
 from .profiler import QueuePressure
-
-#: Bump to invalidate every existing cache entry (schema change).
-#: v2: completed entries carry exact elapsed engine ``cycles``.
-CACHE_SCHEMA_VERSION = 2
-
-#: Decoded entries retained in one cache object's memory layer.
-MEMORY_CACHE_ENTRIES = 4096
 
 #: Default location honoured by ``repro tune --cache-dir`` with no value.
 DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro-tuner")
-
-
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def pipeline_fingerprint(pipeline: Pipeline) -> str:
@@ -97,13 +66,13 @@ def pipeline_fingerprint(pipeline: Pipeline) -> str:
                 bool(stage.requires_global_sync),
             )
         )
-    return _digest(json.dumps(rows, sort_keys=True))
+    return digest(json.dumps(rows, sort_keys=True))
 
 
 def spec_fingerprint(spec: GPUSpec) -> str:
     """Stable hash of every architectural parameter of the device."""
     row = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    return _digest(json.dumps(row, sort_keys=True, default=repr))
+    return digest(json.dumps(row, sort_keys=True, default=repr))
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -136,7 +105,22 @@ def config_fingerprint(config: PipelineConfig) -> str:
         {"groups": rows, "policy": config.policy, "queue": config.queue_mode},
         sort_keys=True,
     )
-    return _digest(payload)
+    return digest(payload)
+
+
+def space_key(pipeline: Pipeline, spec: GPUSpec, trace: Trace) -> str:
+    """Key of one search space: schema, pipeline, device and trace."""
+    return digest(
+        f"schema={NAMESPACES['evals'].schema}",
+        pipeline_fingerprint(pipeline),
+        spec_fingerprint(spec),
+        trace_fingerprint(trace),
+    )
+
+
+def eval_key(space: str, config: PipelineConfig) -> str:
+    """Store key of one candidate within a search space."""
+    return digest(space, config_fingerprint(config))
 
 
 @dataclass(frozen=True)
@@ -154,11 +138,7 @@ class CachedEvaluation:
     cycles: float = 0.0
 
     def to_payload(self) -> dict:
-        payload = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "status": self.status,
-            "note": self.note,
-        }
+        payload: dict = {"status": self.status, "note": self.note}
         if self.status == "completed":
             payload["time_ms"] = self.time_ms
             payload["cycles"] = self.cycles
@@ -174,8 +154,6 @@ class CachedEvaluation:
     @classmethod
     def from_payload(cls, payload: dict) -> Optional["CachedEvaluation"]:
         if not isinstance(payload, dict):
-            return None
-        if payload.get("schema") != CACHE_SCHEMA_VERSION:
             return None
         status = payload.get("status")
         if status == "completed":
@@ -209,230 +187,26 @@ class CachedEvaluation:
         return None
 
 
-@dataclass(frozen=True)
-class ProfileCacheStats:
-    """Immutable hit/miss counters; deltas subtract, merges add.
+def lookup(
+    store: Store, key: str, deadline_cycles: float = math.inf
+) -> Optional[CachedEvaluation]:
+    """The memoized outcome, or None when the cell must be replayed.
 
-    Mirrors the harness's ``TraceCacheStats`` idiom: shard code
-    snapshots a cache's lifetime counters before working and returns
-    ``after - before``, so per-dispatch numbers stay correct however
-    long the persistent workers (and their shared cache objects) live.
+    A ``timeout`` entry only satisfies deadlines at least as strict as
+    the one it was recorded under.  An unusable memory entry falls
+    through to disk — a concurrent worker may have overwritten the cell
+    with a completed or longer-deadline outcome.
     """
 
-    mem_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.mem_hits + self.disk_hits
-
-    def __add__(self, other: "ProfileCacheStats") -> "ProfileCacheStats":
-        return ProfileCacheStats(
-            mem_hits=self.mem_hits + other.mem_hits,
-            disk_hits=self.disk_hits + other.disk_hits,
-            misses=self.misses + other.misses,
-            stores=self.stores + other.stores,
-        )
-
-    def __sub__(self, other: "ProfileCacheStats") -> "ProfileCacheStats":
-        return ProfileCacheStats(
-            mem_hits=self.mem_hits - other.mem_hits,
-            disk_hits=self.disk_hits - other.disk_hits,
-            misses=self.misses - other.misses,
-            stores=self.stores - other.stores,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "mem_hits": self.mem_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "stores": self.stores,
-        }
-
-    def describe(self) -> str:
-        return (
-            f"{self.hits} hits / {self.misses} misses "
-            f"(memory: {self.mem_hits}, disk: {self.disk_hits}; "
-            f"{self.stores} stores)"
-        )
-
-
-class ProfileCache:
-    """Reads and writes memoized evaluations for one search space.
-
-    Lookups consult a bounded in-memory layer before touching disk;
-    stores write through to both.  Lifetime counters feed
-    :meth:`stats`; consumers that need per-run numbers must subtract a
-    snapshot (see :class:`ProfileCacheStats`).
-    """
-
-    def __init__(self, root: str, space_key: str) -> None:
-        self.root = os.path.expanduser(root)
-        self.space_key = space_key
-        self.space_dir = os.path.join(self.root, space_key[:16])
-        self._memory: "OrderedDict[str, CachedEvaluation]" = OrderedDict()
-        self._mem_hits = 0
-        self._disk_hits = 0
-        self._misses = 0
-        self._stores = 0
-
-    @classmethod
-    def open(
-        cls,
-        cache_dir: str,
-        pipeline: Pipeline,
-        spec: GPUSpec,
-        trace: Trace,
-    ) -> "ProfileCache":
-        space_key = _digest(
-            "|".join(
-                (
-                    f"schema={CACHE_SCHEMA_VERSION}",
-                    pipeline_fingerprint(pipeline),
-                    spec_fingerprint(spec),
-                    trace_fingerprint(trace),
-                )
-            )
-        )
-        return cls(cache_dir, space_key)
-
-    # ------------------------------------------------------------------
-    def path_for(self, config: PipelineConfig) -> str:
-        return os.path.join(
-            self.space_dir, config_fingerprint(config) + ".json"
-        )
-
-    @staticmethod
-    def _usable(
-        entry: Optional[CachedEvaluation], deadline_cycles: float
-    ) -> Optional[CachedEvaluation]:
+    def usable(payload: dict) -> bool:
+        entry = CachedEvaluation.from_payload(payload)
         if entry is None:
-            return None
-        if entry.status == "timeout" and entry.exceeded_cycles < deadline_cycles:
-            return None  # a longer deadline might let this cell finish
-        return entry
-
-    def _remember(self, key: str, entry: CachedEvaluation) -> None:
-        self._memory[key] = entry
-        self._memory.move_to_end(key)
-        while len(self._memory) > MEMORY_CACHE_ENTRIES:
-            self._memory.popitem(last=False)
-
-    def lookup(
-        self, config: PipelineConfig, deadline_cycles: float = math.inf
-    ) -> Optional[CachedEvaluation]:
-        """Return the memoized outcome, or None when it must be replayed.
-
-        A ``timeout`` entry only satisfies deadlines at least as strict
-        as the one it was recorded under.  An unusable memory entry
-        falls through to disk — a concurrent worker may have overwritten
-        the cell with a completed or longer-deadline outcome.
-        """
-        key = config_fingerprint(config)
-        cached = self._usable(self._memory.get(key), deadline_cycles)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self._mem_hits += 1
-            return cached
-        try:
-            with open(
-                os.path.join(self.space_dir, key + ".json"),
-                "r",
-                encoding="utf-8",
-            ) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            self._misses += 1
-            return None
-        entry = self._usable(CachedEvaluation.from_payload(payload), deadline_cycles)
-        if entry is None:
-            self._misses += 1
-            return None
-        self._remember(key, entry)
-        self._disk_hits += 1
-        return entry
-
-    def store(self, config: PipelineConfig, entry: CachedEvaluation) -> None:
-        """Atomically write one cell (concurrent writers are safe)."""
-        key = config_fingerprint(config)
-        os.makedirs(self.space_dir, exist_ok=True)
-        payload = json.dumps(entry.to_payload(), sort_keys=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.space_dir, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp_path, os.path.join(self.space_dir, key + ".json"))
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._remember(key, entry)
-        self._stores += 1
-
-    def stats(self) -> ProfileCacheStats:
-        """Lifetime counters (snapshot-and-delta for per-run numbers)."""
-        return ProfileCacheStats(
-            mem_hits=self._mem_hits,
-            disk_hits=self._disk_hits,
-            misses=self._misses,
-            stores=self._stores,
+            return False
+        # A longer deadline might let a timed-out cell finish.
+        return not (
+            entry.status == "timeout"
+            and entry.exceeded_cycles < deadline_cycles
         )
 
-    # ------------------------------------------------------------------
-    def entry_count(self) -> int:
-        """Number of memoized cells for this search space."""
-        try:
-            return sum(
-                1
-                for name in os.listdir(self.space_dir)
-                if name.endswith(".json") and not name.startswith(".tmp-")
-            )
-        except OSError:
-            return 0
-
-    def clear(self) -> int:
-        """Drop every cell of this search space; returns how many."""
-        removed = 0
-        self._memory.clear()
-        try:
-            names = os.listdir(self.space_dir)
-        except OSError:
-            return 0
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                os.unlink(os.path.join(self.space_dir, name))
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-#: Per-process registry: one cache object (and one memory layer) per
-#: ``(expanded root, space key)``.  Persistent pool workers get cache
-#: reuse across dispatches for free; the parent gets the same object on
-#: every rung of one search.
-_SHARED_CACHES: dict[tuple[str, str], ProfileCache] = {}
-
-
-def shared_cache(root: str, space_key: str) -> ProfileCache:
-    """The process-wide :class:`ProfileCache` for one search space."""
-    key = (os.path.expanduser(root), space_key)
-    cache = _SHARED_CACHES.get(key)
-    if cache is None:
-        cache = ProfileCache(root, space_key)
-        _SHARED_CACHES[key] = cache
-    return cache
-
-
-def clear_shared_caches() -> None:
-    """Forget every shared cache object (test isolation hook)."""
-    _SHARED_CACHES.clear()
+    payload = store.get(key, accept=usable)
+    return None if payload is None else CachedEvaluation.from_payload(payload)

@@ -17,9 +17,11 @@ This module ships a payload once per dispatch instead:
   cross the process boundary zero-copy through the kernel's shared
   mapping rather than W times through the result pipes;
 * workers cache the decoded payload by its **content fingerprint**
-  (sha256 of the pickled bytes), so a persistent worker that has already
-  seen a payload — the tuner re-searching the same trace, the harness
-  re-dispatching the same suite — skips even the one-time decode.
+  (sha256 of the pickled bytes) in the memory-only ``payloads``
+  namespace of :mod:`repro.store`, so a persistent worker that has
+  already seen a payload — the tuner re-searching the same trace, the
+  harness re-dispatching the same suite — skips even the one-time
+  decode.
 
 Segments are released by the parent as soon as the dispatch finishes,
 on success *and* on error paths (``tests/core/test_persistent_pool.py``
@@ -34,8 +36,9 @@ import hashlib
 import math
 import pickle
 import struct
-from collections import OrderedDict
 from typing import Optional
+
+from ...store import Store
 
 try:  # POSIX + Windows both have it; some minimal builds do not.
     from multiprocessing import shared_memory as _shm
@@ -46,12 +49,8 @@ except ImportError:  # pragma: no cover - exotic platforms
 #: memory; smaller ones ride inline in the task message.
 SHARED_MIN_BYTES = 64 * 1024
 
-#: Decoded payloads retained per process, keyed by content fingerprint.
-#: Bounds resident memory in long-lived pool workers.
-RESOLVE_CACHE_ENTRIES = 8
-
 #: Worker-side cache: content fingerprint -> decoded payload.
-_RESOLVED: "OrderedDict[str, object]" = OrderedDict()
+_PAYLOADS = Store("payloads")
 
 #: Parent-side names of segments published but not yet released —
 #: introspection for leak tests and diagnostics.
@@ -65,14 +64,7 @@ def live_segment_names() -> frozenset[str]:
 
 def clear_resolve_cache() -> None:
     """Drop every cached decoded payload (test isolation hook)."""
-    _RESOLVED.clear()
-
-
-def _remember(key: str, value: object) -> None:
-    _RESOLVED[key] = value
-    _RESOLVED.move_to_end(key)
-    while len(_RESOLVED) > RESOLVE_CACHE_ENTRIES:
-        _RESOLVED.popitem(last=False)
+    _PAYLOADS.clear()
 
 
 def _attach_untracked(name: str):
@@ -150,9 +142,9 @@ class SharedPayload:
 
     def resolve(self) -> object:
         """The decoded payload, from the per-process cache when possible."""
-        if self.key in _RESOLVED:
-            _RESOLVED.move_to_end(self.key)
-            return _RESOLVED[self.key]
+        value = _PAYLOADS.get(self.key)
+        if value is not None:
+            return value
         if _shm is None:  # pragma: no cover - publish side guards this
             raise pickle.UnpicklingError(
                 "shared-memory payload received on a platform without "
@@ -163,7 +155,7 @@ class SharedPayload:
             value = pickle.loads(segment.buf[: self.size])
         finally:
             segment.close()
-        _remember(self.key, value)
+        _PAYLOADS.put(self.key, value)
         return value
 
     def release(self) -> None:

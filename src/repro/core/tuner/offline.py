@@ -39,8 +39,9 @@ chosen plan:
   anyway and is skipped without simulation (note ``"dominated"``).
 * **Profile cache** — with :attr:`TunerOptions.cache_dir` set, every
   replay outcome is memoized in memory and on disk keyed by pipeline
-  topology, device spec, trace and configuration
-  (:mod:`~repro.core.tuner.cache`); repeated searches replay nothing.
+  topology, device spec, trace and configuration (the ``evals``
+  namespace of :mod:`repro.store`, keyed by
+  :mod:`~repro.core.tuner.cache`); repeated searches replay nothing.
   Cached searches pin their deadlines to the deterministic shard-local
   schedule (the shared bound is not consulted), so a warm rerun looks
   up exactly the cells a cold run stored and misses nothing.
@@ -75,17 +76,13 @@ from typing import Optional
 from ...gpu.device import GPUDevice
 from ...gpu.specs import GPUSpec
 from ...obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
+from ...store import StoreStats, open_store
 from ..config import PipelineConfig
 from ..errors import ConfigurationError, ExecutionError, VersaPipeError
 from ..executor import ReplayExecutor
 from ..pipeline import Pipeline
 from ..trace import Trace
-from .cache import (
-    CachedEvaluation,
-    ProfileCache,
-    ProfileCacheStats,
-    shared_cache,
-)
+from .cache import CachedEvaluation, eval_key, lookup, space_key
 from .handoff import SharedBest
 from .pool import default_workers, map_shards, stride_shards
 from .profiler import (
@@ -202,7 +199,7 @@ class TunerReport:
     #: Worker processes the search actually used.
     workers: int = 1
     #: Per-dispatch profile-cache counter deltas (zeros when disabled).
-    cache_stats: ProfileCacheStats = field(default_factory=ProfileCacheStats)
+    cache_stats: StoreStats = field(default_factory=StoreStats)
 
     @property
     def num_evaluated(self) -> int:
@@ -282,9 +279,7 @@ class TunerReport:
 @dataclass
 class _ShardResult:
     records: list[EvaluatedConfig]
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stats: ProfileCacheStats = field(default_factory=ProfileCacheStats)
+    cache_stats: StoreStats = field(default_factory=StoreStats)
 
 
 @dataclass
@@ -362,12 +357,13 @@ def _evaluate_shard(
     pipeline = payload.pipeline
     spec = payload.spec
     options = payload.options
+    space = payload.cache_space_key or ""
     cache = (
-        shared_cache(options.cache_dir, payload.cache_space_key)
-        if options.cache_dir and payload.cache_space_key
+        open_store("evals", options.cache_dir)
+        if options.cache_dir and space
         else None
     )
-    stats_before = cache.stats() if cache is not None else None
+    stats_before = cache.stats() if cache is not None else StoreStats()
     shared = payload.shared_best if cache is None else None
     result = _ShardResult(records=[])
     best_ms = payload.seed_best_ms
@@ -396,7 +392,8 @@ def _evaluate_shard(
                 )
                 continue
         if cache is not None:
-            entry = cache.lookup(config, deadline_cycles=deadline)
+            key = eval_key(space, config)
+            entry = lookup(cache, key, deadline_cycles=deadline)
             if entry is not None:
                 record = _record_from_cache(config, index, entry)
                 result.records.append(record)
@@ -412,11 +409,11 @@ def _evaluate_shard(
                 EvaluatedConfig(config, math.inf, note="timeout", index=index)
             )
             if cache is not None:
-                cache.store(
-                    config,
+                cache.put(
+                    key,
                     CachedEvaluation(
                         status="timeout", exceeded_cycles=deadline
-                    ),
+                    ).to_payload(),
                 )
             continue
         except ConfigurationError as exc:
@@ -426,9 +423,11 @@ def _evaluate_shard(
                 )
             )
             if cache is not None:
-                cache.store(
-                    config,
-                    CachedEvaluation(status="invalid", note=f"invalid: {exc}"),
+                cache.put(
+                    key,
+                    CachedEvaluation(
+                        status="invalid", note=f"invalid: {exc}"
+                    ).to_payload(),
                 )
             continue
         result.records.append(
@@ -437,24 +436,21 @@ def _evaluate_shard(
             )
         )
         if cache is not None:
-            cache.store(
-                config,
+            cache.put(
+                key,
                 CachedEvaluation(
                     status="completed",
                     time_ms=time_ms,
                     pressure=pressure,
                     cycles=cycles,
-                ),
+                ).to_payload(),
             )
         if time_ms < best_ms:
             best_ms = time_ms
             if shared is not None:
                 shared.publish(time_ms)
-    if cache is not None and stats_before is not None:
-        delta = cache.stats() - stats_before
-        result.cache_stats = delta
-        result.cache_hits = delta.hits
-        result.cache_misses = delta.misses
+    if cache is not None:
+        result.cache_stats = cache.stats() - stats_before
     return result
 
 
@@ -551,7 +547,7 @@ class OfflineTuner:
         alive = list(enumerate(candidates))
         eliminated: dict[int, EvaluatedConfig] = {}
         final_records: list[EvaluatedConfig] = []
-        cache_stats = ProfileCacheStats()
+        cache_stats = StoreStats()
         for rung_number, (rung_trace, rung_profile) in enumerate(rungs):
             if not alive:
                 break
@@ -579,7 +575,8 @@ class OfflineTuner:
 
         evaluated, best, best_ms = self._normalize(final_records, eliminated)
         self._emit_events(
-            evaluated, best_ms, cache_stats.hits, cache_stats.misses, workers
+            evaluated, best_ms, cache_stats.total_hits, cache_stats.misses,
+            workers,
         )
         if best is None:
             raise ConfigurationError(
@@ -590,7 +587,7 @@ class OfflineTuner:
             best_config=final,
             best_time_ms=best_ms,
             evaluated=evaluated,
-            cache_hits=cache_stats.hits,
+            cache_hits=cache_stats.total_hits,
             cache_misses=cache_stats.misses,
             workers=workers,
             cache_stats=cache_stats,
@@ -641,11 +638,9 @@ class OfflineTuner:
         the final full-trace rung.
         """
         options = replace(self.options, timeout_slack=rung_slack)
-        space_key = None
+        space = None
         if options.cache_dir:
-            space_key = ProfileCache.open(
-                options.cache_dir, self.pipeline, self.spec, rung_trace
-            ).space_key
+            space = space_key(self.pipeline, self.spec, rung_trace)
         shared = SharedBest.create() if workers > 1 else None
         payload = _SearchPayload(
             pipeline=self.pipeline,
@@ -654,7 +649,7 @@ class OfflineTuner:
             profile=rung_profile,
             options=options,
             shared_best=shared,
-            cache_space_key=space_key,
+            cache_space_key=space,
         )
         try:
             items = alive

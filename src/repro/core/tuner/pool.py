@@ -17,10 +17,10 @@ old spawn-per-invocation ``ctx.Pool`` matters twice over:
   dispatch, so replay-only dispatches (a warm trace cache, a memoized
   tuner search) are no longer dominated by pool start-up;
 * workers retain their per-process state — decoded payloads
-  (:mod:`~repro.core.tuner.handoff`), disk-backed trace caches
-  (:func:`repro.harness.tracecache.process_cache`) — across dispatches,
-  so repeated suites replay from worker memory instead of re-reading
-  and re-unpickling traces every time.
+  (:mod:`~repro.core.tuner.handoff`), disk-backed stores
+  (:func:`repro.store.open_store`) — across dispatches, so repeated
+  suites replay from worker memory instead of re-reading and
+  re-unpickling traces every time.
 
 Each dispatch ships its payload through :mod:`~repro.core.tuner
 .handoff`: pickled once, published via shared memory when large, and

@@ -26,9 +26,7 @@ from .tables import format_table, ratio, render_figure11, render_table2
 from .tracecache import (
     DEFAULT_TRACE_CACHE,
     DEFAULT_TRACE_CACHE_DIR,
-    DiskTraceStore,
     TraceCache,
-    TraceCacheStats,
     workload_fingerprint,
 )
 
@@ -37,11 +35,9 @@ __all__ = [
     "CellTask",
     "DEFAULT_TRACE_CACHE",
     "DEFAULT_TRACE_CACHE_DIR",
-    "DiskTraceStore",
     "ExperimentCell",
     "SuiteResult",
     "TraceCache",
-    "TraceCacheStats",
     "TunedWorkload",
     "aggregate_reports",
     "execute_model",

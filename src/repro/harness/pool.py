@@ -23,11 +23,11 @@ Determinism contract (pinned by ``tests/test_harness_pool.py``):
   .replayed` — cache *provenance*, not a simulated result — which is why
   :func:`suite_bench_payload` excludes it.
 
-Workers share functional work through the disk layer of
-:class:`~repro.harness.tracecache.TraceCache` (``cache_dir=``): each
-worker keeps a private in-memory LRU over the shared directory, so a
-warm cache lets every worker replay traces straight into its models
-without executing any stage code.
+Workers share functional work through a directory of the ``traces``
+store (``cache_dir=``, :mod:`repro.store`): each worker keeps a private
+in-memory LRU over the shared directory, so a warm cache lets every
+worker replay traces straight into its models without executing any
+stage code.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from ..core.models import (
 )
 from ..core.tuner.pool import default_workers, map_shards, stride_shards
 from ..gpu.specs import get_spec
+from ..store import Store, StoreStats
 from ..workloads.registry import all_workloads, get_workload
-from .runner import ExperimentCell, run_cell, run_versapipe
-from .tracecache import TraceCache, TraceCacheStats, process_cache
+from .runner import ExperimentCell, run_cell, run_shard_cells, run_versapipe
 
 #: The Table 2 columns; the default suite runs one cell per column.
 COLUMNS = ("baseline", "megakernel", "versapipe")
@@ -119,11 +119,11 @@ class _ShardCells:
     """One worker's results: its cells plus its cache counter totals."""
 
     cells: list[ExperimentCell]
-    cache_stats: TraceCacheStats
+    cache_stats: StoreStats
 
 
 def _run_task(
-    task: CellTask, payload: _SuitePayload, cache: Optional[TraceCache]
+    task: CellTask, payload: _SuitePayload, cache: Optional[Store]
 ) -> ExperimentCell:
     spec = get_workload(task.workload)
     gpu = get_spec(task.device)
@@ -162,30 +162,13 @@ def _run_task(
 def _run_cell_shard(
     payload: _SuitePayload, shard: list[CellTask]
 ) -> _ShardCells:
-    """Worker entry point: run one shard sequentially.
-
-    With a ``cache_dir`` the worker resolves the **process-persistent**
-    cache for that directory (:func:`~repro.harness.tracecache
-    .process_cache`): the persistent pool keeps workers alive across
-    dispatches, so traces loaded or recorded once stay resident in the
-    worker's memory LRU and later dispatches replay them with no disk
-    or pickle work at all.  Without a disk layer the cache is private to
-    the dispatch, exactly as before.
-
-    The returned ``cache_stats`` are this *dispatch's* counter delta —
-    never the worker's lifetime totals, which under worker reuse span
-    every suite this process ever served.
-    """
-    cache: Optional[TraceCache] = None
-    if payload.replay_cache:
-        if payload.cache_dir:
-            cache = process_cache(payload.cache_dir)
-        else:
-            cache = TraceCache()
-    before = cache.stats() if cache is not None else TraceCacheStats()
-    cells = [_run_task(task, payload, cache) for task in shard]
-    stats = (
-        cache.stats() - before if cache is not None else TraceCacheStats()
+    """Worker entry point: run one shard sequentially (the cache and
+    the per-dispatch counter delta come from
+    :func:`~repro.harness.runner.run_shard_cells`)."""
+    cells, stats = run_shard_cells(
+        payload.replay_cache,
+        payload.cache_dir,
+        lambda cache: [_run_task(task, payload, cache) for task in shard],
     )
     return _ShardCells(cells=cells, cache_stats=stats)
 
@@ -200,7 +183,7 @@ def run_cells(
     replay_cache: bool = True,
     full: bool = False,
     params: Optional[dict] = None,
-) -> tuple[list[ExperimentCell], TraceCacheStats]:
+) -> tuple[list[ExperimentCell], StoreStats]:
     """Run every task, fanned across ``workers`` processes.
 
     Returns ``(cells, cache_stats)`` with ``cells`` in task order and
@@ -226,7 +209,7 @@ def run_cells(
     shard_results = map_shards(_run_cell_shard, payload, shards, workers)
     count = len(shards)
     merged: list[ExperimentCell] = [None] * len(tasks)  # type: ignore[list-item]
-    stats = TraceCacheStats()
+    stats = StoreStats()
     for offset, shard_result in enumerate(shard_results):
         merged[offset::count] = shard_result.cells
         stats = stats + shard_result.cache_stats
@@ -240,7 +223,7 @@ class SuiteResult:
     tasks: list[CellTask]
     cells: list[ExperimentCell]
     workers: int
-    cache_stats: TraceCacheStats
+    cache_stats: StoreStats
     wall_s: float
 
     def by_device(self) -> dict[str, dict[str, dict[str, ExperimentCell]]]:

@@ -7,7 +7,7 @@ renderers and the tests can consume them uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..core.executor import (
     FunctionalExecutor,
@@ -30,14 +30,9 @@ from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, K20C, get_spec
 from ..obs import Observer, RunReport, TunerStats
 from ..obs.events import EventBus
+from ..store import Store, StoreStats, open_store
 from ..workloads.registry import WorkloadSpec, get_workload
-from .tracecache import (
-    DEFAULT_TRACE_CACHE,
-    TraceCache,
-    TraceCacheStats,
-    process_cache,
-    workload_fingerprint,
-)
+from .tracecache import DEFAULT_TRACE_CACHE, TraceCache, workload_fingerprint
 
 
 @dataclass
@@ -62,7 +57,7 @@ def execute_model(
     device: GPUDevice,
     params: object,
     batch_size: Optional[int] = None,
-    cache: Optional[TraceCache] = None,
+    cache: Optional[Store] = None,
 ) -> tuple[RunResult, bool]:
     """Run ``model`` with the cheapest executor that preserves the result.
 
@@ -108,7 +103,7 @@ def run_cell(
     label: Optional[str] = None,
     observe: bool = False,
     batch_size: Optional[int] = None,
-    cache: Optional[TraceCache] = None,
+    cache: Optional[Store] = None,
 ) -> ExperimentCell:
     """Run one workload under one model on one simulated device.
 
@@ -145,24 +140,38 @@ def run_cell(
     )
 
 
-def _with_disk_layer(
-    cache: Optional[TraceCache], cache_dir: Optional[str]
-) -> Optional[TraceCache]:
-    """Layer ``cache_dir`` under a memory-only cache (``None`` stays off)."""
-    if cache is None or cache_dir is None or cache.disk is not None:
-        return cache
-    return TraceCache(max_entries=cache.max_entries, disk_dir=cache_dir)
+def run_shard_cells(
+    replay_cache: bool,
+    cache_dir: Optional[str],
+    run: Callable[[Optional[Store]], list[ExperimentCell]],
+) -> tuple[list[ExperimentCell], StoreStats]:
+    """Run one pool shard's cells against its trace store.
+
+    With a ``cache_dir`` the shard uses the process-wide store for that
+    directory (:func:`repro.store.open_store`): the persistent pool keeps
+    workers alive across dispatches, so traces loaded or recorded once
+    stay decoded in the worker's memory and later dispatches replay them
+    with no disk or pickle work at all.  Without one the cache is
+    private to the dispatch.  Returns the cells and the *dispatch's*
+    counter delta — never the store's lifetime totals, which under
+    worker reuse span every dispatch the process ever served.
+    """
+    cache: Optional[Store] = None
+    if replay_cache:
+        cache = open_store("traces", cache_dir) if cache_dir else TraceCache()
+    before = _stats(cache)
+    cells = run(cache)
+    return cells, _stats(cache) - before
 
 
-def _effective_cache_dir(
-    cache: Optional[TraceCache], cache_dir: Optional[str]
-) -> Optional[str]:
-    """The disk directory parallel workers should share, if any."""
-    if cache_dir is not None:
-        return cache_dir
-    if cache is not None and cache.disk is not None:
-        return cache.disk.root
-    return None
+def _stats(cache: Optional[Store]) -> StoreStats:
+    return cache.stats() if cache is not None else StoreStats()
+
+
+def _publish_run(cache: Optional[Store], delta: StoreStats) -> None:
+    """Record one entry-point call's counter delta as ``last_run``."""
+    if isinstance(cache, TraceCache):
+        cache.last_run = delta
 
 
 @dataclass(frozen=True)
@@ -181,36 +190,27 @@ class _CandidatePayload:
 
 def _run_candidate_shard(
     payload: _CandidatePayload, shard: list
-) -> tuple[list[ExperimentCell], TraceCacheStats]:
+) -> tuple[list[ExperimentCell], StoreStats]:
     spec = get_workload(payload.workload)
     gpu = get_spec(payload.device)
-    cache: Optional[TraceCache] = None
-    if payload.replay_cache:
-        # Same per-process persistence + per-dispatch delta accounting
-        # as the suite shards (see pool._run_cell_shard).
-        if payload.cache_dir:
-            cache = process_cache(payload.cache_dir)
-        else:
-            cache = TraceCache()
-    before = cache.stats() if cache is not None else TraceCacheStats()
-    cells = [
-        run_cell(
-            spec,
-            HybridModel(config),
-            gpu,
-            payload.params,
-            check=payload.check,
-            label="versapipe",
-            observe=payload.observe,
-            batch_size=payload.batch_size,
-            cache=cache,
-        )
-        for config in shard
-    ]
-    stats = (
-        cache.stats() - before if cache is not None else TraceCacheStats()
+    return run_shard_cells(
+        payload.replay_cache,
+        payload.cache_dir,
+        lambda cache: [
+            run_cell(
+                spec,
+                HybridModel(config),
+                gpu,
+                payload.params,
+                check=payload.check,
+                label="versapipe",
+                observe=payload.observe,
+                batch_size=payload.batch_size,
+                cache=cache,
+            )
+            for config in shard
+        ],
     )
-    return cells, stats
 
 
 def run_versapipe(
@@ -220,9 +220,8 @@ def run_versapipe(
     check: bool = True,
     observe: bool = False,
     batch_size: Optional[int] = None,
-    cache: Optional[TraceCache] = DEFAULT_TRACE_CACHE,
+    cache: Optional[Store] = DEFAULT_TRACE_CACHE,
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> ExperimentCell:
     """Run the workload as VersaPipe would: pick the fastest hybrid plan.
 
@@ -233,16 +232,15 @@ def run_versapipe(
     the faster.
 
     ``workers`` > 1 evaluates the candidate plans in parallel worker
-    processes (sharing functional work through ``cache_dir``'s disk
-    layer); the winner is byte-identical to the serial pick because every
-    candidate simulates deterministically on its own device.  Either way
-    ``cache.last_run`` is set to this call's cache-counter delta so
-    ``repro stats`` reports per-run numbers.
+    processes (sharing functional work through the cache's directory,
+    if it has one); the winner is byte-identical to the serial pick
+    because every candidate simulates deterministically on its own
+    device.  Either way ``cache.last_run`` is set to this call's
+    cache-counter delta so ``repro stats`` reports per-run numbers.
     """
     from ..core.config import GroupConfig, PipelineConfig
 
     params = params if params is not None else spec.default_params()
-    cache = _with_disk_layer(cache, cache_dir)
     pipeline = spec.build_pipeline(params)
     described = spec.versapipe_config(pipeline, gpu, params)
     candidates = [
@@ -273,7 +271,7 @@ def run_versapipe(
             check=check,
             observe=observe,
             batch_size=batch_size,
-            cache_dir=_effective_cache_dir(cache, cache_dir),
+            cache_dir=cache.root if cache is not None else None,
             replay_cache=cache is not None,
         )
         shards = stride_shards(candidates, workers)
@@ -282,18 +280,17 @@ def run_versapipe(
         )
         count = len(shards)
         merged: list[Optional[ExperimentCell]] = [None] * len(candidates)
-        stats = TraceCacheStats()
+        stats = StoreStats()
         for offset, (cells, shard_stats) in enumerate(shard_results):
             merged[offset::count] = cells
             stats = stats + shard_stats
-        if cache is not None:
-            cache.last_run = stats
+        _publish_run(cache, stats)
         best = None
         for cell in merged:
             if best is None or cell.time_ms < best.time_ms:
                 best = cell
         return best
-    before = cache.stats() if cache is not None else None
+    before = _stats(cache)
     best = None
     for config in candidates:
         cell = run_cell(
@@ -309,8 +306,7 @@ def run_versapipe(
         )
         if best is None or cell.time_ms < best.time_ms:
             best = cell
-    if cache is not None:
-        cache.last_run = cache.stats() - before
+    _publish_run(cache, _stats(cache) - before)
     return best
 
 
@@ -321,9 +317,8 @@ def run_workload_models(
     check: bool = True,
     observe: bool = False,
     batch_size: Optional[int] = None,
-    cache: Optional[TraceCache] = DEFAULT_TRACE_CACHE,
+    cache: Optional[Store] = DEFAULT_TRACE_CACHE,
     workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> dict[str, ExperimentCell]:
     """The three Table 2 columns for one workload: baseline, megakernel,
     versapipe.
@@ -332,13 +327,12 @@ def run_workload_models(
     remaining columns replay it (compute once, simulate many); pass
     ``cache=None`` to run every column functionally.  ``workers`` > 1
     fans the three columns across worker processes (sharing functional
-    work through ``cache_dir``'s disk layer) with byte-identical
-    simulated results; ``cache.last_run`` always carries this call's
-    cache-counter delta.
+    work through the cache's directory, if it has one) with
+    byte-identical simulated results; ``cache.last_run`` always carries
+    this call's cache-counter delta.
     """
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
-    cache = _with_disk_layer(cache, cache_dir)
     workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -355,14 +349,13 @@ def run_workload_models(
             check=check,
             observe=observe,
             batch_size=batch_size,
-            cache_dir=_effective_cache_dir(cache, cache_dir),
+            cache_dir=cache.root if cache is not None else None,
             replay_cache=cache is not None,
             params={spec.name: params},
         )
-        if cache is not None:
-            cache.last_run = stats
+        _publish_run(cache, stats)
         return dict(zip(("baseline", "megakernel", "versapipe"), cells))
-    before = cache.stats() if cache is not None else None
+    before = _stats(cache)
     result = {
         "baseline": run_cell(
             spec,
@@ -395,8 +388,7 @@ def run_workload_models(
             cache=cache,
         ),
     }
-    if cache is not None:
-        cache.last_run = cache.stats() - before
+    _publish_run(cache, _stats(cache) - before)
     return result
 
 
@@ -425,7 +417,7 @@ def tune_workload(
     options: Optional[TunerOptions] = None,
     bus: Optional[EventBus] = None,
     batch_size: Optional[int] = None,
-    cache: Optional[TraceCache] = DEFAULT_TRACE_CACHE,
+    cache: Optional[Store] = DEFAULT_TRACE_CACHE,
 ) -> TunedWorkload:
     """Profile one workload and run the offline search end to end.
 

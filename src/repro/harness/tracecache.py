@@ -8,60 +8,27 @@ and replays that trace for every other model/config of the same cell:
 the remaining runs simulate pure scheduling with recorded costs and
 recorded outputs, skipping all numpy work.
 
-Entries are keyed by a content fingerprint in the same spirit as the
-tuner's on-disk cache (:mod:`repro.core.tuner.cache`): the schema
-version, the workload name, and every parameter field.  Any parameter or
-seed change — or a schema bump — misses cleanly.
-
-Two storage layers:
-
-* an in-memory LRU (always on) holding live :class:`~repro.core.trace
-  .Trace` objects — real ndarray payloads, cheap to keep for a
-  process-long sweep;
-* an optional **disk layer** (:class:`DiskTraceStore`) beneath it,
-  mirroring the tuner cache's idiom: one file per fingerprint, a format
-  version embedded in every payload so stale or torn entries read back
-  as clean misses, and atomic writes (temp file + ``os.replace``) so
-  concurrent harness workers sharing one directory never observe a
-  partial entry.  A warm disk cache lets a *fresh process* — another
-  benchmark invocation, a CI re-run, or a pool worker — skip all
-  functional execution and replay traces straight into its models.
-
-Layout of a disk cache directory::
-
-    <cache_dir>/<fingerprint[:2]>/<fingerprint>.trace.pkl
-
-Entries are pickles (the recorded outputs hold real ndarrays, which JSON
-cannot carry); each payload embeds the format version, the fingerprint
-schema version and its own key, and anything that fails to load or
-validate — corruption, truncation, a schema bump, a renamed class — is
-treated as a miss and recomputed, never an error.
+Traces live in the ``traces`` namespace of :mod:`repro.store`: an
+in-memory LRU of live :class:`~repro.core.trace.Trace` objects (real
+ndarray payloads, cheap to keep for a process-long sweep), optionally
+over a directory of pickles that lets a *fresh process* — another
+benchmark invocation, a CI re-run, or a pool worker — skip all
+functional execution and replay traces straight into its models
+(docs/harness.md, "On-disk store").  Entries are keyed by
+:func:`workload_fingerprint`: the namespace schema, the workload name,
+and every parameter field.  Any parameter or seed change — or a schema
+bump — misses cleanly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
-import pickle
-import tempfile
-from collections import OrderedDict
 from typing import Optional
 
-from ..core.trace import Trace
+from ..store import NAMESPACES, Store, StoreStats, digest
 from ..workloads.registry import WorkloadSpec
-
-#: Bump to invalidate every fingerprint (keying-scheme change).
-TRACE_CACHE_SCHEMA_VERSION = 1
-
-#: Bump to invalidate every on-disk payload (serialisation change).
-TRACE_DISK_FORMAT_VERSION = 1
-
-#: Recorded traces retained per cache (LRU).  A sweep touches one trace
-#: per (workload, params) cell; entries hold the workload's real output
-#: payloads, so the cap bounds resident ndarray memory.
-DEFAULT_MAX_ENTRIES = 8
 
 #: Default location honoured by ``repro ... --trace-cache-dir`` with no
 #: value (sibling of the tuner's ``~/.cache/repro-tuner``).
@@ -79,312 +46,45 @@ def workload_fingerprint(spec: WorkloadSpec, params: object) -> str:
         fields = dataclasses.asdict(params)
     else:
         fields = {"repr": repr(params)}
-    payload = json.dumps(
-        {
-            "schema": TRACE_CACHE_SCHEMA_VERSION,
-            "workload": spec.name,
-            "params": fields,
-        },
-        sort_keys=True,
-        default=repr,
+    return digest(
+        json.dumps(
+            {
+                "schema": NAMESPACES["traces"].schema,
+                "workload": spec.name,
+                "params": fields,
+            },
+            sort_keys=True,
+            default=repr,
+        )
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceCacheStats:
-    """A counter snapshot of one :class:`TraceCache` (or a diff of two).
-
-    ``hits``/``misses`` count in-memory lookups; ``disk_hits`` counts
-    lookups served by loading a disk entry into the memory layer (a
-    miss that probed a disk layer and found nothing counts once in
-    ``misses`` and once in ``disk_misses``); ``stores`` counts disk
-    writes.  Snapshots subtract (per-run deltas) and add (merging the
-    counters of parallel harness workers).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    disk_misses: int = 0
-    stores: int = 0
-
-    def __sub__(self, other: "TraceCacheStats") -> "TraceCacheStats":
-        return TraceCacheStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            disk_hits=self.disk_hits - other.disk_hits,
-            disk_misses=self.disk_misses - other.disk_misses,
-            stores=self.stores - other.stores,
-        )
-
-    def __add__(self, other: "TraceCacheStats") -> "TraceCacheStats":
-        return TraceCacheStats(
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            disk_hits=self.disk_hits + other.disk_hits,
-            disk_misses=self.disk_misses + other.disk_misses,
-            stores=self.stores + other.stores,
-        )
-
-    @property
-    def total_hits(self) -> int:
-        """Lookups that avoided functional execution (memory + disk)."""
-        return self.hits + self.disk_hits
-
-    def to_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "disk_misses": self.disk_misses,
-            "stores": self.stores,
-        }
-
-    def describe(self) -> str:
-        """One-line rendering used by ``repro stats`` and ``repro bench``."""
-        return (
-            f"{self.total_hits} hits / {self.misses} misses "
-            f"(disk: {self.disk_hits} hits / {self.stores} stores)"
-        )
-
-
-class DiskTraceStore:
-    """One directory of fingerprint-keyed trace pickles.
-
-    Mirrors :class:`repro.core.tuner.cache.ProfileCache`: content-hashed
-    filenames, an embedded format/schema version checked on every load,
-    and atomic writes so concurrent writers (parallel harness workers
-    recording the same workload) are safe — last writer wins with a
-    complete entry, and readers only ever see whole files.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = os.path.expanduser(root)
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".trace.pkl")
-
-    def load(self, key: str) -> Optional[Trace]:
-        """Return the stored trace, or ``None`` for any unusable entry.
-
-        Missing files, torn or corrupted pickles, stale format/schema
-        versions and key mismatches all read back as clean misses — the
-        caller recomputes and overwrites.
-        """
-        try:
-            with open(self.path_for(key), "rb") as fh:
-                payload = pickle.load(fh)
-        except Exception:  # corrupt/stale/unreadable: recompute cleanly
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("format") != TRACE_DISK_FORMAT_VERSION:
-            return None
-        if payload.get("schema") != TRACE_CACHE_SCHEMA_VERSION:
-            return None
-        if payload.get("key") != key:
-            return None
-        trace = payload.get("trace")
-        if not isinstance(trace, Trace):
-            return None
-        return trace
-
-    def store(self, key: str, trace: Trace) -> None:
-        """Atomically write one entry (concurrent writers are safe)."""
-        payload = {
-            "format": TRACE_DISK_FORMAT_VERSION,
-            "schema": TRACE_CACHE_SCHEMA_VERSION,
-            "key": key,
-            "trace": trace,
-        }
-        target = self.path_for(key)
-        directory = os.path.dirname(target)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=".tmp-", suffix=".pkl"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, target)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def entry_count(self) -> int:
-        """Number of complete entries currently on disk."""
-        count = 0
-        try:
-            prefixes = os.listdir(self.root)
-        except OSError:
-            return 0
-        for prefix in prefixes:
-            try:
-                names = os.listdir(os.path.join(self.root, prefix))
-            except OSError:
-                continue
-            count += sum(
-                1
-                for name in names
-                if name.endswith(".trace.pkl") and not name.startswith(".tmp-")
-            )
-        return count
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
-        removed = 0
-        try:
-            prefixes = os.listdir(self.root)
-        except OSError:
-            return 0
-        for prefix in prefixes:
-            subdir = os.path.join(self.root, prefix)
-            try:
-                names = os.listdir(subdir)
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".trace.pkl"):
-                    continue
-                try:
-                    os.unlink(os.path.join(subdir, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
-class TraceCache:
-    """LRU map from workload fingerprint to a recorded :class:`Trace`,
-    optionally layered over a shared on-disk store.
+class TraceCache(Store):
+    """The harness's replay cache: a ``traces`` store plus ``last_run``.
 
     The traces stored here must be recorded with ``record_outputs=True``
     so replayed runs still produce the real outputs (and pass the
     workloads' ``check_outputs``).  With ``disk_dir`` set, every memory
-    miss probes the disk layer (loading found entries back into the LRU)
-    and every ``put`` also persists the entry, so the cache survives the
-    process and is shared between harness pool workers, ``tune_workload``
-    and repeated benchmark/CI invocations.
+    miss probes the directory and every ``put`` also persists the
+    entry, so the cache survives the process and is shared between
+    harness pool workers, ``tune_workload`` and repeated benchmark/CI
+    invocations.
     """
 
     def __init__(
         self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
+        max_entries: Optional[int] = None,
         disk_dir: Optional[str] = None,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
-        self.disk = DiskTraceStore(disk_dir) if disk_dir else None
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.stores = 0
+        super().__init__("traces", root=disk_dir, max_entries=max_entries)
         #: Per-run counter delta of the most recent harness entry-point
         #: call (``run_workload_models`` / ``run_versapipe``) that used
         #: this cache; ``None`` until one completes.  Kept so ``repro
         #: stats`` reports per-run numbers even on the process-wide
         #: default cache, whose raw counters span the process lifetime.
-        self.last_run: Optional[TraceCacheStats] = None
-        self._entries: OrderedDict[str, Trace] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def stats(self) -> TraceCacheStats:
-        """Snapshot of the lifetime counters (subtract two for a delta)."""
-        return TraceCacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            disk_hits=self.disk_hits,
-            disk_misses=self.disk_misses,
-            stores=self.stores,
-        )
-
-    def get(self, key: str) -> Optional[Trace]:
-        trace = self._entries.get(key)
-        if trace is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return trace
-        if self.disk is not None:
-            trace = self.disk.load(key)
-            if trace is not None:
-                self.disk_hits += 1
-                self._insert(key, trace)
-                return trace
-            self.disk_misses += 1
-        self.misses += 1
-        return None
-
-    def put(self, key: str, trace: Trace) -> None:
-        self._insert(key, trace)
-        if self.disk is not None:
-            self.disk.store(key, trace)
-            self.stores += 1
-
-    def _insert(self, key: str, trace: Trace) -> None:
-        self._entries[key] = trace
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop the in-memory entries and reset every counter.
-
-        The disk layer (if any) is left intact; use ``cache.disk.clear()``
-        to purge it explicitly.
-        """
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.stores = 0
-        self.last_run = None
+        self.last_run: Optional[StoreStats] = None
 
 
 #: Process-wide cache used by the harness entry points by default; pass
 #: ``cache=None`` (``repro --no-replay-cache``) to force functional runs.
 DEFAULT_TRACE_CACHE = TraceCache()
-
-
-#: Disk-backed caches retained per process, keyed by directory.  Bounds
-#: resident trace memory in long-lived pool workers that serve suites
-#: over many different cache directories (the test suite does).
-PROCESS_CACHE_DIRS = 4
-
-_PROCESS_CACHES: OrderedDict[str, TraceCache] = OrderedDict()
-
-
-def process_cache(disk_dir: str) -> TraceCache:
-    """The per-process persistent cache attached to one disk directory.
-
-    Harness pool workers resolve their cache through this registry
-    instead of building a fresh :class:`TraceCache` per dispatch, so a
-    **reused** worker (the persistent pool keeps processes alive across
-    ``map_shards`` calls) replays traces straight from its memory LRU —
-    attaching to the shared :class:`DiskTraceStore` by fingerprint only
-    the first time it meets a workload.  Because the pool forks lazily,
-    workers also inherit whatever this registry already held in the
-    parent, copy-on-write: traces recorded by a serial run are visible
-    to every later parallel run without any serialisation at all.
-
-    Callers that need per-run counters must snapshot ``cache.stats()``
-    before and after and publish the delta — lifetime counters span
-    every dispatch this process ever served (see ``_run_cell_shard``).
-    """
-    key = os.path.abspath(os.path.expanduser(disk_dir))
-    cache = _PROCESS_CACHES.get(key)
-    if cache is None:
-        cache = TraceCache(disk_dir=disk_dir)
-        _PROCESS_CACHES[key] = cache
-    _PROCESS_CACHES.move_to_end(key)
-    while len(_PROCESS_CACHES) > PROCESS_CACHE_DIRS:
-        _PROCESS_CACHES.popitem(last=False)
-    return cache

@@ -1,22 +1,23 @@
 """Persistent profile cache: hits, misses, invalidation, fingerprints."""
 
-import json
+import dataclasses
 import math
-import os
 
-from repro.core.tuner import cache as cache_mod
+from repro import store as store_mod
 from repro.core.tuner.cache import (
-    CACHE_SCHEMA_VERSION,
     CachedEvaluation,
-    ProfileCache,
     config_fingerprint,
+    eval_key,
+    lookup,
     pipeline_fingerprint,
+    space_key,
     spec_fingerprint,
     trace_fingerprint,
 )
 from repro.core.tuner.offline import OfflineTuner, TunerOptions
 from repro.core.tuner.profiler import profile_pipeline
 from repro.gpu.specs import K20C, get_spec
+from repro.store import Store
 
 from .conftest import toy_pipeline
 
@@ -73,21 +74,24 @@ class TestSearchWithCache:
     def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
         first = _tuner(tmp_path / "c").tune()
         assert first.cache_misses > 0
-        monkeypatch.setattr(
-            cache_mod, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1
+        evals = store_mod.NAMESPACES["evals"]
+        monkeypatch.setitem(
+            store_mod.NAMESPACES,
+            "evals",
+            dataclasses.replace(evals, schema=evals.schema + 1),
         )
         rerun = _tuner(tmp_path / "c").tune()
         assert rerun.cache_hits == 0  # every old entry misses cleanly
         assert rerun.best_config == first.best_config
 
     def test_different_workload_different_space(self, tmp_path):
-        """A changed trace must land in a different space directory."""
+        """A changed trace must land in a different search space."""
         pipe = toy_pipeline()
         _, trace_a = profile_pipeline(pipe, K20C, {"doubler": [1, 2, 3]})
         _, trace_b = profile_pipeline(pipe, K20C, {"doubler": [4, 5, 6]})
-        cache_a = ProfileCache.open(str(tmp_path), pipe, K20C, trace_a)
-        cache_b = ProfileCache.open(str(tmp_path), pipe, K20C, trace_b)
-        assert cache_a.space_dir != cache_b.space_dir
+        assert space_key(pipe, K20C, trace_a) != space_key(
+            pipe, K20C, trace_b
+        )
 
 
 class TestCacheSemantics:
@@ -98,70 +102,99 @@ class TestCacheSemantics:
         config = OfflineTuner(
             pipe, K20C, trace, options=tuner_opts
         ).candidates()[0]
-        return ProfileCache.open(str(tmp_path), pipe, K20C, trace), config
+        key = eval_key(space_key(pipe, K20C, trace), config)
+        return Store("evals", str(tmp_path)), key
 
     def test_roundtrip_completed(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        assert cache.lookup(config) is None
-        cache.store(
-            config, CachedEvaluation(status="completed", time_ms=1.25)
+        cache, key = self._cache(tmp_path)
+        assert lookup(cache, key) is None
+        cache.put(
+            key, CachedEvaluation(status="completed", time_ms=1.25).to_payload()
         )
-        entry = cache.lookup(config)
+        entry = lookup(cache, key)
         assert entry is not None
         assert entry.status == "completed" and entry.time_ms == 1.25
 
     def test_timeout_entry_deadline_semantics(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(
-            config,
-            CachedEvaluation(status="timeout", exceeded_cycles=100.0),
+        cache, key = self._cache(tmp_path)
+        cache.put(
+            key,
+            CachedEvaluation(status="timeout", exceeded_cycles=100.0).to_payload(),
         )
         # Stricter (or equal) deadline: the run would provably time out
         # again, so the entry is a hit.
-        hit = cache.lookup(config, deadline_cycles=50.0)
+        hit = lookup(cache, key, deadline_cycles=50.0)
         assert hit is not None and hit.status == "timeout"
-        assert cache.lookup(config, deadline_cycles=100.0) is not None
+        assert lookup(cache, key, deadline_cycles=100.0) is not None
         # Looser deadline: the run might finish now; must re-evaluate.
-        assert cache.lookup(config, deadline_cycles=200.0) is None
-        assert cache.lookup(config, deadline_cycles=math.inf) is None
+        assert lookup(cache, key, deadline_cycles=200.0) is None
+        assert lookup(cache, key, deadline_cycles=math.inf) is None
+
+    def test_unusable_memory_entry_falls_through_to_disk(self, tmp_path):
+        """A concurrent worker may have overwritten a timed-out cell
+        with a completed outcome; the stale memory entry must not hide
+        it from a lookup under a looser deadline."""
+        cache, key = self._cache(tmp_path)
+        cache.put(
+            key,
+            CachedEvaluation(status="timeout", exceeded_cycles=100.0).to_payload(),
+        )
+        other_worker = Store("evals", str(tmp_path))
+        other_worker.put(
+            key,
+            CachedEvaluation(
+                status="completed", time_ms=2.0, cycles=150.0
+            ).to_payload(),
+        )
+        entry = lookup(cache, key, deadline_cycles=200.0)
+        assert entry is not None and entry.status == "completed"
+        assert cache.stats().disk_hits == 1 and cache.stats().mem_hits == 0
+        # The loaded outcome replaced the stale one in memory.
+        assert lookup(cache, key, deadline_cycles=200.0) == entry
+        assert cache.stats().mem_hits == 1
 
     def test_invalid_entry_always_hits(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(
-            config, CachedEvaluation(status="invalid", note="invalid: nope")
+        cache, key = self._cache(tmp_path)
+        cache.put(
+            key,
+            CachedEvaluation(status="invalid", note="invalid: nope").to_payload(),
         )
-        entry = cache.lookup(config, deadline_cycles=1.0)
+        entry = lookup(cache, key, deadline_cycles=1.0)
         assert entry is not None and entry.status == "invalid"
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        cache.store(config, CachedEvaluation(status="completed", time_ms=2.0))
-        with open(cache.path_for(config), "w", encoding="utf-8") as fh:
+        cache, key = self._cache(tmp_path)
+        cache.put(
+            key, CachedEvaluation(status="completed", time_ms=2.0).to_payload()
+        )
+        with open(cache.path_for(key), "w", encoding="utf-8") as fh:
             fh.write("{not json")
         # The in-process memory layer still remembers the good entry ...
-        assert cache.lookup(config) is not None
+        assert lookup(cache, key) is not None
         # ... but a fresh cache object (a new process) must treat the
         # corrupt file as a clean miss.
         fresh, _ = self._cache(tmp_path)
-        assert fresh.lookup(config) is None
+        assert lookup(fresh, key) is None
 
     def test_unknown_status_is_a_miss(self, tmp_path):
-        cache, config = self._cache(tmp_path)
-        os.makedirs(cache.space_dir, exist_ok=True)
-        with open(cache.path_for(config), "w", encoding="utf-8") as fh:
-            json.dump(
-                {"schema": CACHE_SCHEMA_VERSION, "status": "quantum"}, fh
-            )
-        assert cache.lookup(config) is None
+        cache, key = self._cache(tmp_path)
+        cache.put(key, {"status": "quantum"})
+        assert lookup(cache, key) is None
+        fresh, _ = self._cache(tmp_path)
+        assert lookup(fresh, key) is None
 
     def test_entry_count_and_clear(self, tmp_path):
-        cache, config = self._cache(tmp_path)
+        cache, key = self._cache(tmp_path)
         assert cache.entry_count() == 0
-        cache.store(config, CachedEvaluation(status="completed", time_ms=1.0))
+        cache.put(
+            key, CachedEvaluation(status="completed", time_ms=1.0).to_payload()
+        )
         assert cache.entry_count() == 1
-        assert cache.clear() == 1
-        assert cache.entry_count() == 0
-        assert cache.lookup(config) is None
+        # Clearing drops the memory layer only: the cell reloads from disk.
+        cache.clear()
+        assert len(cache) == 0
+        assert lookup(cache, key) is not None
+        assert cache.stats().disk_hits == 1
 
 
 class TestFingerprints:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.tuner.pool import shutdown_pool
 
 
 def run_cli(capsys, *argv):
@@ -211,7 +212,6 @@ class TestBatchingFlags:
         code, out = run_cli(capsys, "stats", "ldpc")
         assert code == 0
         assert "batching: batch-size=unlimited" in out
-        assert "workers=1" in out
         assert "replay cache: on" in out
 
     def test_stats_reports_per_run_cache_numbers(self, capsys):
@@ -239,8 +239,11 @@ class TestArgValidation:
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     @pytest.mark.parametrize("flag", ["--batch-size", "--workers"])
     def test_bad_values_rejected(self, capsys, flag, value):
+        # ``run`` has no --workers (it simulates one cell); ``compare``
+        # fans its three columns across workers.
+        command = "compare" if flag == "--workers" else "run"
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "ldpc", flag, value])
+            main([command, "ldpc", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive integer" in err
@@ -274,13 +277,17 @@ class TestBench:
         )
         code, cold = run_cli(capsys, *argv)
         assert code == 0
+        # A second CLI invocation starts with a fresh pool; without this
+        # the workers that recorded the traces would serve them from
+        # memory and the run would never touch the disk layer.
+        shutdown_pool()
         code, warm = run_cli(capsys, *argv)
         assert code == 0
         # Warm invocation replays from disk: no misses, >=1 disk hit.
         assert "/ 0 misses" in warm
         import re
 
-        assert re.search(r"disk: [1-9][0-9]* hits", warm)
+        assert re.search(r"disk: [1-9][0-9]*;", warm)
         # The simulated tables are identical cold vs warm.
         table = lambda text: text.split("suite:")[0]  # noqa: E731
         assert table(cold) == table(warm)

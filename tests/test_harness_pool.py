@@ -25,15 +25,8 @@ from repro.harness.runner import (
     run_versapipe,
     run_workload_models,
 )
-from repro.harness.tracecache import (
-    PROCESS_CACHE_DIRS,
-    TRACE_DISK_FORMAT_VERSION,
-    DiskTraceStore,
-    TraceCache,
-    TraceCacheStats,
-    process_cache,
-    workload_fingerprint,
-)
+from repro.harness.tracecache import TraceCache, workload_fingerprint
+from repro.store import FORMAT_VERSION, MAX_OPEN_STORES, open_store
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ["ldpc", "reyes"]
@@ -155,12 +148,16 @@ class TestDeterminism:
         spec = get_workload("ldpc")
         params = spec.quick_params()
         serial = run_workload_models("ldpc", params=params, workers=1)
+        cache = TraceCache(disk_dir=str(tmp_path / "traces"))
         parallel = run_workload_models(
-            "ldpc",
-            params=params,
-            workers=4,
-            cache_dir=str(tmp_path / "traces"),
+            "ldpc", params=params, workers=4, cache=cache
         )
+        # The workers shared the caller's directory, and the caller's
+        # own cache carries this call's counter delta.
+        assert cache.entry_count() == 1
+        assert cache.last_run is not None
+        assert cache.last_run.misses >= 1
+        assert cache.last_run.stores == cache.last_run.misses
         for column in COLUMNS:
             a, b = serial[column], parallel[column]
             assert a.model == b.model
@@ -211,7 +208,7 @@ class TestDiskCache:
         params = spec.quick_params()
         run_versapipe(spec, _k20c(), params, cache=cache)
         assert cache.stores == 1
-        assert cache.disk.entry_count() == 1
+        assert cache.entry_count() == 1
         # A fresh process-equivalent: new cache over the same directory.
         fresh = TraceCache(disk_dir=str(tmp_path))
         key = workload_fingerprint(spec, params)
@@ -219,7 +216,7 @@ class TestDiskCache:
         assert fresh.disk_hits == 1 and fresh.misses == 0
         # Now resident in memory too.
         assert fresh.get(key) is not None
-        assert fresh.hits == 1
+        assert fresh.mem_hits == 1
 
     def test_corrupted_entry_recomputes_cleanly(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
@@ -227,12 +224,12 @@ class TestDiskCache:
         params = spec.quick_params()
         baseline = run_versapipe(spec, _k20c(), params, cache=cache)
         key = workload_fingerprint(spec, params)
-        path = cache.disk.path_for(key)
+        path = cache.path_for(key)
         with open(path, "wb") as fh:
             fh.write(b"not a pickle at all")
         fresh = TraceCache(disk_dir=str(tmp_path))
         assert fresh.get(key) is None
-        assert fresh.misses == 1 and fresh.disk_misses == 1
+        assert fresh.misses == 1 and fresh.disk_hits == 0
         again = run_versapipe(spec, _k20c(), params, cache=fresh)
         assert again.time_ms == baseline.time_ms
         assert again.result.cycles == baseline.result.cycles
@@ -245,7 +242,7 @@ class TestDiskCache:
         params = spec.quick_params()
         run_versapipe(spec, _k20c(), params, cache=cache)
         key = workload_fingerprint(spec, params)
-        path = cache.disk.path_for(key)
+        path = cache.path_for(key)
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
         payload["schema"] = -1
@@ -255,43 +252,33 @@ class TestDiskCache:
         assert fresh.get(key) is None
 
     def test_stale_format_entry_is_a_miss(self, tmp_path):
-        store = DiskTraceStore(str(tmp_path))
         spec, key = self._fingerprint()
         cache = TraceCache(disk_dir=str(tmp_path))
         run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        with open(store.path_for(key), "rb") as fh:
+        with open(cache.path_for(key), "rb") as fh:
             payload = pickle.load(fh)
-        assert payload["format"] == TRACE_DISK_FORMAT_VERSION
-        payload["format"] = TRACE_DISK_FORMAT_VERSION + 1
-        with open(store.path_for(key), "wb") as fh:
+        assert payload["format"] == FORMAT_VERSION
+        payload["format"] = FORMAT_VERSION + 1
+        with open(cache.path_for(key), "wb") as fh:
             pickle.dump(payload, fh)
-        assert store.load(key) is None
+        assert TraceCache(disk_dir=str(tmp_path)).get(key) is None
 
     def test_key_mismatch_is_a_miss(self, tmp_path):
-        store = DiskTraceStore(str(tmp_path))
         spec, key = self._fingerprint()
         cache = TraceCache(disk_dir=str(tmp_path))
         run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
         other = "ff" + key[2:]
-        os.makedirs(os.path.dirname(store.path_for(other)), exist_ok=True)
-        os.replace(store.path_for(key), store.path_for(other))
-        assert store.load(other) is None
-
-    def test_clear_disk_layer(self, tmp_path):
-        cache = TraceCache(disk_dir=str(tmp_path))
-        spec = get_workload("ldpc")
-        run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
-        assert cache.disk.entry_count() == 1
-        assert cache.disk.clear() == 1
-        assert cache.disk.entry_count() == 0
+        os.makedirs(os.path.dirname(cache.path_for(other)), exist_ok=True)
+        os.replace(cache.path_for(key), cache.path_for(other))
+        assert TraceCache(disk_dir=str(tmp_path)).get(other) is None
 
     def test_memory_clear_keeps_disk(self, tmp_path):
         cache = TraceCache(disk_dir=str(tmp_path))
         spec = get_workload("ldpc")
         run_versapipe(spec, _k20c(), spec.quick_params(), cache=cache)
         cache.clear()
-        assert len(cache) == 0 and cache.hits == 0
-        assert cache.disk.entry_count() == 1
+        assert len(cache) == 0 and cache.mem_hits == 0
+        assert cache.entry_count() == 1
 
 
 class TestPerRunStats:
@@ -309,7 +296,7 @@ class TestPerRunStats:
         # The second call replays everything: no misses leak over from
         # the first call's counters.
         assert second.misses == 0
-        assert second.hits >= 1
+        assert second.mem_hits >= 1
         assert cache.misses == 1  # lifetime totals still accumulate
 
     def test_run_workload_models_sets_last_run(self):
@@ -319,38 +306,29 @@ class TestPerRunStats:
         assert cache.last_run.misses == 1
         run_workload_models("ldpc", cache=cache)
         assert cache.last_run.misses == 0
-        assert cache.last_run.hits >= 1
-
-    def test_stats_arithmetic(self):
-        a = TraceCacheStats(hits=5, misses=2, disk_hits=1, stores=3)
-        b = TraceCacheStats(hits=2, misses=1, disk_hits=1, stores=1)
-        assert (a - b).hits == 3 and (a - b).stores == 2
-        assert (a + b).misses == 3
-        assert a.total_hits == 6
-        assert "disk: 1 hits" in a.describe()
-        assert a.to_dict()["stores"] == 3
+        assert cache.last_run.mem_hits >= 1
 
 
 class TestProcessCacheRegistry:
-    """The per-process persistent caches reused workers replay from."""
+    """The process-wide trace stores reused workers replay from."""
 
     def test_same_directory_same_cache(self, tmp_path):
         target = str(tmp_path / "traces")
-        assert process_cache(target) is process_cache(target)
+        assert open_store("traces", target) is open_store("traces", target)
         # Path spelling doesn't split the cache.
         alias = str(tmp_path / "." / "traces")
-        assert process_cache(alias) is process_cache(target)
+        assert open_store("traces", alias) is open_store("traces", target)
 
     def test_distinct_directories_distinct_caches(self, tmp_path):
-        a = process_cache(str(tmp_path / "a"))
-        b = process_cache(str(tmp_path / "b"))
+        a = open_store("traces", str(tmp_path / "a"))
+        b = open_store("traces", str(tmp_path / "b"))
         assert a is not b
-        assert a.disk is not None and b.disk is not None
+        assert a.root is not None and b.root is not None
 
     def test_registry_is_bounded_lru(self, tmp_path):
-        first = process_cache(str(tmp_path / "dir0"))
-        for index in range(1, PROCESS_CACHE_DIRS + 1):
-            process_cache(str(tmp_path / f"dir{index}"))
+        first = open_store("traces", str(tmp_path / "dir0"))
+        for index in range(1, MAX_OPEN_STORES + 1):
+            open_store("traces", str(tmp_path / f"dir{index}"))
         # dir0 was the least recently used entry and fell out; asking
-        # again builds a fresh cache (empty counters, empty LRU).
-        assert process_cache(str(tmp_path / "dir0")) is not first
+        # again builds a fresh store (empty counters, empty LRU).
+        assert open_store("traces", str(tmp_path / "dir0")) is not first
