@@ -113,6 +113,21 @@ def _positive_float(text):
     return value
 
 
+def _open_fraction(text):
+    """Argparse type for ``--prefix-frac``: a float strictly in (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction between 0 and 1, got {text!r}"
+        ) from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction between 0 and 1 (exclusive), got {text!r}"
+        )
+    return value
+
+
 def _arrival_spec(text):
     """Argparse type for ``--arrival``: validate the spec, keep the string."""
     from .serve import ArrivalSpecError, parse_arrival_spec
@@ -688,7 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="run the offline auto-tuner")
     add_common(tune)
     tune.add_argument(
-        "--budget", type=int, default=80, help="max configurations to try"
+        "--budget",
+        type=_positive_int,
+        default=80,
+        help="max configurations to try",
     )
     tune.add_argument(
         "--workers",
@@ -710,16 +728,17 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument(
         "--no-dominance",
         action="store_true",
-        help="disable the throughput-bound dominance cut",
+        help="disable the throughput-bound dominance cut, both the "
+        "pre-replay skip and the in-flight stop",
     )
     tune.add_argument(
         "--prefix-frac",
-        type=float,
+        type=_open_fraction,
         default=0.25,
         metavar="F",
-        help="fraction of the recorded trace raced in the first prefix "
-        "rung (default 0.25); the winner is always validated on the "
-        "full trace",
+        help="fraction (0 < F < 1) of the recorded trace raced in the "
+        "first prefix rung (default 0.25); the winner is always "
+        "validated on the full trace; --no-prefix turns racing off",
     )
     tune.add_argument(
         "--halving-rungs",

@@ -15,7 +15,7 @@ An executor defines the in-flight item representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ExecutionError
 from .pipeline import Pipeline
@@ -268,11 +268,23 @@ class RecordingExecutor(Executor):
 
 
 class ReplayExecutor(Executor):
-    """Replays a recorded trace; items are node ids, no real work runs."""
+    """Replays a recorded trace; items are node ids, no real work runs.
 
-    def __init__(self, pipeline: Pipeline, trace: Trace) -> None:
+    ``on_task``, when set, is called as ``on_task(stage, cost)`` each
+    time a task is handed out.  :meth:`run_task` is the only place that
+    happens: the inherited :meth:`run_batch` and :meth:`run_inline` both
+    go through it, so every replayed node is reported exactly once.
+    """
+
+    def __init__(
+        self,
+        pipeline: Pipeline,
+        trace: Trace,
+        on_task: Optional[Callable[[str, TaskCost], None]] = None,
+    ) -> None:
         super().__init__(pipeline)
         self.trace = trace
+        self.on_task = on_task
         self._initial_cursor: dict[str, int] = {}
 
     def wrap_initial(self, stage: str, payload: object) -> object:
@@ -303,4 +315,6 @@ class ReplayExecutor(Executor):
             outputs: list[object] = list(recorded)
         else:
             outputs = [None] * node.n_outputs
+        if self.on_task is not None:
+            self.on_task(stage, node.cost)
         return ExecResult(cost=node.cost, children=children, outputs=outputs)

@@ -7,7 +7,7 @@ timeout equal to the best time found so far — exactly the paper's
 cheaply.  The configuration with the shortest replayed execution becomes
 the initial hybrid plan; online adaptation then refines it at run time.
 
-Four accelerations on top of the paper's loop, none of which change the
+Five accelerations on top of the paper's loop, none of which change the
 chosen plan:
 
 * **Parallel race-to-deadline shards** — the candidate list is split
@@ -37,6 +37,13 @@ chosen plan:
   per-model occupancy lane caps) is compared against the running
   deadline.  A candidate whose bound already exceeds it would time out
   anyway and is skipped without simulation (note ``"dominated"``).
+* **In-flight dominance cut** — the same bound, applied during a
+  replay to the work not yet handed out (:class:`_DrainCut`, sharing
+  :func:`~repro.core.tuner.space.lane_limits` with the static bound):
+  once ``now`` plus the time that work needs provably passes the
+  deadline, the replay stops early with the same
+  :class:`DeadlineExceeded` (note ``"timeout"``) it would have reached
+  at the deadline.
 * **Profile cache** — with :attr:`TunerOptions.cache_dir` set, every
   replay outcome is memoized in memory and on disk keyed by pipeline
   topology, device spec, trace and configuration (the ``evals``
@@ -74,6 +81,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ...gpu.device import GPUDevice
+from ...gpu.engine import Engine, VectorEngine
 from ...gpu.specs import GPUSpec
 from ...obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
 from ...store import StoreStats, open_store
@@ -81,6 +89,7 @@ from ..config import PipelineConfig
 from ..errors import ConfigurationError, ExecutionError, VersaPipeError
 from ..executor import ReplayExecutor
 from ..pipeline import Pipeline
+from ..stage import TaskCost
 from ..trace import Trace
 from .cache import CachedEvaluation, eval_key, lookup, space_key
 from .handoff import SharedBest
@@ -92,7 +101,12 @@ from .profiler import (
     queue_pressure,
     replay_placeholders,
 )
-from .space import enumerate_configs, throughput_bound_cycles
+from .space import (
+    BOUND_SAFETY,
+    enumerate_configs,
+    lane_limits,
+    throughput_bound_cycles,
+)
 
 #: Stride shards dispatched per pool worker: small chunks let the
 #: persistent pool rebalance when shards finish at different speeds
@@ -101,7 +115,24 @@ CHUNKS_PER_WORKER = 4
 
 
 class DeadlineExceeded(VersaPipeError):
-    """A replayed candidate ran past the current best time."""
+    """A replayed candidate cannot finish by its deadline.
+
+    ``stopped_at`` is the engine clock when the replay stopped: past
+    ``deadline_cycles`` when the clock ran out, usually well before it
+    when the in-flight dominance cut proved the rest of the run too
+    slow.
+    """
+
+    def __init__(self, deadline_cycles: float, stopped_at: float) -> None:
+        super().__init__(deadline_cycles, stopped_at)
+        self.deadline_cycles = deadline_cycles
+        self.stopped_at = stopped_at
+
+    def __str__(self) -> str:
+        return (
+            f"config exceeded {self.deadline_cycles:.0f} cycles "
+            f"(stopped at {self.stopped_at:.0f})"
+        )
 
 
 @dataclass
@@ -125,8 +156,10 @@ class TunerOptions:
     workers: Optional[int] = None
     #: Directory of the persistent profile cache; ``None`` disables it.
     cache_dir: Optional[str] = None
-    #: Skip candidates whose throughput lower bound already exceeds the
-    #: running deadline (provably cannot beat the best).
+    #: The dominance cut, both halves: skip candidates whose throughput
+    #: lower bound already exceeds the running deadline, and stop a
+    #: replay as soon as its undrained work provably cannot finish by
+    #: the deadline.  Either way the candidate could not beat the best.
     dominance_pruning: bool = True
     #: Prefix racing: the fraction of the recorded trace replayed in the
     #: first rung.  ``None`` (or anything outside ``(0, 1)``) disables
@@ -143,6 +176,20 @@ class TunerOptions:
     #: packaged workloads' winners all sit within 1.15x of their rung
     #: best; 1.5 leaves wide margin, pinned by the exactness tests).
     promote_slack: float = 1.5
+
+    def __post_init__(self) -> None:
+        # A slack below 1 lets the deadline undercut the best time itself,
+        # so the true best can time out: the search would silently return
+        # a worse plan, and the canonical post-pass (which assumes every
+        # deadline is at least the final best) would misclassify records.
+        if self.max_configs < 1:
+            raise ValueError(
+                f"max_configs must be >= 1, got {self.max_configs}"
+            )
+        for name in ("timeout_slack", "promote_slack"):
+            value = getattr(self, name)
+            if not value >= 1.0:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     def resolved_workers(self) -> int:
         if self.workers is None:
@@ -304,38 +351,145 @@ class _SearchPayload:
     cache_space_key: Optional[str] = None
 
 
+class _DrainCut:
+    """The in-flight half of the dominance cut, for one replay.
+
+    Keeps each stage's work not yet handed out: the profile's
+    ``total_cycles`` minus the cost of every task the
+    :class:`~repro.core.executor.ReplayExecutor` has handed out (counted
+    per thread here; each lane limit's coefficient folds in
+    ``threads_per_item``).  Undrained work can only start at or after
+    ``now``, so by the argument of :func:`~repro.core.tuner.space
+    .throughput_bound_cycles` the run cannot end before::
+
+        now + BOUND_SAFETY * (1 - l1_bonus) * remaining / (|SMs| * lane_cap)
+
+    for every lane limit.  Once that passes the deadline the cut raises
+    the engine's ``until_flag``, which stops the run before its next
+    event.
+
+    Undrained work only shrinks, so the largest term computed at one
+    hand-out bounds every later one; the terms are recomputed only when
+    that stale bound would cross the deadline.  A stage whose tasks have
+    all been handed out counts as exactly zero, whatever float residue
+    the running subtraction left behind.
+    """
+
+    __slots__ = (
+        "_left", "_tasks", "_limits", "_top", "_clock", "_deadline",
+        "_flag",
+    )
+
+    def __init__(
+        self,
+        pipeline: Pipeline,
+        spec: GPUSpec,
+        profile: PipelineProfile,
+        config: PipelineConfig,
+        deadline_cycles: float,
+        clock: Engine | VectorEngine,
+        flag: list[bool],
+    ) -> None:
+        discount = max(0.0, 1.0 - spec.l1_locality_bonus)
+        self._left = {name: 0.0 for name in pipeline.stage_names}
+        self._tasks = {name: 0 for name in pipeline.stage_names}
+        for name, stage in profile.stages.items():
+            self._left[name] = stage.total_cycles
+            self._tasks[name] = stage.tasks
+        self._limits = [
+            tuple(
+                (
+                    s,
+                    BOUND_SAFETY
+                    * discount
+                    * pipeline.stage(s).threads_per_item
+                    / (num_sms * cap),
+                )
+                for s in stages
+                if s in profile.stages
+            )
+            for stages, num_sms, cap in lane_limits(pipeline, spec, config)
+        ]
+        self._top = math.inf  # the first hand-out computes the terms
+        self._clock = clock
+        self._deadline = deadline_cycles
+        self._flag = flag
+
+    def on_task(self, stage: str, cost: TaskCost) -> None:
+        self._left[stage] -= cost.cycles_per_thread
+        self._tasks[stage] -= 1
+        now = self._clock.now
+        if now + self._top > self._deadline:
+            self._tighten(now)
+
+    def _tighten(self, now: float) -> None:
+        left = self._left
+        tasks = self._tasks
+        top = 0.0
+        for terms in self._limits:
+            bound = 0.0
+            for s, coefficient in terms:
+                if tasks[s] > 0:
+                    bound += coefficient * left[s]
+            if bound > top:
+                top = bound
+        self._top = top
+        if now + top > self._deadline:
+            self._flag[0] = True
+            self._deadline = math.inf  # fired once; later hand-outs skip
+
+
 def _replay_config(
     pipeline: Pipeline,
     spec: GPUSpec,
     trace: Trace,
     config: PipelineConfig,
     deadline_cycles: float = math.inf,
+    profile: Optional[PipelineProfile] = None,
 ) -> tuple[float, float, QueuePressure]:
     """Replay one configuration; returns (ms, elapsed cycles, pressure).
 
-    Raises :class:`DeadlineExceeded` when the run passes the deadline and
-    :class:`ConfigurationError` for infeasible plans.
+    Raises :class:`DeadlineExceeded` when the run's elapsed cycles pass
+    the deadline and :class:`ConfigurationError` for infeasible plans.
+    With ``profile`` — the profile of ``trace`` itself — and a finite
+    deadline, the in-flight dominance cut (:class:`_DrainCut`) stops the
+    replay as soon as its undrained work provably cannot finish in time;
+    it raises the same :class:`DeadlineExceeded`, with an earlier
+    ``stopped_at``.
     """
     from ..models.hybrid import HybridEngine  # local import: avoid cycle
 
     device = GPUDevice(spec)
-    executor = ReplayExecutor(pipeline, trace)
+    stop = [False]
+    cut = None
+    if profile is not None and math.isfinite(deadline_cycles):
+        cut = _DrainCut(
+            pipeline, spec, profile, config, deadline_cycles, device.engine,
+            stop,
+        )
+    executor = ReplayExecutor(
+        pipeline, trace, on_task=cut.on_task if cut is not None else None
+    )
     engine = HybridEngine(pipeline, device, executor, config)
     engine.start(replay_placeholders(trace))
 
     device.engine.run(
         until=engine._complete,
         deadline=deadline_cycles if math.isfinite(deadline_cycles) else None,
+        until_flag=stop if cut is not None else None,
     )
+    now = float(device.engine.now)
+    if stop[0] or now > deadline_cycles:
+        # The cut proved the run too slow, or the clock passed the
+        # deadline — possibly on the very event that completed the run.
+        # Either way the candidate misses its deadline, and both stops
+        # report alike, so arming the cut never changes an outcome.
+        raise DeadlineExceeded(deadline_cycles, now)
     if not engine._complete():
-        if device.engine.now > deadline_cycles:
-            raise DeadlineExceeded(
-                f"config exceeded {deadline_cycles:.0f} cycles"
-            )
         raise ExecutionError("replay deadlocked (internal error)")
     return (
         device.elapsed_ms,
-        float(device.engine.now),
+        now,
         queue_pressure(engine.ctx.depth_series),
     )
 
@@ -402,7 +556,14 @@ def _evaluate_shard(
                 continue
         try:
             time_ms, cycles, pressure = _replay_config(
-                pipeline, spec, payload.trace, config, deadline_cycles=deadline
+                pipeline,
+                spec,
+                payload.trace,
+                config,
+                deadline_cycles=deadline,
+                profile=(
+                    payload.profile if options.dominance_pruning else None
+                ),
             )
         except DeadlineExceeded:
             result.records.append(

@@ -37,7 +37,7 @@ from .profiler import PipelineProfile
 #: Relative safety margin on the dominance bound: the bound must stay a
 #: strict *lower* bound on simulated time even under floating-point
 #: cancellation, or pruning could discard the true optimum.
-_BOUND_SAFETY = 0.999
+BOUND_SAFETY = 0.999
 
 
 def contiguous_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -184,65 +184,25 @@ def fine_block_maps(
     return maximal[:max_maps]
 
 
-def throughput_bound_cycles(
-    pipeline: Pipeline,
-    spec: GPUSpec,
-    profile: PipelineProfile,
-    config: PipelineConfig,
-) -> float:
-    """Provable lower bound on a configuration's replayed time, in cycles.
+def lane_limits(
+    pipeline: Pipeline, spec: GPUSpec, config: PipelineConfig
+) -> list[tuple[tuple[str, ...], int, float]]:
+    """Every lane cap the dominance cut applies to ``config``.
 
-    Work queues route every task of a stage to the group that owns the
-    stage, and each group's blocks run only on its ``sm_ids`` — so the
-    profiled thread-cycles of a group's stages must all drain through
-    that group's SMs.  An SM retires at most ``cores_per_sm``
-    thread-cycles per clock (the lane throughput cap in
-    :meth:`~repro.gpu.sm.StreamingMultiprocessor._reschedule`), and L1
-    locality can discount a task's cost by at most
-    ``l1_locality_bonus``.  Everything else the simulator models —
-    queue fetch/push delays, ``min_cycles`` floors, icache penalties,
-    sub-peak utilization — only adds time, so::
-
-        elapsed >= max over groups of
-            (1 - l1_bonus) * thread_cycles(group) / (|SMs| * cores_per_sm)
-
-    The raw lane cap is loose for low-occupancy launches, so the cap is
-    tightened per execution model from what each model can actually keep
-    resident on one SM:
-
-    * **megakernel/rtc** — the group launches
-      ``max_blocks_per_sm(fused_kernel)`` persistent blocks per SM
-      (:func:`~repro.core.exec.persistent.fused_group_kernel` is shared
-      with the runner so the occupancy can never drift), and each block
-      runs one compute segment of at most ``threads_per_block`` threads
-      at a time — so the group drains at most
-      ``min(cores_per_sm, blocks x tpb)`` thread-cycles per SM-clock;
-    * **fine** — stage ``s`` work only executes in stage-``s`` blocks
-      (``block_map[s]`` per SM, each <= that stage's ``tpb``), giving a
-      *per-stage* cap in addition to the group total;
-    * **kbk** — a wave batch clamps threads to the stage's ``tpb`` and
-      admission keeps at most ``max_blocks_per_sm(kernel)`` resident,
-      giving a per-stage cap (stages may overlap across waves, so their
-      caps are never summed).
-
-    The offline tuner uses this as its *dominance cut*: a candidate
-    whose bound already exceeds the running best's deadline is strictly
-    dominated and is pruned without replaying it.
+    Each entry ``(stages, num_sms, cap)`` says the thread-cycles of
+    ``stages`` drain through ``num_sms`` SMs at no more than ``cap``
+    lanes per SM-clock: one entry per group for the group total, plus
+    one per stage that has its own cap (fine and kbk groups).  The
+    static bound (:func:`throughput_bound_cycles`) and the tuner's
+    in-flight check both read their caps from here; the former's
+    docstring explains why each cap holds.
     """
-    discount = max(0.0, 1.0 - spec.l1_locality_bonus)
     cores = float(spec.cores_per_sm)
-    bound = 0.0
+    limits: list[tuple[tuple[str, ...], int, float]] = []
     for group in config.groups:
         num_sms = len(group.sm_ids)
         if num_sms == 0:
             continue
-        stage_cycles = {
-            s: profile.stages[s].total_cycles
-            * pipeline.stage(s).threads_per_item
-            for s in group.stages
-            if s in profile.stages
-        }
-        total_cycles = sum(stage_cycles.values())
         group_cap = cores
         per_stage: dict[str, float] = {}
         if group.model in ("megakernel", "rtc"):
@@ -269,14 +229,68 @@ def throughput_bound_cycles(
                         cores, float(occupancy * kernel.threads_per_block)
                     )
         if group_cap > 0:
-            bound = max(bound, discount * total_cycles / (num_sms * group_cap))
+            limits.append((tuple(group.stages), num_sms, group_cap))
         for s, cap in per_stage.items():
             if cap > 0:
-                bound = max(
-                    bound,
-                    discount * stage_cycles.get(s, 0.0) / (num_sms * cap),
-                )
-    return bound * _BOUND_SAFETY
+                limits.append(((s,), num_sms, cap))
+    return limits
+
+
+def throughput_bound_cycles(
+    pipeline: Pipeline,
+    spec: GPUSpec,
+    profile: PipelineProfile,
+    config: PipelineConfig,
+) -> float:
+    """Provable lower bound on a configuration's replayed time, in cycles.
+
+    Work queues route every task of a stage to the group that owns the
+    stage, and each group's blocks run only on its ``sm_ids`` — so the
+    profiled thread-cycles of a group's stages must all drain through
+    that group's SMs.  An SM retires at most ``cores_per_sm``
+    thread-cycles per clock (the lane throughput cap in
+    :meth:`~repro.gpu.sm.StreamingMultiprocessor._reschedule`), and L1
+    locality can discount a task's cost by at most
+    ``l1_locality_bonus``.  Everything else the simulator models —
+    queue fetch/push delays, ``min_cycles`` floors, icache penalties,
+    sub-peak utilization — only adds time, so::
+
+        elapsed >= max over groups of
+            (1 - l1_bonus) * thread_cycles(group) / (|SMs| * cores_per_sm)
+
+    The raw lane cap is loose for low-occupancy launches, so the cap is
+    tightened per execution model from what each model can actually keep
+    resident on one SM (:func:`lane_limits`):
+
+    * **megakernel/rtc** — the group launches
+      ``max_blocks_per_sm(fused_kernel)`` persistent blocks per SM
+      (:func:`~repro.core.exec.persistent.fused_group_kernel` is shared
+      with the runner so the occupancy can never drift), and each block
+      runs one compute segment of at most ``threads_per_block`` threads
+      at a time — so the group drains at most
+      ``min(cores_per_sm, blocks x tpb)`` thread-cycles per SM-clock;
+    * **fine** — stage ``s`` work only executes in stage-``s`` blocks
+      (``block_map[s]`` per SM, each <= that stage's ``tpb``), giving a
+      *per-stage* cap in addition to the group total;
+    * **kbk** — a wave batch clamps threads to the stage's ``tpb`` and
+      admission keeps at most ``max_blocks_per_sm(kernel)`` resident,
+      giving a per-stage cap (stages may overlap across waves, so their
+      caps are never summed).
+
+    The offline tuner uses this as its *dominance cut*: a candidate
+    whose bound already exceeds the running best's deadline is strictly
+    dominated and is pruned without replaying it.
+    """
+    discount = max(0.0, 1.0 - spec.l1_locality_bonus)
+    bound = 0.0
+    for stages, num_sms, cap in lane_limits(pipeline, spec, config):
+        work = sum(
+            profile.stages[s].total_cycles * pipeline.stage(s).threads_per_item
+            for s in stages
+            if s in profile.stages
+        )
+        bound = max(bound, discount * work / (num_sms * cap))
+    return bound * BOUND_SAFETY
 
 
 def enumerate_configs(

@@ -235,3 +235,27 @@ class TestOfflineTuner:
     def test_summary_mentions_best(self, tuner):
         report = tuner.tune()
         assert "best" in report.summary()
+
+
+class TestTunerOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout_slack", 0.5),
+            ("timeout_slack", 0.999),
+            ("timeout_slack", float("nan")),
+            ("promote_slack", 0.9),
+            ("max_configs", 0),
+            ("max_configs", -3),
+        ],
+    )
+    def test_bad_values_rejected(self, field, value):
+        # A slack below 1 lets the deadline undercut the best time, so
+        # the search could time out its own winner and return a worse
+        # plan (slack 0.5 did, on the toy space).
+        with pytest.raises(ValueError, match=field):
+            TunerOptions(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        options = TunerOptions(max_configs=1, timeout_slack=1.0, promote_slack=1.0)
+        assert options.timeout_slack == options.promote_slack == 1.0

@@ -92,6 +92,39 @@ class TestReplayExecutor:
         with pytest.raises(ExecutionError, match="no recorded initial"):
             replay.wrap_initial("doubler", None)
 
+    @pytest.mark.parametrize("model", ["megakernel", "rtc", "kbk"])
+    def test_on_task_reports_each_node_once(
+        self, pipeline, initial_items, model
+    ):
+        """Batched fetches, inline subtrees and KBK waves all hand tasks
+        out through run_task, so every replayed node reaches
+        ``on_task`` exactly once, with its recorded cost."""
+        from repro.core.models import KBKModel, MegakernelModel, RTCModel
+        from repro.gpu import GPUDevice
+        from repro.gpu.specs import K20C
+
+        recorder = RecordingExecutor(pipeline)
+        expand_fully(recorder, initial_items)
+        trace = recorder.trace
+        seen = []
+        replay = ReplayExecutor(
+            pipeline,
+            trace,
+            on_task=lambda stage, cost: seen.append((stage, cost)),
+        )
+        runner = {
+            "megakernel": MegakernelModel,
+            "rtc": RTCModel,
+            "kbk": KBKModel,
+        }[model]()
+        runner.run(
+            pipeline, GPUDevice(K20C), replay, replay_placeholders(trace)
+        )
+        key = lambda pair: (pair[0], pair[1].cycles_per_thread)  # noqa: E731
+        assert sorted(seen, key=key) == sorted(
+            ((node.stage, node.cost) for node in trace.nodes), key=key
+        )
+
 
 class TestInlineExecution:
     def test_inline_consumes_whole_subtree(self, pipeline):

@@ -1,20 +1,26 @@
 """Parallel sharded search: determinism, events, dominance soundness."""
 
+import functools
 import json
 import math
 import pickle
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core.errors import ConfigurationError
 from repro.core.tuner.handoff import SharedBest
 from repro.core.tuner.offline import (
+    DeadlineExceeded,
     OfflineTuner,
     TunerOptions,
     _evaluate_shard,
+    _replay_config,
     _SearchPayload,
 )
 from repro.core.tuner.pool import default_workers, stride_shards
-from repro.core.tuner.profiler import profile_pipeline
+from repro.core.tuner.profiler import profile_from_trace, profile_pipeline
 from repro.core.tuner.space import throughput_bound_cycles
 from repro.gpu.specs import K20C
 from repro.obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
@@ -127,6 +133,46 @@ class TestTunerEvents:
         assert math.isfinite(report.best_time_ms)
 
 
+PACKAGED_WORKLOADS = (
+    "cfd",
+    "face_detection",
+    "ldpc",
+    "pyramid",
+    "rasterization",
+    "reyes",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _quick_space(name):
+    """(pipeline, trace, profile, first 24 candidates) of a packaged
+    workload at quick parameters on K20c."""
+    from repro.harness.runner import get_workload
+
+    spec = get_workload(name)
+    params = spec.quick_params()
+    pipeline = spec.build_pipeline(params)
+    profile, trace = profile_pipeline(
+        pipeline, K20C, spec.initial_items(params)
+    )
+    tuner = OfflineTuner(
+        pipeline, K20C, trace, profile=profile,
+        options=TunerOptions(max_configs=24),
+    )
+    return pipeline, trace, profile, tuner.candidates()
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_replay(name, index):
+    """Uncut, deadline-free replay of one quick-space candidate, or
+    ``None`` when the candidate is infeasible."""
+    pipeline, trace, _profile, candidates = _quick_space(name)
+    try:
+        return _replay_config(pipeline, K20C, trace, candidates[index])
+    except ConfigurationError:
+        return None
+
+
 class TestDominanceSoundness:
     def test_bound_never_exceeds_replayed_time(self):
         """The throughput bound must lower-bound the true replay on every
@@ -195,6 +241,100 @@ class TestDominanceSoundness:
         assert cut.best_time_ms == plain.best_time_ms
         assert cut.num_dominated > 0
 
+    # In-flight half of the cut: it stops only replays that would miss
+    # their deadline anyway, and stops them early.
+
+    def test_exact_deadline_never_cut(self):
+        """Exhaustive soundness: under a deadline equal to its own exact
+        elapsed cycles, every candidate of every packaged workload —
+        on the full trace and on a quarter prefix with that prefix's own
+        profile — completes with the cut armed, bit-identically."""
+        checked = 0
+        for name in PACKAGED_WORKLOADS:
+            pipeline, trace, profile, candidates = _quick_space(name)
+            prefix = trace.prefix(len(trace.nodes) // 4)
+            prefix_profile = profile_from_trace(pipeline, K20C, prefix)
+            for config in candidates:
+                for rung_trace, rung_profile in (
+                    (trace, profile),
+                    (prefix, prefix_profile),
+                ):
+                    try:
+                        ms, cycles, _ = _replay_config(
+                            pipeline, K20C, rung_trace, config
+                        )
+                    except ConfigurationError:
+                        continue
+                    cut_ms, cut_cycles, _ = _replay_config(
+                        pipeline, K20C, rung_trace, config,
+                        deadline_cycles=cycles, profile=rung_profile,
+                    )
+                    assert (cut_ms, cut_cycles) == (ms, cycles), (
+                        name, config.describe()
+                    )
+                    checked += 1
+        assert checked >= 200
+
+    def test_half_deadline_stops_before_the_clock_gets_there(self):
+        """Effect: on cfd, every candidate replayed under half its own
+        time is stopped by the cut while the engine clock is still at
+        or below the deadline (a plain deadline stop is always past
+        it)."""
+        pipeline, trace, profile, candidates = _quick_space("cfd")
+        stopped = 0
+        for index, config in enumerate(candidates):
+            exact = _exact_replay("cfd", index)
+            if exact is None:
+                continue
+            deadline = exact[1] / 2
+            with pytest.raises(DeadlineExceeded) as excinfo:
+                _replay_config(
+                    pipeline, K20C, trace, config,
+                    deadline_cycles=deadline, profile=profile,
+                )
+            assert excinfo.value.stopped_at <= deadline, config.describe()
+            with pytest.raises(DeadlineExceeded) as uncut:
+                _replay_config(
+                    pipeline, K20C, trace, config, deadline_cycles=deadline
+                )
+            assert uncut.value.stopped_at > deadline
+            stopped += 1
+        assert stopped == len(candidates)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        name=st.sampled_from(PACKAGED_WORKLOADS),
+        index=st.integers(min_value=0, max_value=23),
+        factor=st.floats(min_value=0.3, max_value=1.5),
+    )
+    def test_cut_never_changes_an_outcome(self, name, index, factor):
+        """Property: under any deadline, the replays with and without
+        the cut both raise ``DeadlineExceeded`` or both return the same
+        ``(ms, cycles, pressure)``."""
+        pipeline, trace, profile, candidates = _quick_space(name)
+        index %= len(candidates)
+        exact = _exact_replay(name, index)
+        if exact is None:
+            return
+        deadline = exact[1] * factor
+        outcomes = []
+        for armed in (None, profile):
+            try:
+                outcomes.append(
+                    _replay_config(
+                        pipeline, K20C, trace, candidates[index],
+                        deadline_cycles=deadline, profile=armed,
+                    )
+                )
+            except DeadlineExceeded:
+                outcomes.append("deadline")
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "deadline") == (exact[1] > deadline)
+
 
 def _payload_bytes(report):
     return json.dumps(report.canonical_payload(), sort_keys=True)
@@ -234,17 +374,7 @@ class TestCanonicalDeterminism:
 class TestExhaustiveVsRaced:
     """Acceptance pin: racing never changes the winner on any workload."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "cfd",
-            "face_detection",
-            "ldpc",
-            "pyramid",
-            "rasterization",
-            "reyes",
-        ],
-    )
+    @pytest.mark.parametrize("name", PACKAGED_WORKLOADS)
     def test_raced_best_matches_exhaustive(self, name):
         from repro.harness.runner import get_workload, tune_workload
 

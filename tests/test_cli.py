@@ -234,7 +234,8 @@ class TestBatchingFlags:
 
 
 class TestArgValidation:
-    """Zero/negative --batch-size and --workers are rejected up front."""
+    """Zero/negative --batch-size, --workers and --budget, and a
+    --prefix-frac outside (0, 1), are rejected up front."""
 
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     @pytest.mark.parametrize("flag", ["--batch-size", "--workers"])
@@ -257,6 +258,24 @@ class TestArgValidation:
             with pytest.raises(SystemExit):
                 main(argv)
             capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["0", "-3", "banana"])
+    def test_bad_tune_budget_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "ldpc", "--budget", value])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value", ["0", "1", "2", "-0.25", "nan", "inf", "banana"]
+    )
+    def test_bad_prefix_frac_rejected(self, capsys, value):
+        # --no-prefix is the off switch; a degenerate fraction must not
+        # silently turn racing off instead.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "ldpc", "--prefix-frac", value])
+        assert excinfo.value.code == 2
+        assert "fraction between 0 and 1" in capsys.readouterr().err
 
 
 class TestBench:
