@@ -537,7 +537,6 @@ def cmd_serve(args) -> int:
         seed=args.seed,
         window_ms=args.window_ms,
         full=args.full,
-        batch_size=args.batch_size,
         admission=args.admission,
         max_batch=args.max_batch,
         retune=args.retune,
@@ -862,13 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full",
         action="store_true",
         help="use paper-scale parameters instead of quick ones",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="cap items per Stage.execute_batch call (default: unlimited)",
     )
     serve.add_argument(
         "--admission",

@@ -9,11 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from ..core.executor import (
-    FunctionalExecutor,
-    RecordingExecutor,
-    ReplayExecutor,
-)
+from ..core.executor import FunctionalExecutor, ReplayExecutor
 from ..core.models import HybridModel, MegakernelModel
 from ..core.models.base import ExecutionModel
 from ..core.result import RunResult
@@ -65,30 +61,35 @@ def execute_model(
     caps how many same-stage items each queue drain hands to
     ``Stage.execute_batch``).  With a cache, the first run of a
     (workload, params) cell records the full task trace — costs, children
-    *and* output payloads — and every later run of the same cell replays
-    it, simulating pure scheduling with no stage code at all.  Both the
-    batched and the replayed paths are schedule-preserving, so the
-    returned :class:`RunResult` is identical either way.
+    *and* output payloads — with the tuner's breadth-first walk
+    (:func:`profile_pipeline`), and every run of the cell, the recording
+    one included, replays it with no stage code at all.  Sharing the
+    tuner's recorder keeps one node order per cache key, so a tuner
+    report never depends on whether the harness filled the cache first.
+    Both the batched and the replayed paths are schedule-preserving, so
+    the returned :class:`RunResult` is identical either way.
 
-    Returns ``(result, replayed)``.
+    Returns ``(result, replayed)``; ``replayed`` is True when the trace
+    came from the cache rather than from this call.
     """
     if cache is not None:
         key = workload_fingerprint(spec, params)
         trace = cache.get(key)
-        if trace is not None:
-            executor = ReplayExecutor(pipeline, trace)
-            result = model.run(
-                pipeline, device, executor, replay_placeholders(trace)
+        replayed = trace is not None
+        if trace is None:
+            _profile, trace = profile_pipeline(
+                pipeline,
+                device.spec,
+                spec.initial_items(params),
+                batch_size=batch_size,
+                record_outputs=True,
             )
-            return result, True
-        recorder = RecordingExecutor(
-            pipeline, batch_size=batch_size, record_outputs=True
-        )
+            cache.put(key, trace)
+        executor = ReplayExecutor(pipeline, trace)
         result = model.run(
-            pipeline, device, recorder, spec.initial_items(params)
+            pipeline, device, executor, replay_placeholders(trace)
         )
-        cache.put(key, recorder.trace)
-        return result, False
+        return result, replayed
     executor = FunctionalExecutor(pipeline, batch_size=batch_size)
     result = model.run(pipeline, device, executor, spec.initial_items(params))
     return result, False

@@ -3,10 +3,11 @@
 A workload's task graph depends only on the workload parameters (which
 include the seed) — never on the execution model or device the harness is
 simulating.  The harness therefore runs the real stage computations once
-per (workload, params), recording the full trace *with* output payloads,
-and replays that trace for every other model/config of the same cell:
-the remaining runs simulate pure scheduling with recorded costs and
-recorded outputs, skipping all numpy work.
+per (workload, params), recording the full trace *with* output payloads
+by the tuner's breadth-first walk, and replays that trace for every
+model/config of the same cell, the recording one included: every run
+simulates pure scheduling with recorded costs and recorded outputs,
+skipping all numpy work.
 
 Traces live in the ``traces`` namespace of :mod:`repro.store`: an
 in-memory LRU of live :class:`~repro.core.trace.Trace` objects (real

@@ -5,8 +5,23 @@ makespan.  Serving inverts that: a seeded arrival process decides *when*
 each request enters, the persistent pipeline stays resident across the
 idle gaps, and the measurement is the per-request latency distribution.
 
-Three pieces make that work on the unmodified execution engine:
+One request is one entry item (cycled round-robin through the
+workload's initial-item template) plus everything that item spawns
+downstream; it completes when its last descendant finishes.  The tasks
+below an entry item depend only on the workload's parameters, never on
+when the item arrives or how it is scheduled.  So each cell runs the
+stage code once: :func:`record_template` records the whole template
+breadth-first (no simulated device), and every request replays its
+entry item's recorded subtree.  Arrival times come from the driver's
+schedule, not from the recording, which supplies only each task's cost
+and children.
 
+Four pieces make that work on the unmodified execution engine:
+
+* **template replay** — request ``rid`` enters as ``RequestItem(rid,
+  entry_node_id)`` and a :class:`~repro.core.executor.ReplayExecutor`
+  hands out the recorded costs and children; an entry served to several
+  requests is replayed once per request;
 * **arrival reservations** — the full (deterministic) arrival count is
   registered with :meth:`RunContext.expect_arrivals` before the engine
   runs, so the quiescence detector never confuses "queues momentarily
@@ -20,27 +35,38 @@ Three pieces make that work on the unmodified execution engine:
   :class:`~repro.serve.report.ServeReport` in deterministic engine
   order.
 
-One request is one entry item (cycled round-robin from the workload's
-initial-item template) plus everything that item spawns downstream; it
-completes when its last descendant finishes.  The request's host-to-
-device input copy is charged to the device's host timeline at arrival.
-Output checking and the trace-replay cache are deliberately not used
-here — serving measures scheduling under load, and replay traces do not
-carry arrival timing.
+The request's host-to-device input copy is charged to the device's host
+timeline at arrival.  Each cell records inside its own call and keeps
+the recording to itself: serving never reads or writes the process-wide
+trace cache (:data:`~repro.harness.tracecache.DEFAULT_TRACE_CACHE`).
+Recording a template costs 1-21 ms at quick sizes (reyes to
+face_detection, on a 2-vCPU x86 VM), and a shared store would let an
+untimed warm-up pre-fill what every ``repro serve`` invocation pays.
+A mid-run re-tune (:func:`retune_serve_plan`) searches on the same
+recording.
+
+Serving does not check outputs.  A workload's ``check_outputs`` grades
+its numerical result, and at quick sizes that grade can reject a valid
+run: ldpc's check wants 90% of its 6 quick frames decoded cleanly, so
+one unlucky channel realisation (the benchmark's seed 41 decodes 5/6)
+would fail a serving cell whose schedule is sound.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..core.config import GroupConfig, PipelineConfig
 from ..core.errors import ConfigurationError, ExecutionError
-from ..core.tuner.offline import TunerOptions, TunerReport
-from ..core.executor import ExecResult, Executor, FunctionalExecutor, InlineResult
+from ..core.executor import ExecResult, Executor, ReplayExecutor
 from ..core.models.hybrid import HybridEngine
 from ..core.models.sm_bound import default_fine_block_map, split_sms_proportionally
+from ..core.pipeline import Pipeline
+from ..core.trace import Trace
+from ..core.tuner.offline import OfflineTuner, TunerOptions, TunerReport
+from ..core.tuner.profiler import PipelineProfile, profile_pipeline
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, get_spec
 from ..obs import Observer
@@ -49,7 +75,6 @@ from ..workloads.registry import WorkloadSpec, get_workload
 from .arrivals import ArrivalProcess, parse_arrival_spec
 from .controller import (
     AdmissionSpecError,
-    BatchFormer,
     ServeController,
     parse_admission_spec,
 )
@@ -70,20 +95,13 @@ class RequestTaggingExecutor(Executor):
     parent's request id before they re-enter the queues.  The wrapper
     preserves the inner executor's costs, emissions and outputs exactly,
     so the simulated schedule matches a batch run of the same items.
+    Only :meth:`run_task` is wrapped: the inherited ``run_batch`` and
+    ``run_inline`` go through it.
     """
 
-    def __init__(
-        self, inner: Executor, former: Optional[BatchFormer] = None
-    ) -> None:
+    def __init__(self, inner: Executor) -> None:
         super().__init__(inner.pipeline)
         self.inner = inner
-        self.batch_size = getattr(inner, "batch_size", None)
-        #: Optional dynamic batch former (adaptive serving): batches are
-        #: re-chunked to its current size target before execution.
-        self.batch_former = former
-        #: Live per-stage backlog ledger, bound per engine episode so
-        #: the former sees queue pressure at execution time.
-        self.stage_depth: Optional[dict[str, int]] = None
 
     def wrap_initial(self, stage: str, payload: object) -> object:
         raise ExecutionError(
@@ -91,55 +109,13 @@ class RequestTaggingExecutor(Executor):
             "not insert_initial"
         )
 
-    def _rewrap(
-        self, rid: int, children: list[tuple[str, object]]
-    ) -> list[tuple[str, object]]:
-        return [
-            (target, RequestItem(rid, child)) for target, child in children
-        ]
-
     def run_task(self, stage: str, item: RequestItem) -> ExecResult:
         result = self.inner.run_task(stage, item.inner)
-        result.children = self._rewrap(item.rid, result.children)
-        return result
-
-    def run_batch(
-        self, stage: str, items: Sequence[RequestItem]
-    ) -> list[ExecResult]:
-        former = self.batch_former
-        if former is not None and len(items) > 1:
-            # Deadline-aware chunking: the former's target reflects the
-            # stage's *remaining* backlog plus this batch.  Chunked
-            # execution is observationally identical for the inner
-            # functional executor (pinned invariance), so this only
-            # shapes batch boundaries, never costs.
-            depth = self.stage_depth
-            queued = depth.get(stage, 0) if depth is not None else 0
-            target = former.target(stage, queued + len(items))
-            if 0 < target < len(items):
-                results: list[ExecResult] = []
-                for i in range(0, len(items), target):
-                    results.extend(
-                        self._run_chunk(stage, items[i : i + target])
-                    )
-                return results
-        return self._run_chunk(stage, items)
-
-    def _run_chunk(
-        self, stage: str, items: Sequence[RequestItem]
-    ) -> list[ExecResult]:
-        results = self.inner.run_batch(
-            stage, [item.inner for item in items]
-        )
-        for item, result in zip(items, results):
-            result.children = self._rewrap(item.rid, result.children)
-        return results
-
-    def run_inline(
-        self, stage: str, item: RequestItem, inline_set: frozenset[str]
-    ) -> InlineResult:
-        result = self.inner.run_inline(stage, item.inner, inline_set)
-        result.children = self._rewrap(item.rid, result.children)
+        rid = item.rid
+        result.children = [
+            (target, RequestItem(rid, child))
+            for target, child in result.children
+        ]
         return result
 
 
@@ -156,7 +132,6 @@ class ServeConfig:
     seed: int = 0
     window_ms: float = 1.0
     full: bool = False
-    batch_size: Optional[int] = None
     #: Admission policy spec: ``none`` / ``drop-tail:CAP`` /
     #: ``slo-ewma[:MARGIN]`` (see :mod:`repro.serve.controller`).
     admission: str = "none"
@@ -247,50 +222,88 @@ def build_serve_plan(
     return PipelineConfig(groups=groups)
 
 
+@dataclass(frozen=True)
+class RequestTemplate:
+    """One serving cell's request template, recorded once.
+
+    ``trace`` holds the workload's initial items and every task they
+    spawn; ``profile`` is its per-stage summary, which a mid-run
+    re-tune searches with.
+    """
+
+    pipeline: Pipeline
+    profile: PipelineProfile
+    trace: Trace
+
+    @property
+    def entries(self) -> list[tuple[str, int]]:
+        """``(entry stage, entry node id)`` per template item, in the
+        order requests cycle through them."""
+        return [
+            (stage, node)
+            for stage, nodes in self.trace.initial.items()
+            for node in nodes
+        ]
+
+
+def _resolve(config: ServeConfig) -> tuple[WorkloadSpec, GPUSpec, object]:
+    spec = get_workload(config.workload)
+    params = spec.default_params() if config.full else spec.quick_params()
+    return spec, get_spec(config.device), params
+
+
+def record_template(
+    spec: WorkloadSpec, gpu: GPUSpec, params: object
+) -> RequestTemplate:
+    """Run the workload's initial items through the stage code once.
+
+    The recording is the tuner's breadth-first walk
+    (:func:`~repro.core.tuner.profiler.profile_pipeline`): no simulated
+    device, and the same node order and ids as every other recording of
+    this workload, so a re-tune on it matches ``repro tune``.  Outputs
+    are not kept; serving never checks them.
+    """
+    pipeline = spec.build_pipeline(params)
+    profile, trace = profile_pipeline(
+        pipeline, gpu, spec.initial_items(params)
+    )
+    if not trace.initial:
+        raise ConfigurationError(
+            f"workload {spec.name!r} has no initial items to serve"
+        )
+    return RequestTemplate(pipeline=pipeline, profile=profile, trace=trace)
+
+
 def retune_serve_plan(
-    config: ServeConfig, options: Optional[TunerOptions] = None
+    config: ServeConfig,
+    options: Optional[TunerOptions] = None,
+    template: Optional[RequestTemplate] = None,
 ) -> tuple[PipelineConfig, TunerReport]:
     """Re-run the offline search for one serving cell's workload.
 
     The ROADMAP's load-reactive re-tuning entry point: serving keeps a
     pipeline resident under a fixed plan, and when the arrival mix
     shifts the operator re-runs the race-to-deadline tuner on the
-    workload's recorded trace and swaps in the winner at the next
-    quiescent window.  Returns ``(plan, tuner_report)`` where ``plan``
-    is the winning configuration with online adaptation off (matching
-    every other serve plan — the serving driver owns reactivity).
-    Prefix racing and the persistent-pool race keep the search cheap
-    enough to re-run between windows; see ``docs/tuning.md``.
+    cell's recorded template and swaps in the winner at the next
+    quiescent window.  ``template`` is that recording (the serving
+    driver passes its own); without one, a template is recorded here.
+    Returns ``(plan, tuner_report)`` where ``plan`` is the winning
+    configuration with online adaptation off (matching every other
+    serve plan — the serving driver owns reactivity).  Prefix racing
+    and the persistent-pool race keep the search cheap enough to re-run
+    between windows; see ``docs/tuning.md``.
     """
-    from dataclasses import replace
-
-    from ..harness.runner import tune_workload
-
-    spec = get_workload(config.workload)
-    gpu = get_spec(config.device)
-    params = spec.default_params() if config.full else spec.quick_params()
-    tuned = tune_workload(
-        spec.name,
+    spec, gpu, params = _resolve(config)
+    if template is None:
+        template = record_template(spec, gpu, params)
+    report = OfflineTuner(
+        template.pipeline,
         gpu,
-        params,
+        template.trace,
+        profile=template.profile,
         options=options,
-        batch_size=config.batch_size,
-    )
-    plan = replace(tuned.report.best_config, online_adaptation=False)
-    return plan, tuned.report
-
-
-def _entry_template(spec: WorkloadSpec, params: object) -> list[tuple[str, object]]:
-    """Flatten the workload's initial items into a request template."""
-    template: list[tuple[str, object]] = []
-    for stage, payloads in spec.initial_items(params).items():
-        for payload in payloads:
-            template.append((stage, payload))
-    if not template:
-        raise ConfigurationError(
-            f"workload {spec.name!r} has no initial items to serve"
-        )
-    return template
+    ).tune()
+    return replace(report.best_config, online_adaptation=False), report
 
 
 def serve_workload(
@@ -309,24 +322,22 @@ def serve_workload(
 
     Configs with any control loop armed (admission control, dynamic
     batching, re-tuning — see :attr:`ServeConfig.is_adaptive`) take the
-    episode-based adaptive path; static configs run the original PR 6
-    path unchanged.
+    episode-based adaptive path; static configs run one engine episode.
+    Both record the cell's template once and replay it for every
+    request.
     """
     if config.is_adaptive:
         return _serve_adaptive(config, observer, arrival)
-    spec = get_workload(config.workload)
-    gpu = get_spec(config.device)
-    params = spec.default_params() if config.full else spec.quick_params()
-    pipeline = spec.build_pipeline(params)
+    spec, gpu, params = _resolve(config)
+    template = record_template(spec, gpu, params)
+    pipeline = template.pipeline
     if arrival is None:
         arrival = parse_arrival_spec(config.arrival_spec)
 
     device = GPUDevice(gpu)
     if observer is not None:
         observer.attach(device)
-    executor = RequestTaggingExecutor(
-        FunctionalExecutor(pipeline, batch_size=config.batch_size)
-    )
+    executor = RequestTaggingExecutor(ReplayExecutor(pipeline, template.trace))
     plan = build_serve_plan(spec, pipeline, gpu, params, config.model)
     engine = HybridEngine(pipeline, device, executor, plan)
 
@@ -363,26 +374,26 @@ def serve_workload(
 
     rng = random.Random(config.seed)
     times_ms = arrival.times(config.duration_ms, rng)
-    template = _entry_template(spec, params)
+    entries = template.entries
     stage_bytes = {
-        stage: pipeline.stage(stage).item_bytes for stage, _ in template
+        stage: pipeline.stage(stage).item_bytes for stage, _ in entries
     }
 
     counts: dict[str, int] = {}
     for rid in range(len(times_ms)):
-        stage, _ = template[rid % len(template)]
+        stage, _ = entries[rid % len(entries)]
         counts[stage] = counts.get(stage, 0) + 1
     engine.ctx.expect_arrivals(counts)
 
     def make_fire(rid: int, t_ms: float):
-        stage, payload = template[rid % len(template)]
+        stage, node = entries[rid % len(entries)]
 
         def fire() -> None:
             device.memcpy_h2d(stage_bytes[stage])
             now = device.engine.now
             tracker.begin(rid, stage, now)
             report.observe_arrival(cycles_to_ms(now))
-            engine.ctx.deliver_arrival(stage, RequestItem(rid, payload))
+            engine.ctx.deliver_arrival(stage, RequestItem(rid, node))
 
         return fire
 
@@ -452,10 +463,10 @@ def _serve_adaptive(
     simulated state, so adaptive cells keep the byte-identical
     ``--workers`` contract.
     """
-    spec = get_workload(config.workload)
-    gpu = get_spec(config.device)
-    params = spec.default_params() if config.full else spec.quick_params()
-    pipeline = spec.build_pipeline(params)
+    spec, gpu, params = _resolve(config)
+    template = record_template(spec, gpu, params)
+    pipeline = template.pipeline
+    replay = ReplayExecutor(pipeline, template.trace)
     if arrival is None:
         arrival = parse_arrival_spec(config.arrival_spec)
 
@@ -487,9 +498,9 @@ def _serve_adaptive(
 
     rng = random.Random(config.seed)
     times_ms = arrival.times(config.duration_ms, rng)
-    template = _entry_template(spec, params)
+    entries = template.entries
     stage_bytes = {
-        stage: pipeline.stage(stage).item_bytes for stage, _ in template
+        stage: pipeline.stage(stage).item_bytes for stage, _ in entries
     }
     arrive_cycles = [gpu.us_to_cycles(t * 1000.0) for t in times_ms]
     n = len(times_ms)
@@ -497,7 +508,7 @@ def _serve_adaptive(
     def counts_from(lo: int) -> dict[str, int]:
         counts: dict[str, int] = {}
         for rid in range(lo, n):
-            stage, _ = template[rid % len(template)]
+            stage, _ = entries[rid % len(entries)]
             counts[stage] = counts.get(stage, 0) + 1
         return counts
 
@@ -508,14 +519,11 @@ def _serve_adaptive(
         device = GPUDevice(gpu)
         if observer is not None:
             observer.attach(device)
-        executor = RequestTaggingExecutor(
-            FunctionalExecutor(pipeline, batch_size=config.batch_size),
-            former=controller.former,
+        engine = HybridEngine(
+            pipeline, device, RequestTaggingExecutor(replay), plan
         )
-        engine = HybridEngine(pipeline, device, executor, plan)
         ctx = engine.ctx
         controller.bind_episode(ctx)
-        executor.stage_depth = ctx.depth_series.current
         base = base_cycles
         episode = _EpisodeState()
 
@@ -558,7 +566,7 @@ def _serve_adaptive(
             episode: _EpisodeState = episode,
             base: float = base,
         ):
-            stage, payload = template[rid % len(template)]
+            stage, node = entries[rid % len(entries)]
             at = arrive_cycles[rid]
 
             def fire() -> None:
@@ -585,7 +593,7 @@ def _serve_adaptive(
                     # swap stall is charged to the deferred latency.
                     tracker.begin(rid, stage, at - base)
                     report.observe_arrival(cycles_to_ms(at))
-                    ctx.deliver_arrival(stage, RequestItem(rid, payload))
+                    ctx.deliver_arrival(stage, RequestItem(rid, node))
                 if retuner is not None and at >= base:
                     # Catch-up replays of deferred arrivals (at < base)
                     # are an artifact of the swap stall, not offered
@@ -613,7 +621,7 @@ def _serve_adaptive(
         else:
             start = episode.deferred_from
             new_plan, _tuner_report = retune_serve_plan(
-                config, options=_retune_options(config)
+                config, options=_retune_options(config), template=template
             )
             new_desc = new_plan.describe()
             swap_ms = cycles_to_ms(base_cycles)

@@ -56,7 +56,6 @@ def plan_serve(
     seed: int = 0,
     window_ms: float = 1.0,
     full: bool = False,
-    batch_size: Optional[int] = None,
     admission: str = "none",
     max_batch: Optional[int] = None,
     retune: Optional[float] = None,
@@ -83,7 +82,6 @@ def plan_serve(
             seed=seed,
             window_ms=window_ms,
             full=full,
-            batch_size=batch_size,
             admission=admission,
             max_batch=max_batch,
             retune=retune,

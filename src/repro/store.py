@@ -65,7 +65,10 @@ NAMESPACES: dict[str, Namespace] = {
     # v2: completed entries carry exact elapsed engine ``cycles``.
     "evals": Namespace(schema=2, codec="json", max_entries=4096),
     # Entries hold real output ndarrays; the bound caps resident memory.
-    "traces": Namespace(schema=1, codec="pickle", max_entries=8),
+    # v2: every trace is recorded breadth-first (the tuner's node order);
+    # v1 entries recorded by the harness in model-run order read back
+    # as misses.
+    "traces": Namespace(schema=2, codec="pickle", max_entries=8),
     "payloads": Namespace(schema=1, codec=None, max_entries=8),
 }
 

@@ -446,7 +446,7 @@ class TestServe:
             ("serve", "ldpc", "--arrival", "burst:1,2"),
             ("serve", "ldpc", "--arrival", "uniform:3"),
             ("serve", "ldpc", "--workers", "0"),
-            ("serve", "ldpc", "--batch-size", "-1"),
+            ("serve", "ldpc", "--max-batch", "0"),
         ],
     )
     def test_serve_flag_validation(self, capsys, argv):

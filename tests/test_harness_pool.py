@@ -281,6 +281,34 @@ class TestDiskCache:
         assert cache.entry_count() == 1
 
 
+class TestOneRecordingOrder:
+    """The harness and the tuner share traces under one key, so they
+    must record them in one node order: a tune may not depend on
+    whether a harness run filled the cache first."""
+
+    @pytest.mark.parametrize("name", ["face_detection", "pyramid"])
+    def test_tune_after_harness_equals_fresh_tune(self, name):
+        from repro.core.tuner.cache import trace_fingerprint
+        from repro.core.tuner.offline import TunerOptions
+        from repro.harness.runner import tune_workload
+
+        params = get_workload(name).quick_params()
+        options = TunerOptions(max_configs=24, workers=1)
+        fresh = tune_workload(
+            name, _k20c(), params, options=options, cache=TraceCache()
+        )
+        cache = TraceCache()
+        run_workload_models(name, _k20c(), params=params, cache=cache)
+        warm = tune_workload(
+            name, _k20c(), params, options=options, cache=cache
+        )
+        assert cache.stats().misses == 1  # the tune replayed, not recorded
+        assert trace_fingerprint(warm.trace) == trace_fingerprint(fresh.trace)
+        assert json.dumps(
+            warm.report.canonical_payload(), sort_keys=True
+        ) == json.dumps(fresh.report.canonical_payload(), sort_keys=True)
+
+
 class TestPerRunStats:
     """Satellite: stats report per-run deltas, not process-lifetime totals."""
 
