@@ -13,7 +13,8 @@ Commands:
   reports per-request tail latency (p50/p99/p999), per-stage wait and
   service breakdowns, throughput/goodput windows and SLO attainment;
 * ``tune`` — profile a workload and run the offline auto-tuner;
-* ``timeline`` — run with tracing and print the SM Gantt chart;
+* ``timeline`` — run with the observer attached and print the SM Gantt
+  chart drawn from its compute segments;
 * ``stats`` — run with the observer attached and print the derived
   report: per-stage latency percentiles, per-SM busy/stall/starved
   shares, queue depth/contention summaries.
@@ -26,15 +27,15 @@ observer for the run.
 All commands use the workloads' quick parameters by default; pass
 ``--full`` for the paper-scale defaults.
 
-Workload commands share two execution knobs (see ``docs/batching.md``):
-``--batch-size N`` caps how many same-stage items each queue drain hands
-to ``Stage.execute_batch`` (default unlimited; ``1`` forces the scalar
-path), and ``--no-replay-cache`` disables the compute-once/simulate-many
-trace reuse that otherwise lets ``compare`` run the stage code only once
-across its three models.  Both paths are schedule-preserving: the
-simulated results are bit-identical whichever knobs are set.
+Workload commands run the stage code once per workload and invocation:
+the first model records the task trace with the tuner's breadth-first
+walk, handing each run of ready same-stage items to
+``Stage.execute_batch`` in one call, and every model replays that
+recording — compute once, simulate many (see ``docs/batching.md``).
+The simulated results are bit-identical to running every model's stage
+code item by item.
 
-Two more knobs scale the multi-cell commands (see ``docs/harness.md``):
+Two knobs scale the multi-cell commands (see ``docs/harness.md``):
 ``--workers N`` (``compare``, ``bench``, ``tune`` and ``serve``) fans
 independent experiment cells across a **persistent worker pool** —
 spawned once per CLI process, reused across dispatches (byte-identical
@@ -69,6 +70,7 @@ from .gpu.tracing import render_timeline
 from .harness.runner import execute_model, run_workload_models
 from .harness.tracecache import DEFAULT_TRACE_CACHE_DIR, TraceCache
 from .obs import Observer, RunReport, write_report_json
+from .obs.events import ComputeSegment
 from .workloads.registry import all_workloads, get_workload
 
 _MODEL_CHOICES = (
@@ -84,7 +86,7 @@ _MODEL_CHOICES = (
 
 
 def _positive_int(text):
-    """Argparse type for ``--batch-size`` / ``--workers``: an int >= 1."""
+    """Argparse type for ``--workers`` / ``--budget``: an int >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -189,44 +191,28 @@ def _build_model(name, spec, pipeline, gpu, params):
     raise ValueError(name)
 
 
-def _exec_options(args):
-    """The batching/replay knobs shared by every workload command.
-
-    Defaults: unlimited batching, replay cache on — one functional run
-    per invocation, every further model simulated from the recorded
-    trace.  ``--batch-size 1`` forces the scalar path; ``--batch-size N``
-    caps each queue drain; ``--no-replay-cache`` re-executes the stage
-    code for every model.
-    """
-    batch_size = getattr(args, "batch_size", None)
-    if getattr(args, "no_replay_cache", False):
-        return batch_size, None
-    disk_dir = getattr(args, "trace_cache_dir", None)
-    return batch_size, TraceCache(disk_dir=disk_dir)
+def _trace_cache(args) -> TraceCache:
+    """The invocation's replay cache: in memory, over the
+    ``--trace-cache-dir`` store when one is given."""
+    return TraceCache(disk_dir=args.trace_cache_dir)
 
 
-def _run_once(
-    spec, model_name, gpu, params, trace=False, observe=False,
-    batch_size=None, cache=None,
-):
+def _run_once(spec, model_name, gpu, params, cache, observe=False):
     pipeline = spec.build_pipeline(params)
     model = _build_model(model_name, spec, pipeline, gpu, params)
     device = GPUDevice(gpu)
-    tracer = device.enable_tracing() if trace else None
     observer = Observer().attach(device) if observe else None
-    before = cache.stats() if cache is not None else None
+    before = cache.stats()
     result, _replayed = execute_model(
-        spec, pipeline, model, device, params,
-        batch_size=batch_size, cache=cache,
+        spec, pipeline, model, device, params, cache=cache
     )
-    if cache is not None:
-        cache.last_run = cache.stats() - before
+    cache.last_run = cache.stats() - before
     spec.check_outputs(params, result.outputs)
     if observer is not None:
         observer.finalize(
             result, label=f"{spec.name}/{model_name}/{gpu.name}"
         )
-    return result, tracer, observer
+    return result, observer
 
 
 def _wants_observer(args) -> bool:
@@ -265,10 +251,9 @@ def cmd_run(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
     params = _params(spec, args)
-    batch_size, cache = _exec_options(args)
-    result, _, observer = _run_once(
-        spec, args.model, gpu, params, observe=_wants_observer(args),
-        batch_size=batch_size, cache=cache,
+    result, observer = _run_once(
+        spec, args.model, gpu, params, _trace_cache(args),
+        observe=_wants_observer(args),
     )
     print(
         f"{args.workload} / {args.model} on {gpu.name}: "
@@ -308,15 +293,14 @@ def _write_compare_report(args, gpu, reports) -> None:
     print(f"wrote report: {args.report_json}")
 
 
-def _compare_with_traces(args, spec, gpu, params, batch_size, cache) -> int:
+def _compare_with_traces(args, spec, gpu, params, cache) -> int:
     """The per-model serial path kept for ``--trace-out`` (one observer —
     and so one exported trace — per model)."""
     rows = []
     reports = {}
     for model_name in ("baseline", "megakernel", "versapipe"):
-        result, _, observer = _run_once(
-            spec, model_name, gpu, params, observe=True,
-            batch_size=batch_size, cache=cache,
+        result, observer = _run_once(
+            spec, model_name, gpu, params, cache, observe=True
         )
         rows.append((model_name, result.time_ms))
         print(f"  {model_name:12s} {result.time_ms:10.3f} ms")
@@ -338,17 +322,16 @@ def cmd_compare(args) -> int:
     gpu = get_spec(args.device)
     params = _params(spec, args)
     observe = _wants_observer(args)
-    batch_size, cache = _exec_options(args)
+    cache = _trace_cache(args)
     print(f"{args.workload} on {gpu.name} "
           f"({'paper-scale' if args.full else 'quick'} parameters):")
     if args.trace_out:
-        return _compare_with_traces(args, spec, gpu, params, batch_size, cache)
+        return _compare_with_traces(args, spec, gpu, params, cache)
     cells = run_workload_models(
         spec.name,
         gpu,
         params,
         observe=observe,
-        batch_size=batch_size,
         cache=cache,
         workers=args.workers,
     )
@@ -359,9 +342,7 @@ def cmd_compare(args) -> int:
     for name, time_ms in rows[1:]:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
     parallel = args.workers is not None and args.workers > 1
-    if cache is not None and cache.last_run is not None and (
-        parallel or cache.root is not None
-    ):
+    if cache.last_run is not None and (parallel or cache.root is not None):
         print(
             f"  (workers={args.workers or 1}; trace cache: "
             f"{cache.last_run.describe()})"
@@ -380,19 +361,15 @@ def cmd_stats(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
     params = _params(spec, args)
-    batch_size, cache = _exec_options(args)
-    result, _, observer = _run_once(
-        spec, args.model, gpu, params, observe=True,
-        batch_size=batch_size, cache=cache,
+    cache = _trace_cache(args)
+    result, observer = _run_once(
+        spec, args.model, gpu, params, cache, observe=True
     )
     print(result.report.summary_text())
-    size = "unlimited" if batch_size is None else str(batch_size)
-    if cache is None:
-        replay = "off (--no-replay-cache)"
-    else:
-        delta = cache.last_run if cache.last_run is not None else cache.stats()
-        replay = f"on ({len(cache)} trace(s), last run: {delta.describe()})"
-    print(f"batching: batch-size={size}; replay cache: {replay}")
+    print(
+        "batching: batch-size=unlimited; replay cache: on "
+        f"({len(cache)} trace(s), last run: {cache.last_run.describe()})"
+    )
     if getattr(args, "cache_dir", None):
         from .harness.runner import tune_workload
 
@@ -404,7 +381,6 @@ def cmd_stats(args) -> int:
             options=TunerOptions(
                 max_configs=args.tune_budget, cache_dir=cache_dir
             ),
-            batch_size=batch_size,
             cache=cache,
         )
         report = tuned.report
@@ -427,7 +403,6 @@ def cmd_tune(args) -> int:
     cache_dir = args.cache_dir
     if cache_dir is not None:
         cache_dir = os.path.expanduser(cache_dir)
-    batch_size, cache = _exec_options(args)
     tuned = tune_workload(
         spec.name,
         gpu,
@@ -440,8 +415,7 @@ def cmd_tune(args) -> int:
             prefix_frac=None if args.no_prefix else args.prefix_frac,
             halving_rungs=args.halving_rungs,
         ),
-        batch_size=batch_size,
-        cache=cache,
+        cache=_trace_cache(args),
     )
     report = tuned.report
     print(f"profiled {tuned.profiled_tasks} tasks")
@@ -482,9 +456,7 @@ def cmd_bench(args) -> int:
         workloads=workloads,
         devices=devices,
         workers=args.workers,
-        batch_size=args.batch_size,
         cache_dir=args.trace_cache_dir,
-        replay_cache=not args.no_replay_cache,
         full=args.full,
     )
     grouped = suite.by_device()
@@ -587,17 +559,15 @@ def cmd_timeline(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
     params = _params(spec, args)
-    batch_size, cache = _exec_options(args)
-    result, tracer, observer = _run_once(
-        spec, args.model, gpu, params, trace=True,
-        observe=_wants_observer(args),
-        batch_size=batch_size, cache=cache,
+    result, observer = _run_once(
+        spec, args.model, gpu, params, _trace_cache(args), observe=True
     )
     print(
         f"{args.workload} / {args.model} on {gpu.name}: "
         f"{result.time_ms:.3f} ms"
     )
-    print(render_timeline(tracer, gpu.num_sms, clock_ghz=gpu.clock_ghz))
+    segments = observer.recorder.of_type(ComputeSegment)
+    print(render_timeline(segments, gpu.num_sms, clock_ghz=gpu.clock_ghz))
     _write_outputs(args, observer, result)
     return 0
 
@@ -621,21 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="show workloads, devices and models")
 
-    def add_exec_knobs(p):
-        p.add_argument(
-            "--batch-size",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help="cap items per Stage.execute_batch call (default: "
-            "unlimited; 1 forces the scalar per-item path)",
-        )
-        p.add_argument(
-            "--no-replay-cache",
-            action="store_true",
-            help="re-run stage code for every model instead of recording "
-            "the task trace once and replaying it (default: cache on)",
-        )
+    def add_trace_cache_dir(p):
         p.add_argument(
             "--trace-cache-dir",
             metavar="PATH",
@@ -668,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="use paper-scale parameters instead of quick ones",
         )
-        add_exec_knobs(p)
+        add_trace_cache_dir(p)
 
     def add_obs(p):
         p.add_argument(
@@ -787,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use paper-scale parameters instead of quick ones",
     )
-    add_exec_knobs(bench)
+    add_trace_cache_dir(bench)
     add_workers(bench, "one per core")
     bench.add_argument(
         "--bench-json",
@@ -922,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     timeline = sub.add_parser(
-        "timeline", help="run with tracing and print an SM Gantt chart"
+        "timeline", help="run with the observer and print an SM Gantt chart"
     )
     add_common(timeline)
     add_obs(timeline)

@@ -239,18 +239,6 @@ class GPUDevice:
     # ------------------------------------------------------------------
     # Observation.
     # ------------------------------------------------------------------
-    def enable_tracing(self):
-        """Attach an execution tracer to every SM; returns the tracer.
-
-        Render the result with :func:`repro.gpu.tracing.render_timeline`.
-        """
-        from .tracing import Tracer
-
-        tracer = Tracer()
-        for sm in self.sms:
-            sm.tracer = tracer
-        return tracer
-
     def attach_observer(self, bus) -> None:
         """Attach a telemetry :class:`~repro.obs.events.EventBus` to the
         device, its SMs and the hardware scheduler.

@@ -32,7 +32,7 @@ values.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .engine import Engine
 from .kernel import KernelSpec
 from .occupancy import registers_per_block, shared_mem_per_block
 from .specs import GPUSpec
-
-if TYPE_CHECKING:
-    from .tracing import Tracer
 
 _EPS = 1e-7
 
@@ -155,8 +152,6 @@ class StreamingMultiprocessor:
         #: Device-level occupancy mirror (see :class:`SMStateArrays`).
         self._state = state
         self.on_retire: Optional[Callable[[ThreadBlock], None]] = None
-        #: Optional execution tracer (set via GPUDevice.enable_tracing).
-        self.tracer: Optional[Tracer] = None
         #: Optional telemetry bus (set via GPUDevice.attach_observer).
         #: Every emission is guarded so nothing is allocated when unset.
         self.obs: Optional[EventBus] = None
@@ -363,14 +358,6 @@ class StreamingMultiprocessor:
         for seg in finished:
             del self._segments[seg.block.block_id]
             self._active_threads -= seg.threads
-            if self.tracer is not None:
-                self.tracer.record(
-                    self.sm_id,
-                    seg.block.kernel.name,
-                    seg.started,
-                    now,
-                    seg.work,
-                )
             if self.obs is not None and now > seg.started:
                 self.obs.emit(
                     ComputeSegment(

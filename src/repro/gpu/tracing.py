@@ -1,102 +1,59 @@
-"""Execution tracing: per-SM activity records and a text Gantt renderer.
+"""Text Gantt chart of per-SM compute activity.
 
-Attach a :class:`Tracer` to a device before running and every Compute
-segment is recorded as ``(sm_id, kernel, start_cycle, end_cycle, work)``.
-:func:`render_timeline` turns the records into a terminal Gantt chart —
-one row per SM, one column per time bucket, showing which kernel dominated
-each bucket.  This is how the examples visualise the difference between,
-say, a megakernel (every SM runs the same fused kernel) and a coarse
-pipeline (SMs partitioned per stage).
+Every SM emits a :class:`~repro.obs.events.ComputeSegment` for each
+completed Compute interval of a block that took simulated time, so an
+attached :class:`~repro.obs.Observer` records the run's SM activity as
+``(sm_id, kernel, start, end, work)`` events.  :func:`render_timeline`
+turns those events into a terminal Gantt chart — one row per SM, one
+column per time bucket, showing which kernel dominated each bucket::
+
+    observer = Observer().attach(device)
+    model.run(pipeline, device, executor, items)
+    segments = observer.recorder.of_type(ComputeSegment)
+    print(render_timeline(segments, device.spec.num_sms))
+
+This is how the examples visualise the difference between, say, a
+megakernel (every SM runs the same fused kernel) and a coarse pipeline
+(SMs partitioned per stage).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-
-@dataclass(frozen=True)
-class TraceSegment:
-    """One completed Compute interval on one SM."""
-
-    sm_id: int
-    kernel: str
-    start: float
-    end: float
-    work: float  # thread-cycles drained
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class Tracer:
-    """Collects compute segments from every SM of a device."""
-
-    def __init__(self) -> None:
-        self.segments: list[TraceSegment] = []
-
-    def record(
-        self, sm_id: int, kernel: str, start: float, end: float, work: float
-    ) -> None:
-        if end > start:
-            self.segments.append(
-                TraceSegment(sm_id, kernel, start, end, work)
-            )
-
-    # ------------------------------------------------------------------
-    def kernels(self) -> list[str]:
-        """Distinct kernel names in first-appearance order."""
-        seen: dict[str, None] = {}
-        for segment in self.segments:
-            seen.setdefault(segment.kernel, None)
-        return list(seen)
-
-    def busy_cycles_by_kernel(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for segment in self.segments:
-            totals[segment.kernel] = (
-                totals.get(segment.kernel, 0.0) + segment.duration
-            )
-        return totals
-
-    def span(self) -> tuple[float, float]:
-        if not self.segments:
-            return (0.0, 0.0)
-        return (
-            min(s.start for s in self.segments),
-            max(s.end for s in self.segments),
-        )
-
+from ..obs.events import ComputeSegment
 
 #: Symbols assigned to kernels in the timeline, in appearance order.
 _GLYPHS = "#*+o@%=&$~^!123456789"
 
 
 def render_timeline(
-    tracer: Tracer,
+    segments: Sequence[ComputeSegment],
     num_sms: int,
     width: int = 72,
     clock_ghz: Optional[float] = None,
 ) -> str:
     """A text Gantt chart: rows are SMs, columns are time buckets.
 
-    Each bucket shows the glyph of the kernel with the most busy time in
-    it, ``.`` for idle.  A legend maps glyphs to kernel names.
+    ``segments`` are a run's compute segments in emission order.  Each
+    bucket shows the glyph of the kernel with the most busy time in it,
+    ``.`` for idle.  A legend maps glyphs to kernel names in order of
+    first appearance.
     """
-    start, end = tracer.span()
+    start = min((s.start for s in segments), default=0.0)
+    end = max((s.end for s in segments), default=0.0)
     if end <= start:
         return "(no activity recorded)"
     bucket = (end - start) / width
-    glyph_of = {
-        kernel: _GLYPHS[i % len(_GLYPHS)]
-        for i, kernel in enumerate(tracer.kernels())
-    }
+    glyph_of: dict[str, str] = {}
+    for segment in segments:
+        if segment.kernel not in glyph_of:
+            glyph_of[segment.kernel] = _GLYPHS[len(glyph_of) % len(_GLYPHS)]
     # busy[sm][column][kernel] -> cycles
     busy: list[list[dict[str, float]]] = [
         [dict() for _ in range(width)] for _ in range(num_sms)
     ]
-    for segment in tracer.segments:
+    for segment in segments:
         # Clamp both ends: a segment starting exactly at the span end
         # (or fed in from outside the recorded span) must not index past
         # the last column.

@@ -100,9 +100,7 @@ class _SuitePayload:
 
     check: bool = True
     observe: bool = False
-    batch_size: Optional[int] = None
     cache_dir: Optional[str] = None
-    replay_cache: bool = True
     full: bool = False
     #: Explicit per-workload parameter overrides (workload name -> params
     #: dataclass); workloads not listed fall back to quick/full defaults.
@@ -123,7 +121,7 @@ class _ShardCells:
 
 
 def _run_task(
-    task: CellTask, payload: _SuitePayload, cache: Optional[Store]
+    task: CellTask, payload: _SuitePayload, cache: Store
 ) -> ExperimentCell:
     spec = get_workload(task.workload)
     gpu = get_spec(task.device)
@@ -135,7 +133,6 @@ def _run_task(
             params,
             check=payload.check,
             observe=payload.observe,
-            batch_size=payload.batch_size,
             cache=cache,
         )
     if task.column == "baseline":
@@ -154,7 +151,6 @@ def _run_task(
         check=payload.check,
         label=label,
         observe=payload.observe,
-        batch_size=payload.batch_size,
         cache=cache,
     )
 
@@ -166,7 +162,6 @@ def _run_cell_shard(
     the per-dispatch counter delta come from
     :func:`~repro.harness.runner.run_shard_cells`)."""
     cells, stats = run_shard_cells(
-        payload.replay_cache,
         payload.cache_dir,
         lambda cache: [_run_task(task, payload, cache) for task in shard],
     )
@@ -178,9 +173,7 @@ def run_cells(
     workers: Optional[int] = None,
     check: bool = True,
     observe: bool = False,
-    batch_size: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    replay_cache: bool = True,
     full: bool = False,
     params: Optional[dict] = None,
 ) -> tuple[list[ExperimentCell], StoreStats]:
@@ -199,9 +192,7 @@ def run_cells(
     payload = _SuitePayload(
         check=check,
         observe=observe,
-        batch_size=batch_size,
         cache_dir=cache_dir,
-        replay_cache=replay_cache,
         full=full,
         params=dict(params or {}),
     )
@@ -245,9 +236,7 @@ def run_suite(
     workers: Optional[int] = None,
     check: bool = True,
     observe: bool = False,
-    batch_size: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    replay_cache: bool = True,
     full: bool = False,
     params: Optional[dict] = None,
 ) -> SuiteResult:
@@ -261,9 +250,7 @@ def run_suite(
         workers=workers,
         check=check,
         observe=observe,
-        batch_size=batch_size,
         cache_dir=cache_dir,
-        replay_cache=replay_cache,
         full=full,
         params=params,
     )

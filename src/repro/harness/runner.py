@@ -21,9 +21,9 @@ from ..core.tuner.profiler import (
     profile_pipeline,
     replay_placeholders,
 )
-from ..core.tuner.pool import map_shards, stride_shards
+from ..core.tuner.pool import map_shards
 from ..gpu.device import GPUDevice
-from ..gpu.specs import GPUSpec, K20C, get_spec
+from ..gpu.specs import GPUSpec, K20C
 from ..obs import Observer, RunReport, TunerStats
 from ..obs.events import EventBus
 from ..store import Store, StoreStats, open_store
@@ -142,9 +142,8 @@ def run_cell(
 
 
 def run_shard_cells(
-    replay_cache: bool,
     cache_dir: Optional[str],
-    run: Callable[[Optional[Store]], list[ExperimentCell]],
+    run: Callable[[Store], list[ExperimentCell]],
 ) -> tuple[list[ExperimentCell], StoreStats]:
     """Run one pool shard's cells against its trace store.
 
@@ -157,12 +156,10 @@ def run_shard_cells(
     counter delta — never the store's lifetime totals, which under
     worker reuse span every dispatch the process ever served.
     """
-    cache: Optional[Store] = None
-    if replay_cache:
-        cache = open_store("traces", cache_dir) if cache_dir else TraceCache()
-    before = _stats(cache)
+    cache = open_store("traces", cache_dir) if cache_dir else TraceCache()
+    before = cache.stats()
     cells = run(cache)
-    return cells, _stats(cache) - before
+    return cells, cache.stats() - before
 
 
 def _stats(cache: Optional[Store]) -> StoreStats:
@@ -175,45 +172,6 @@ def _publish_run(cache: Optional[Store], delta: StoreStats) -> None:
         cache.last_run = delta
 
 
-@dataclass(frozen=True)
-class _CandidatePayload:
-    """Worker payload for parallel VersaPipe candidate evaluation."""
-
-    workload: str
-    device: str
-    params: object
-    check: bool
-    observe: bool
-    batch_size: Optional[int]
-    cache_dir: Optional[str]
-    replay_cache: bool
-
-
-def _run_candidate_shard(
-    payload: _CandidatePayload, shard: list
-) -> tuple[list[ExperimentCell], StoreStats]:
-    spec = get_workload(payload.workload)
-    gpu = get_spec(payload.device)
-    return run_shard_cells(
-        payload.replay_cache,
-        payload.cache_dir,
-        lambda cache: [
-            run_cell(
-                spec,
-                HybridModel(config),
-                gpu,
-                payload.params,
-                check=payload.check,
-                label="versapipe",
-                observe=payload.observe,
-                batch_size=payload.batch_size,
-                cache=cache,
-            )
-            for config in shard
-        ],
-    )
-
-
 def run_versapipe(
     spec: WorkloadSpec,
     gpu: GPUSpec,
@@ -222,7 +180,6 @@ def run_versapipe(
     observe: bool = False,
     batch_size: Optional[int] = None,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
-    workers: Optional[int] = None,
 ) -> ExperimentCell:
     """Run the workload as VersaPipe would: pick the fastest hybrid plan.
 
@@ -230,14 +187,8 @@ def run_versapipe(
     configuration; mirroring that, this evaluates the workload's
     paper-described plan *and* the all-stage megakernel grouping (always in
     the tuner's search space) — both with online adaptation — and reports
-    the faster.
-
-    ``workers`` > 1 evaluates the candidate plans in parallel worker
-    processes (sharing functional work through the cache's directory,
-    if it has one); the winner is byte-identical to the serial pick
-    because every candidate simulates deterministically on its own
-    device.  Either way ``cache.last_run`` is set to this call's
-    cache-counter delta so ``repro stats`` reports per-run numbers.
+    the faster.  ``cache.last_run`` is set to this call's cache-counter
+    delta so ``repro stats`` reports per-run numbers.
     """
     from ..core.config import GroupConfig, PipelineConfig
 
@@ -261,36 +212,6 @@ def run_versapipe(
             online_adaptation=True,
         ),
     ]
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1 and len(candidates) > 1:
-        payload = _CandidatePayload(
-            workload=spec.name,
-            device=gpu.name,
-            params=params,
-            check=check,
-            observe=observe,
-            batch_size=batch_size,
-            cache_dir=cache.root if cache is not None else None,
-            replay_cache=cache is not None,
-        )
-        shards = stride_shards(candidates, workers)
-        shard_results = map_shards(
-            _run_candidate_shard, payload, shards, workers
-        )
-        count = len(shards)
-        merged: list[Optional[ExperimentCell]] = [None] * len(candidates)
-        stats = StoreStats()
-        for offset, (cells, shard_stats) in enumerate(shard_results):
-            merged[offset::count] = cells
-            stats = stats + shard_stats
-        _publish_run(cache, stats)
-        best = None
-        for cell in merged:
-            if best is None or cell.time_ms < best.time_ms:
-                best = cell
-        return best
     before = _stats(cache)
     best = None
     for config in candidates:
@@ -325,12 +246,14 @@ def run_workload_models(
     versapipe.
 
     By default the baseline run records the workload's task trace and the
-    remaining columns replay it (compute once, simulate many); pass
-    ``cache=None`` to run every column functionally.  ``workers`` > 1
-    fans the three columns across worker processes (sharing functional
-    work through the cache's directory, if it has one) with
-    byte-identical simulated results; ``cache.last_run`` always carries
-    this call's cache-counter delta.
+    remaining columns replay it (compute once, simulate many); at
+    ``workers=1``, pass ``cache=None`` to run every column functionally,
+    with ``batch_size`` capping each ``Stage.execute_batch`` call.
+    ``workers`` > 1 fans the three columns across worker processes, which
+    always record and replay (sharing functional work through the
+    cache's directory, if it has one), with byte-identical simulated
+    results; ``cache.last_run`` always carries this call's cache-counter
+    delta.
     """
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
@@ -338,6 +261,11 @@ def run_workload_models(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > 1:
+        if cache is None or batch_size is not None:
+            raise ValueError(
+                "workers > 1 always records and replays traces: pass a "
+                "cache and no batch_size"
+            )
         from .pool import CellTask, run_cells  # lazy: pool imports us
 
         tasks = [
@@ -349,9 +277,7 @@ def run_workload_models(
             workers=workers,
             check=check,
             observe=observe,
-            batch_size=batch_size,
-            cache_dir=cache.root if cache is not None else None,
-            replay_cache=cache is not None,
+            cache_dir=cache.root,
             params={spec.name: params},
         )
         _publish_run(cache, stats)
@@ -417,7 +343,6 @@ def tune_workload(
     params: Optional[object] = None,
     options: Optional[TunerOptions] = None,
     bus: Optional[EventBus] = None,
-    batch_size: Optional[int] = None,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
 ) -> TunedWorkload:
     """Profile one workload and run the offline search end to end.
@@ -440,7 +365,6 @@ def tune_workload(
             pipeline,
             gpu,
             spec.initial_items(params),
-            batch_size=batch_size,
             record_outputs=cache is not None,
         )
         if cache is not None:

@@ -86,6 +86,7 @@ class TraceCache(Store):
         self.last_run: Optional[StoreStats] = None
 
 
-#: Process-wide cache used by the harness entry points by default; pass
-#: ``cache=None`` (``repro --no-replay-cache``) to force functional runs.
+#: Process-wide cache used by the harness entry points by default; the
+#: serial entry points take ``cache=None`` to force functional runs (the
+#: reference path the batch-equivalence tests compare against).
 DEFAULT_TRACE_CACHE = TraceCache()

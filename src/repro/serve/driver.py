@@ -167,16 +167,6 @@ class ServeConfig:
         if self.retune_budget is not None and self.retune_budget < 1:
             raise ConfigurationError("retune_budget must be >= 1")
 
-    @property
-    def is_adaptive(self) -> bool:
-        """True when any control loop (admission, dynamic batching,
-        re-tuning) is armed — the driver then runs the episode path."""
-        return (
-            self.admission != "none"
-            or self.max_batch is not None
-            or self.retune is not None
-        )
-
 
 def build_serve_plan(
     spec: WorkloadSpec, pipeline, gpu: GPUSpec, params: object, model: str
@@ -306,112 +296,6 @@ def retune_serve_plan(
     return replace(report.best_config, online_adaptation=False), report
 
 
-def serve_workload(
-    config: ServeConfig,
-    observer: Optional[Observer] = None,
-    arrival: Optional[ArrivalProcess] = None,
-) -> ServeReport:
-    """Run one open-loop serving cell and return its report.
-
-    Deterministic: the arrival schedule is drawn from a
-    ``random.Random(seed)`` before the engine starts, and the report's
-    histograms accumulate in engine-event order — the same
-    :class:`ServeConfig` always produces a byte-identical
-    :meth:`ServeReport.payload`.  Pass an :class:`~repro.obs.Observer`
-    to also capture the flow-linked Chrome trace.
-
-    Configs with any control loop armed (admission control, dynamic
-    batching, re-tuning — see :attr:`ServeConfig.is_adaptive`) take the
-    episode-based adaptive path; static configs run one engine episode.
-    Both record the cell's template once and replay it for every
-    request.
-    """
-    if config.is_adaptive:
-        return _serve_adaptive(config, observer, arrival)
-    spec, gpu, params = _resolve(config)
-    template = record_template(spec, gpu, params)
-    pipeline = template.pipeline
-    if arrival is None:
-        arrival = parse_arrival_spec(config.arrival_spec)
-
-    device = GPUDevice(gpu)
-    if observer is not None:
-        observer.attach(device)
-    executor = RequestTaggingExecutor(ReplayExecutor(pipeline, template.trace))
-    plan = build_serve_plan(spec, pipeline, gpu, params, config.model)
-    engine = HybridEngine(pipeline, device, executor, plan)
-
-    report = ServeReport(
-        label=f"{spec.name}/{config.model}/{gpu.name}",
-        workload=spec.name,
-        model=config.model,
-        device=gpu.name,
-        arrival=arrival.describe(),
-        duration_ms=config.duration_ms,
-        window_ms=config.window_ms,
-        arrivals=_window(config.window_ms),
-        completions=_window(config.window_ms),
-        good_completions=_window(config.window_ms),
-        slo=SLOTracker(slo_ms=config.slo_ms),
-    )
-    cycles_to_ms = gpu.cycles_to_ms
-
-    def on_visit(stage: str, wait_cycles: float, service_cycles: float) -> None:
-        report.observe_visit(
-            stage, cycles_to_ms(wait_cycles), cycles_to_ms(service_cycles)
-        )
-
-    def on_complete(span) -> None:
-        report.observe_complete(
-            cycles_to_ms(span.latency_cycles),
-            cycles_to_ms(span.completion_t),
-        )
-
-    tracker = RequestTracker(
-        bus=device.obs, on_visit=on_visit, on_complete=on_complete
-    )
-    engine.ctx.request_tracker = tracker
-
-    rng = random.Random(config.seed)
-    times_ms = arrival.times(config.duration_ms, rng)
-    entries = template.entries
-    stage_bytes = {
-        stage: pipeline.stage(stage).item_bytes for stage, _ in entries
-    }
-
-    counts: dict[str, int] = {}
-    for rid in range(len(times_ms)):
-        stage, _ = entries[rid % len(entries)]
-        counts[stage] = counts.get(stage, 0) + 1
-    engine.ctx.expect_arrivals(counts)
-
-    def make_fire(rid: int, t_ms: float):
-        stage, node = entries[rid % len(entries)]
-
-        def fire() -> None:
-            device.memcpy_h2d(stage_bytes[stage])
-            now = device.engine.now
-            tracker.begin(rid, stage, now)
-            report.observe_arrival(cycles_to_ms(now))
-            engine.ctx.deliver_arrival(stage, RequestItem(rid, node))
-
-        return fire
-
-    for rid, t_ms in enumerate(times_ms):
-        device.engine.schedule_at(
-            gpu.us_to_cycles(t_ms * 1000.0), make_fire(rid, t_ms)
-        )
-
-    engine.run({})
-    if tracker.in_flight:
-        raise ExecutionError(
-            f"{tracker.in_flight} request(s) never completed "
-            "(tracker/quiescence mismatch)"
-        )
-    report.elapsed_ms = device.elapsed_ms
-    return report
-
-
 class _EpisodeState:
     """Mutable flags shared between one episode's fire callbacks."""
 
@@ -435,33 +319,43 @@ def _retune_options(config: ServeConfig) -> TunerOptions:
     return TunerOptions(workers=1)
 
 
-def _serve_adaptive(
+def serve_workload(
     config: ServeConfig,
     observer: Optional[Observer] = None,
     arrival: Optional[ArrivalProcess] = None,
 ) -> ServeReport:
-    """The load-adaptive serving path: engine episodes under control.
+    """Run one open-loop serving cell and return its report.
 
-    The arrival schedule is still drawn up front (open loop), but the
-    run is split into *episodes*, each a fresh engine instance executing
-    one resident plan:
+    The arrival schedule is drawn up front from a
+    ``random.Random(seed)`` (open loop), and the run is split into
+    *episodes*, each a fresh engine instance executing one resident
+    plan:
 
     * every arrival fire first consults the admission policy — a shed
       request releases its reservation, is counted in the shed ledgers,
       and never touches a queue;
-    * the dynamic batch former governs every queue pop through
-      ``RunContext.batch_governor``;
-    * when the re-tune watcher arms mid-episode, the remaining arrivals
-      are deferred (reservations released), the episode drains to its
-      natural quiescent boundary, :func:`retune_serve_plan` races a new
-      plan, and the next episode resumes the deferred schedule under it
-      with the serving clock carried forward.  Deferred requests keep
-      their true arrival times, so the drain-and-swap stall is charged
-      to their latencies, not hidden.
+    * with ``max_batch`` set, the dynamic batch former governs every
+      queue pop through ``RunContext.batch_governor``;
+    * with ``retune`` set, when the re-tune watcher arms mid-episode,
+      the remaining arrivals are deferred (reservations released), the
+      episode drains to its natural quiescent boundary,
+      :func:`retune_serve_plan` races a new plan, and the next episode
+      resumes the deferred schedule under it with the serving clock
+      carried forward.  Deferred requests keep their true arrival
+      times, so the drain-and-swap stall is charged to their
+      latencies, not hidden.
 
-    Everything is a deterministic function of the seeded schedule and
-    simulated state, so adaptive cells keep the byte-identical
-    ``--workers`` contract.
+    A config with admission ``none`` and neither ``max_batch`` nor
+    ``retune`` admits every request and runs as a single episode under
+    its static plan.  The cell records its template once and replays it
+    for every request.
+
+    Deterministic: everything is a function of the seeded schedule and
+    simulated state, and the report's histograms accumulate in
+    engine-event order, so the same :class:`ServeConfig` always
+    produces a byte-identical :meth:`ServeReport.payload` for any
+    ``--workers`` count.  Pass an :class:`~repro.obs.Observer` to also
+    capture the flow-linked Chrome trace.
     """
     spec, gpu, params = _resolve(config)
     template = record_template(spec, gpu, params)

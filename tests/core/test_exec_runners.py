@@ -17,6 +17,8 @@ from repro.core.exec.persistent import PersistentGroupRunner, locality_adjusted
 from repro.core.models.hybrid import HybridEngine, OnlineAdapter
 from repro.core.runcontext import RunContext
 from repro.gpu import GPUDevice, K20C
+from repro.obs import Observer
+from repro.obs.events import ComputeSegment
 
 from .conftest import AdderStage, DoublerStage, SinkStage, toy_pipeline
 
@@ -100,9 +102,11 @@ class TestPersistentGroupRunner:
             )
         )
         engine, initial = make_engine(config)
-        tracer = engine.device.enable_tracing()
+        observer = Observer().attach(engine.device)
         engine.run(initial)
-        assert {seg.sm_id for seg in tracer.segments} <= {2, 5, 9}
+        segments = observer.recorder.of_type(ComputeSegment)
+        assert segments
+        assert {seg.sm_id for seg in segments} <= {2, 5, 9}
 
     def test_fine_blocks_follow_block_map(self):
         config = PipelineConfig(

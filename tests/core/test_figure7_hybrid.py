@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from repro.core import FunctionalExecutor, GroupConfig, PipelineConfig
 from repro.core.models import HybridModel, KBKModel
 from repro.gpu import GPUDevice, K20C
+from repro.obs import Observer
+from repro.obs.events import ComputeSegment
 from repro.workloads import synthetic
 
 
@@ -96,7 +98,7 @@ class TestFigure7:
         params = eight_stage_params()
         pipeline = synthetic.build_pipeline(params)
         device = GPUDevice(K20C)
-        tracer = device.enable_tracing()
+        observer = Observer().attach(device)
         HybridModel(figure7_config()).run(
             pipeline,
             device,
@@ -115,7 +117,7 @@ class TestFigure7:
             for gi, g in enumerate(config.groups)
             for s in g.stages
         }
-        for segment in tracer.segments:
+        for segment in observer.recorder.of_type(ComputeSegment):
             name = segment.kernel.split(":")[-1]
             stages = name.split("+")
             groups = {stage_group[s] for s in stages if s in stage_group}

@@ -1,11 +1,13 @@
-"""Execution tracer and text Gantt renderer."""
-
-import pytest
+"""Per-SM compute segments and the text Gantt renderer drawn from them."""
 
 from repro.core import OUTPUT, FunctionalExecutor, Pipeline, Stage, TaskCost
 from repro.core.models import CoarsePipelineModel, MegakernelModel
 from repro.gpu import GPUDevice, K20C
-from repro.gpu.tracing import Tracer, render_timeline
+from repro.gpu.block import Compute, Delay
+from repro.gpu.kernel import KernelSpec
+from repro.gpu.tracing import render_timeline
+from repro.obs import Observer
+from repro.obs.events import ComputeSegment
 
 
 class _Producer(Stage):
@@ -37,104 +39,138 @@ def toy_pipeline():
 
 
 def traced_run(model):
+    """Run the toy pipeline with an observer; return the result and the
+    run's compute segments."""
     pipeline = toy_pipeline()
     device = GPUDevice(K20C)
-    tracer = device.enable_tracing()
+    observer = Observer().attach(device)
     result = model.run(
         pipeline,
         device,
         FunctionalExecutor(pipeline),
         {"producer": list(range(1, 80))},
     )
-    return result, tracer
+    return result, observer.recorder.of_type(ComputeSegment)
+
+
+def segment(sm_id, kernel, start, end, work=1.0):
+    return ComputeSegment(
+        t=end, sm_id=sm_id, block_id=0, kernel=kernel, start=start, work=work
+    )
+
+
+def legend(text):
+    return [line for line in text.splitlines() if line.startswith("legend:")]
 
 
 class TestTracer:
+    """The SMs' record of their activity: one ``ComputeSegment`` per
+    completed compute interval, captured by an attached observer."""
+
     def test_segments_recorded(self):
-        result, tracer = traced_run(MegakernelModel())
-        assert tracer.segments
-        for segment in tracer.segments:
-            assert segment.end > segment.start
-            assert 0 <= segment.sm_id < K20C.num_sms
-            assert segment.work > 0
+        _result, segments = traced_run(MegakernelModel())
+        assert segments
+        for seg in segments:
+            assert seg.end > seg.start
+            assert 0 <= seg.sm_id < K20C.num_sms
+            assert seg.work > 0
 
     def test_busy_cycles_match_span(self):
-        _result, tracer = traced_run(MegakernelModel())
-        start, end = tracer.span()
-        busy = sum(tracer.busy_cycles_by_kernel().values())
+        _result, segments = traced_run(MegakernelModel())
+        start = min(seg.start for seg in segments)
+        end = max(seg.end for seg in segments)
+        busy = sum(seg.duration for seg in segments)
         # Total busy time across SMs can exceed the span (parallelism) but
         # every segment lies within it.
         assert busy > 0
-        for segment in tracer.segments:
-            assert start <= segment.start <= segment.end <= end
+        for seg in segments:
+            assert start <= seg.start <= seg.end <= end
 
     def test_zero_length_segments_dropped(self):
-        tracer = Tracer()
-        tracer.record(0, "k", 5.0, 5.0, 0.0)
-        assert tracer.segments == []
+        """A compute interval too short to move a late clock (``now +
+        horizon == now`` in floating point) completes, but its SM emits
+        no segment for it."""
+
+        def factory(block):
+            def program(blk):
+                yield Delay(1e10)
+                yield Compute(1e-8)
+                yield Compute(1000.0)
+
+            return program(block)
+
+        device = GPUDevice(K20C)
+        observer = Observer().attach(device)
+        kernel = KernelSpec(
+            name="k",
+            registers_per_thread=32,
+            threads_per_block=256,
+            code_bytes=2048,
+        )
+        device.launch(kernel, factory, num_blocks=1, charge_host=False)
+        device.synchronize(charge_host=False)
+        segments = observer.recorder.of_type(ComputeSegment)
+        assert len(segments) == 1
+        assert segments[0].duration > 0
 
     def test_kernel_names_deduplicated_in_order(self):
-        tracer = Tracer()
-        tracer.record(0, "b", 0, 1, 1)
-        tracer.record(1, "a", 0, 1, 1)
-        tracer.record(0, "b", 1, 2, 1)
-        assert tracer.kernels() == ["b", "a"]
+        text = render_timeline(
+            [segment(0, "b", 0, 1), segment(1, "a", 0, 1),
+             segment(0, "b", 1, 2)],
+            num_sms=2,
+            width=4,
+        )
+        assert legend(text) == ["legend: #=b  *=a  .=idle"]
 
 
 class TestRenderTimeline:
     def test_empty_trace(self):
-        assert "no activity" in render_timeline(Tracer(), 4)
+        assert "no activity" in render_timeline([], 4)
 
     def test_one_row_per_sm(self):
-        _result, tracer = traced_run(MegakernelModel())
-        text = render_timeline(tracer, K20C.num_sms, width=40)
+        _result, segments = traced_run(MegakernelModel())
+        text = render_timeline(segments, K20C.num_sms, width=40)
         rows = [l for l in text.splitlines() if l.startswith("SM")]
         assert len(rows) == K20C.num_sms
         assert all(len(row) == len(rows[0]) for row in rows)
 
     def test_legend_lists_kernels(self):
-        _result, tracer = traced_run(MegakernelModel())
-        text = render_timeline(tracer, K20C.num_sms)
+        _result, segments = traced_run(MegakernelModel())
+        text = render_timeline(segments, K20C.num_sms)
         assert "legend:" in text
-        for kernel in tracer.kernels():
-            assert kernel in text
+        for seg in segments:
+            assert seg.kernel in text
 
     def test_coarse_pipeline_partitions_sms(self):
         """Under coarse binding, each SM's row shows exactly one kernel."""
-        _result, tracer = traced_run(CoarsePipelineModel())
+        _result, segments = traced_run(CoarsePipelineModel())
         per_sm_kernels = {}
-        for segment in tracer.segments:
-            per_sm_kernels.setdefault(segment.sm_id, set()).add(
-                segment.kernel
-            )
+        for seg in segments:
+            per_sm_kernels.setdefault(seg.sm_id, set()).add(seg.kernel)
         for sm_id, kernels in per_sm_kernels.items():
             assert len(kernels) == 1, (sm_id, kernels)
 
     def test_segment_at_span_end_does_not_overflow(self):
         """Regression: a zero-width segment lying exactly at the span end
         indexed one past the last column (first == width)."""
-        from repro.gpu.tracing import TraceSegment
-
-        tracer = Tracer()
-        tracer.record(0, "k", 0.0, 100.0, 1.0)
-        # record() drops zero-length segments, so append directly — e.g. a
-        # segment fed in from an external trace source.
-        tracer.segments.append(TraceSegment(1, "k", 100.0, 100.0, 0.0))
-        text = render_timeline(tracer, num_sms=2, width=10)
+        text = render_timeline(
+            [segment(0, "k", 0.0, 100.0), segment(1, "k", 100.0, 100.0, 0.0)],
+            num_sms=2,
+            width=10,
+        )
         assert "SM00" in text and "SM01" in text
 
     def test_segment_before_span_start_clamped(self):
-        from repro.gpu.tracing import TraceSegment
-
-        tracer = Tracer()
-        tracer.segments.append(TraceSegment(0, "k", -50.0, 10.0, 1.0))
-        tracer.record(0, "k", 0.0, 100.0, 1.0)
-        text = render_timeline(tracer, num_sms=1, width=10)
+        text = render_timeline(
+            [segment(0, "k", -50.0, 10.0), segment(0, "k", 0.0, 100.0)],
+            num_sms=1,
+            width=10,
+        )
         assert "SM00" in text
 
     def test_clock_footer(self):
-        _result, tracer = traced_run(MegakernelModel())
+        _result, segments = traced_run(MegakernelModel())
         text = render_timeline(
-            tracer, K20C.num_sms, clock_ghz=K20C.clock_ghz
+            segments, K20C.num_sms, clock_ghz=K20C.clock_ghz
         )
         assert "us" in text

@@ -333,11 +333,19 @@ def _config(**overrides):
 
 
 class TestAdaptiveServe:
-    def test_static_config_is_not_adaptive(self):
-        assert not _config().is_adaptive
-        assert _config(admission="drop-tail:8").is_adaptive
-        assert _config(max_batch=4).is_adaptive
-        assert _config(retune=1.5).is_adaptive
+    def test_static_cell_matches_never_shedding_admission(self):
+        """A static cell is the admit-everything episode loop: its
+        payload equals that of an admission policy that never sheds at
+        this load, ``sheds`` window included."""
+        fields = dict(arrival_spec="poisson:0.5", duration_ms=6.0,
+                      slo_ms=6.0, window_ms=2.0)
+        static = serve_workload(_config(**fields))
+        drop_tail = serve_workload(
+            _config(admission="drop-tail:1000", **fields)
+        )
+        assert drop_tail.shed == 0
+        assert _payload_json(static) == _payload_json(drop_tail)
+        assert static.payload()["sheds"]["window_ms"] == 2.0
 
     def test_shed_accounting_is_exact(self):
         report = serve_workload(

@@ -194,20 +194,6 @@ class TestParser:
 
 
 class TestBatchingFlags:
-    def test_batch_size_accepted_everywhere(self, capsys):
-        code, _ = run_cli(capsys, "run", "ldpc", "--batch-size", "1")
-        assert code == 0
-        code, _ = run_cli(capsys, "compare", "ldpc", "--batch-size", "4")
-        assert code == 0
-
-    def test_batch_size_preserves_schedule(self, capsys):
-        _, scalar = run_cli(
-            capsys, "run", "reyes", "--batch-size", "1",
-            "--no-replay-cache",
-        )
-        _, batched = run_cli(capsys, "run", "reyes")
-        assert scalar == batched
-
     def test_stats_reports_batching_line(self, capsys):
         code, out = run_cli(capsys, "stats", "ldpc")
         assert code == 0
@@ -220,31 +206,18 @@ class TestBatchingFlags:
         # A fresh run records once and replays nothing.
         assert "last run: 0 hits / 1 misses" in out
 
-    def test_stats_reports_cache_disabled(self, capsys):
-        code, out = run_cli(capsys, "stats", "ldpc", "--no-replay-cache")
-        assert code == 0
-        assert "replay cache: off (--no-replay-cache)" in out
-
-    def test_no_replay_cache_same_output(self, capsys):
-        _, cached = run_cli(capsys, "compare", "ldpc")
-        _, uncached = run_cli(
-            capsys, "compare", "ldpc", "--no-replay-cache"
-        )
-        assert cached == uncached
-
 
 class TestArgValidation:
-    """Zero/negative --batch-size, --workers and --budget, and a
-    --prefix-frac outside (0, 1), are rejected up front."""
+    """Zero/negative --workers and --budget, and a --prefix-frac outside
+    (0, 1), are rejected up front."""
 
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
-    @pytest.mark.parametrize("flag", ["--batch-size", "--workers"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_bad_values_rejected(self, capsys, flag, value):
         # ``run`` has no --workers (it simulates one cell); ``compare``
         # fans its three columns across workers.
-        command = "compare" if flag == "--workers" else "run"
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "ldpc", flag, value])
+            main(["compare", "ldpc", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive integer" in err
@@ -252,12 +225,13 @@ class TestArgValidation:
     def test_bench_and_compare_validate_too(self, capsys):
         for argv in (
             ["bench", "ldpc", "--workers", "0"],
-            ["compare", "ldpc", "--batch-size", "-1"],
+            ["compare", "ldpc", "--workers", "-1"],
             ["tune", "ldpc", "--workers", "0"],
         ):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as excinfo:
                 main(argv)
-            capsys.readouterr()
+            assert excinfo.value.code == 2
+            assert "positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     def test_bad_tune_budget_rejected(self, capsys, value):

@@ -174,21 +174,19 @@ class TestDeterminism:
                 for name, s in b.result.stage_stats.items()
             }
 
-    def test_run_versapipe_parallel_matches_serial(self):
-        spec = get_workload("reyes")
-        params = spec.quick_params()
-        serial = run_versapipe(spec, _k20c(), params, cache=TraceCache())
-        parallel = run_versapipe(
-            spec, _k20c(), params, cache=TraceCache(), workers=2
-        )
-        assert parallel.time_ms == serial.time_ms
-        assert parallel.result.cycles == serial.result.cycles
-
     def test_workers_zero_rejected(self):
         with pytest.raises(ValueError):
             run_cells(plan_suite(WORKLOADS), workers=0)
         with pytest.raises(ValueError):
             run_workload_models("ldpc", workers=0)
+
+    def test_parallel_models_reject_functional_options(self):
+        """The pool always records and replays; asking it for the
+        functional reference path is an error, not a silent no-op."""
+        with pytest.raises(ValueError):
+            run_workload_models("ldpc", workers=2, cache=None)
+        with pytest.raises(ValueError):
+            run_workload_models("ldpc", workers=2, batch_size=1)
 
 
 def _k20c():
