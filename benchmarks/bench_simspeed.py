@@ -29,7 +29,7 @@ import time
 
 import pytest
 
-from repro.gpu.engine import make_engine, resolve_engine_kind
+from repro.gpu.engine import Engine
 from repro.harness.simspeed import CANONICAL_CASES, run_case
 
 #: Machine-readable results, written at the repo root so CI can compare
@@ -52,9 +52,7 @@ def _calibrate() -> float:
     """
     best = float("inf")
     for _ in range(_REPEATS):
-        # The session's selected engine (REPRO_ENGINE / --engine), so the
-        # normalisation floor and the workloads run the same core.
-        engine = make_engine()
+        engine = Engine()
         remaining = _CALIB_EVENTS
 
         def chain() -> None:
@@ -110,7 +108,6 @@ def test_simspeed(benchmark):
     )
 
     payload = {
-        "engine": resolve_engine_kind(),
         "calibration": {
             "events": _CALIB_EVENTS,
             "s_per_event": calib_s_per_event,

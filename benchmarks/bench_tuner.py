@@ -144,7 +144,7 @@ def test_parallel_tuner_speedup_and_cache(benchmark, tmp_path):
     (mirroring ``bench_harness.py``):
 
     * **cold-serial** — ``workers=1``, no cache: the single-worker race
-      wall (``wall_s_workers1``, the prefix-racing headline number);
+      wall (``wall_s_workers1``, the full-trace race on one core);
     * **cold-parallel** — ``workers=4`` on a pre-spawned pool with a
       cold cache: the sharded race plus store cost (pool spawn is
       ``bench_harness``'s subject, not this one's);
@@ -245,7 +245,6 @@ def test_parallel_tuner_speedup_and_cache(benchmark, tmp_path):
             "num_evaluated": cold_serial.num_evaluated,
             "num_completed": cold_serial.num_completed,
             "num_dominated": cold_serial.num_dominated,
-            "num_prefix_eliminated": cold_serial.num_prefix_eliminated,
             "wall_s_workers1": cold_serial_wall,
             "wall_s_workers4": cold_parallel_wall,
             "wall_s_warm_serial": warm_serial_wall,

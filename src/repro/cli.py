@@ -12,7 +12,9 @@ Commands:
   bursty or trace-driven) injects requests into a resident pipeline;
   reports per-request tail latency (p50/p99/p999), per-stage wait and
   service breakdowns, throughput/goodput windows and SLO attainment;
-* ``tune`` — profile a workload and run the offline auto-tuner;
+* ``tune`` — profile a workload and run the offline auto-tuner: every
+  candidate races once, on the full recorded trace, against the best
+  time so far (see ``docs/tuning.md``);
 * ``timeline`` — run with the observer attached and print the SM Gantt
   chart drawn from its compute segments;
 * ``stats`` — run with the observer attached and print the derived
@@ -26,6 +28,9 @@ observer for the run.
 
 All commands use the workloads' quick parameters by default; pass
 ``--full`` for the paper-scale defaults.
+
+Every simulated device runs on the one event engine,
+:class:`~repro.gpu.engine.Engine`.
 
 Workload commands run the stage code once per workload and invocation:
 the first model records the task trace with the tuner's breadth-first
@@ -64,7 +69,6 @@ from .core.models import (
 from .core.tuner.cache import DEFAULT_CACHE_DIR as _DEFAULT_TUNER_CACHE
 from .core.tuner.offline import TunerOptions
 from .gpu.device import GPUDevice
-from .gpu.engine import set_default_engine_kind
 from .gpu.specs import PRESETS, get_spec
 from .gpu.tracing import render_timeline
 from .harness.runner import execute_model, run_workload_models
@@ -111,21 +115,6 @@ def _positive_float(text):
     if not value > 0:
         raise argparse.ArgumentTypeError(
             f"expected a positive number (> 0), got {text!r}"
-        )
-    return value
-
-
-def _open_fraction(text):
-    """Argparse type for ``--prefix-frac``: a float strictly in (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a fraction between 0 and 1, got {text!r}"
-        ) from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a fraction between 0 and 1 (exclusive), got {text!r}"
         )
     return value
 
@@ -412,8 +401,6 @@ def cmd_tune(args) -> int:
             workers=args.workers,
             cache_dir=cache_dir,
             dominance_pruning=not args.no_dominance,
-            prefix_frac=None if args.no_prefix else args.prefix_frac,
-            halving_rungs=args.halving_rungs,
         ),
         cache=_trace_cache(args),
     )
@@ -422,8 +409,9 @@ def cmd_tune(args) -> int:
     print(report.summary())
     if cache_dir is not None:
         print(f"cache: {report.cache_stats.describe()} ({cache_dir})")
+    stats = TunerStats.from_report(report, label=f"{spec.name}/{gpu.name}")
     if args.explain:
-        provenance = report.provenance()
+        provenance = stats.provenance()
         print(
             "prune provenance: "
             + ", ".join(f"{k}={v}" for k, v in provenance.items())
@@ -431,9 +419,6 @@ def cmd_tune(args) -> int:
             f" of {report.num_evaluated})"
         )
     if args.report_json:
-        stats = TunerStats.from_report(
-            report, label=f"{spec.name}/{gpu.name}"
-        )
         write_report_json(args.report_json, stats)
         print(f"wrote report: {args.report_json}")
     return 0
@@ -578,15 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="VersaPipe reproduction: pipelined computing on a "
         "simulated GPU",
     )
-    parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default=None,
-        help="event-engine implementation for every simulated device: "
-        "'vector' (default) is the array-clocked calendar with cohort "
-        "dispatch, 'scalar' the reference heap loop; both produce "
-        "bit-identical schedules (overrides $REPRO_ENGINE)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="show workloads, devices and models")
@@ -685,29 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the throughput-bound dominance cut, both the "
         "pre-replay skip and the in-flight stop",
-    )
-    tune.add_argument(
-        "--prefix-frac",
-        type=_open_fraction,
-        default=0.25,
-        metavar="F",
-        help="fraction (0 < F < 1) of the recorded trace raced in the "
-        "first prefix rung (default 0.25); the winner is always "
-        "validated on the full trace; --no-prefix turns racing off",
-    )
-    tune.add_argument(
-        "--halving-rungs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="successive-halving prefix rungs before the full-trace "
-        "rung (default 1)",
-    )
-    tune.add_argument(
-        "--no-prefix",
-        action="store_true",
-        help="disable prefix racing; every candidate replays the full "
-        "trace",
     )
     tune.add_argument(
         "--explain",
@@ -930,10 +883,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.engine is not None:
-        # Exported so the bench/tune worker processes inherit the choice.
-        os.environ["REPRO_ENGINE"] = args.engine
-        set_default_engine_kind(args.engine)
     return _COMMANDS[args.command](args)
 
 

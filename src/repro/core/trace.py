@@ -109,38 +109,6 @@ class Trace:
         state["_event_table"] = None
         return state
 
-    def prefix(self, max_nodes: int) -> "Trace":
-        """A closed sub-trace of the first ``max_nodes`` recorded tasks.
-
-        Recording is breadth-first — children are appended after the
-        parent that spawned them, so every child id is strictly larger
-        than its parent's.  Slicing the node list and dropping edges
-        (and entry ids) that point past the cut therefore yields a
-        valid, deterministic trace: the tuner's prefix rungs race
-        candidates on it before promoting survivors to the full trace.
-        Recorded outputs are not carried over (prefix replays never
-        check outputs).
-        """
-        count = max(0, min(max_nodes, len(self.nodes)))
-        if count >= len(self.nodes):
-            return self
-        nodes = [
-            TraceNode(
-                node_id=node.node_id,
-                stage=node.stage,
-                cost=node.cost,
-                children=tuple(c for c in node.children if c < count),
-                n_outputs=node.n_outputs,
-            )
-            for node in self.nodes[:count]
-        ]
-        initial = {}
-        for stage, ids in self.initial.items():
-            kept = [i for i in ids if i < count]
-            if kept:
-                initial[stage] = kept
-        return Trace(nodes=nodes, initial=initial)
-
     @property
     def num_tasks(self) -> int:
         return len(self.nodes)

@@ -7,8 +7,8 @@ timeout equal to the best time found so far — exactly the paper's
 cheaply.  The configuration with the shortest replayed execution becomes
 the initial hybrid plan; online adaptation then refines it at run time.
 
-Five accelerations on top of the paper's loop, none of which change the
-chosen plan:
+Every candidate races once, on the full trace.  Four accelerations on
+top of the paper's loop, none of which change the chosen plan:
 
 * **Parallel race-to-deadline shards** — the candidate list is split
   into deterministic round-robin shards
@@ -20,17 +20,6 @@ chosen plan:
   tightens from the global best, and a torn or corrupt shared value
   degrades to the shard-local deadline.  A canonical post-pass (below)
   keeps the merged report byte-identical for any worker count.
-* **Prefix racing** — with :attr:`TunerOptions.prefix_frac` set, every
-  candidate first races a short deterministic prefix of the trace
-  (:meth:`~repro.core.trace.Trace.prefix`) under a deliberately loose
-  deadline: anything within :attr:`TunerOptions.promote_slack` of the
-  rung best is promoted to the next rung
-  (:attr:`TunerOptions.halving_rungs` rungs, then the full trace);
-  slower candidates time out cheaply and are eliminated.  The winner is
-  always validated on the full trace, so ``best_config`` /
-  ``best_time_ms`` match exhaustive search whenever the true winner
-  stays within ``promote_slack`` of each rung best (every packaged
-  workload's winner sits within 1.15x; pinned by tests on all of them).
 * **Dominance cut** — before replaying, each candidate's provable
   throughput lower bound (:func:`~repro.core.tuner.space
   .throughput_bound_cycles`, from the profiler's per-stage work and the
@@ -63,10 +52,8 @@ search therefore rewrites every record after the fact as a pure
 function of deterministic quantities (the final best, each completed
 replay's exact elapsed cycles, each candidate's dominance bound): a
 record is ``completed`` iff its cycles fit the final deadline, else
-``dominated`` iff its bound exceeds it, else ``prefix-eliminated`` iff
-a prefix rung cut it, else ``timeout``.  Reports are byte-identical
-across worker counts, and promotion between rungs applies the same
-rule, so the promoted set is deterministic too.
+``dominated`` iff its bound exceeds it, else ``timeout``.  Reports are
+byte-identical across worker counts.
 
 Candidates are always evaluated with ``online_adaptation`` off (the
 dominance bound relies on each group's work staying on its own SMs);
@@ -81,7 +68,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ...gpu.device import GPUDevice
-from ...gpu.engine import Engine, VectorEngine
+from ...gpu.engine import Engine
 from ...gpu.specs import GPUSpec
 from ...obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
 from ...store import StoreStats, open_store
@@ -97,7 +84,6 @@ from .pool import default_workers, map_shards, stride_shards
 from .profiler import (
     PipelineProfile,
     QueuePressure,
-    profile_from_trace,
     queue_pressure,
     replay_placeholders,
 )
@@ -161,21 +147,6 @@ class TunerOptions:
     #: replay as soon as its undrained work provably cannot finish by
     #: the deadline.  Either way the candidate could not beat the best.
     dominance_pruning: bool = True
-    #: Prefix racing: the fraction of the recorded trace replayed in the
-    #: first rung.  ``None`` (or anything outside ``(0, 1)``) disables
-    #: prefix racing and every candidate replays the full trace.
-    prefix_frac: Optional[float] = 0.25
-    #: Number of successive-halving prefix rungs before the full-trace
-    #: rung; rung ``r`` of ``R`` replays a ``prefix_frac**(R-r)``
-    #: fraction of the trace.  ``0`` disables prefix racing.
-    halving_rungs: int = 1
-    #: Deadline headroom on prefix rungs: a candidate whose prefix time
-    #: is within this factor of the rung best is promoted to the next
-    #: rung; slower candidates time out and are eliminated.  Loose on
-    #: purpose — prefix times only approximate full-trace ranking (the
-    #: packaged workloads' winners all sit within 1.15x of their rung
-    #: best; 1.5 leaves wide margin, pinned by the exactness tests).
-    promote_slack: float = 1.5
 
     def __post_init__(self) -> None:
         # A slack below 1 lets the deadline undercut the best time itself,
@@ -186,26 +157,19 @@ class TunerOptions:
             raise ValueError(
                 f"max_configs must be >= 1, got {self.max_configs}"
             )
-        for name in ("timeout_slack", "promote_slack"):
-            value = getattr(self, name)
-            if not value >= 1.0:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not self.timeout_slack >= 1.0:
+            raise ValueError(
+                f"timeout_slack must be >= 1, got {self.timeout_slack}"
+            )
 
     def resolved_workers(self) -> int:
         if self.workers is None:
             return default_workers()
         return max(1, self.workers)
 
-    def prefix_enabled(self) -> bool:
-        return (
-            self.prefix_frac is not None
-            and 0.0 < self.prefix_frac < 1.0
-            and self.halving_rungs > 0
-        )
-
 
 #: Canonical prune-provenance categories (besides ``completed``).
-PRUNE_NOTES = ("timeout", "dominated", "prefix-eliminated")
+PRUNE_NOTES = ("timeout", "dominated")
 
 
 @dataclass
@@ -226,8 +190,7 @@ class EvaluatedConfig:
 
     @property
     def outcome(self) -> str:
-        """``completed``, ``timeout``, ``dominated``,
-        ``prefix-eliminated`` or ``invalid``."""
+        """``completed``, ``timeout``, ``dominated`` or ``invalid``."""
         if math.isfinite(self.time_ms):
             return "completed"
         if self.note in PRUNE_NOTES:
@@ -265,23 +228,22 @@ class TunerReport:
         return sum(1 for e in self.evaluated if e.note == "dominated")
 
     @property
-    def num_prefix_eliminated(self) -> int:
-        return sum(
-            1 for e in self.evaluated if e.note == "prefix-eliminated"
-        )
-
-    @property
     def num_invalid(self) -> int:
         return sum(1 for e in self.evaluated if e.outcome == "invalid")
 
     def provenance(self) -> dict[str, int]:
         """Canonical per-candidate prune provenance; sums to
-        :attr:`num_evaluated`."""
+        :attr:`num_evaluated`.
+
+        ``prefix-eliminated`` is always 0: the prefix-racing rung that
+        produced it is gone, and the key stays only for readers that
+        still index it (the repository benchmark's ``tune_race``).
+        """
         return {
             "completed": self.num_completed,
             "timeout": self.num_timeout,
             "dominated": self.num_dominated,
-            "prefix-eliminated": self.num_prefix_eliminated,
+            "prefix-eliminated": 0,
             "invalid": self.num_invalid,
         }
 
@@ -314,7 +276,6 @@ class TunerReport:
             f"tuned over {self.num_evaluated} configs "
             f"({self.num_completed} completed, {pruned} pruned: "
             f"{self.num_timeout} timeout, {self.num_dominated} dominated, "
-            f"{self.num_prefix_eliminated} prefix-eliminated, "
             f"{self.num_invalid} invalid; "
             f"cache {self.cache_hits} hits / {self.cache_misses} misses; "
             f"{self.workers} workers): best "
@@ -331,7 +292,7 @@ class _ShardResult:
 
 @dataclass
 class _SearchPayload:
-    """Everything a worker needs to evaluate a shard of one rung."""
+    """Everything a worker needs to evaluate a shard of the search."""
 
     pipeline: Pipeline
     spec: GPUSpec
@@ -343,11 +304,11 @@ class _SearchPayload:
     #: shards prune nearly as hard as the sequential loop from their
     #: very first candidate.  ``inf`` disables seeding (sequential mode).
     seed_best_ms: float = math.inf
-    #: Cross-worker shared best bound for this rung (pickles by segment
-    #: name); ``None`` in sequential mode.
+    #: Cross-worker shared best bound (pickles by segment name);
+    #: ``None`` in sequential mode.
     shared_best: Optional[SharedBest] = None
-    #: Space key of the profile cache for this rung's trace, computed
-    #: once in the parent; ``None`` when the cache is disabled.
+    #: Space key of the profile cache for the trace, computed once in
+    #: the parent; ``None`` when the cache is disabled.
     cache_space_key: Optional[str] = None
 
 
@@ -387,7 +348,7 @@ class _DrainCut:
         profile: PipelineProfile,
         config: PipelineConfig,
         deadline_cycles: float,
-        clock: Engine | VectorEngine,
+        clock: Engine,
         flag: list[bool],
     ) -> None:
         discount = max(0.0, 1.0 - spec.l1_locality_bonus)
@@ -703,38 +664,16 @@ class OfflineTuner:
         options = self.options
         candidates = self.candidates()
         workers = min(options.resolved_workers(), max(1, len(candidates)))
-        rungs = self._rung_plan()
-
-        alive = list(enumerate(candidates))
-        eliminated: dict[int, EvaluatedConfig] = {}
-        final_records: list[EvaluatedConfig] = []
+        results = self._race(list(enumerate(candidates)), workers)
+        records = sorted(
+            (r for shard in results for r in shard.records),
+            key=lambda record: record.index,
+        )
         cache_stats = StoreStats()
-        for rung_number, (rung_trace, rung_profile) in enumerate(rungs):
-            if not alive:
-                break
-            is_final = rung_number == len(rungs) - 1
-            rung_slack = (
-                options.timeout_slack if is_final else options.promote_slack
-            )
-            results = self._run_rung(
-                rung_trace, rung_profile, alive, workers, rung_slack
-            )
-            records = sorted(
-                (r for shard in results for r in shard.records),
-                key=lambda record: record.index,
-            )
-            for shard in results:
-                cache_stats = cache_stats + shard.cache_stats
-            if is_final:
-                final_records = records
-                break
-            promoted = self._promote(records)
-            for record in records:
-                if record.index not in promoted:
-                    eliminated[record.index] = record
-            alive = [(i, c) for (i, c) in alive if i in promoted]
+        for shard in results:
+            cache_stats = cache_stats + shard.cache_stats
 
-        evaluated, best, best_ms = self._normalize(final_records, eliminated)
+        evaluated, best, best_ms = self._normalize(records)
         self._emit_events(
             evaluated, best_ms, cache_stats.total_hits, cache_stats.misses,
             workers,
@@ -755,72 +694,33 @@ class OfflineTuner:
         )
 
     # ------------------------------------------------------------------
-    def _rung_plan(self) -> list[tuple[Trace, Optional[PipelineProfile]]]:
-        """Prefix rungs (shortest first) followed by the full trace.
-
-        Every prefix keeps at least the trace's entry nodes so each
-        workload item enters the pipeline, and degenerate prefixes (as
-        long as the full trace) are dropped.
-        """
-        options = self.options
-        plan: list[tuple[Trace, Optional[PipelineProfile]]] = []
-        total = len(self.trace.nodes)
-        if options.prefix_enabled() and total > 1:
-            frac = float(options.prefix_frac or 0.0)
-            floor_nodes = max(
-                1, sum(len(ids) for ids in self.trace.initial.values())
-            )
-            sizes: list[int] = []
-            for depth in range(options.halving_rungs, 0, -1):
-                nodes = max(floor_nodes, int(total * frac**depth))
-                if nodes < total and (not sizes or nodes > sizes[-1]):
-                    sizes.append(nodes)
-            for nodes in sizes:
-                prefix = self.trace.prefix(nodes)
-                plan.append(
-                    (prefix, profile_from_trace(self.pipeline, self.spec, prefix))
-                )
-        plan.append((self.trace, self.profile))
-        return plan
-
-    def _run_rung(
-        self,
-        rung_trace: Trace,
-        rung_profile: Optional[PipelineProfile],
-        alive: list[tuple[int, PipelineConfig]],
-        workers: int,
-        rung_slack: float,
+    def _race(
+        self, items: list[tuple[int, PipelineConfig]], workers: int
     ) -> list[_ShardResult]:
-        """Dispatch one rung over the persistent pool (chunked shards).
-
-        ``rung_slack`` is the deadline headroom the race runs under —
-        ``promote_slack`` on prefix rungs (anything within it of the
-        rung best survives with an exact time), ``timeout_slack`` on
-        the final full-trace rung.
-        """
-        options = replace(self.options, timeout_slack=rung_slack)
+        """Race every candidate on the full trace over the persistent
+        pool (chunked shards)."""
+        options = self.options
         space = None
         if options.cache_dir:
-            space = space_key(self.pipeline, self.spec, rung_trace)
+            space = space_key(self.pipeline, self.spec, self.trace)
         shared = SharedBest.create() if workers > 1 else None
         payload = _SearchPayload(
             pipeline=self.pipeline,
             spec=self.spec,
-            trace=rung_trace,
-            profile=rung_profile,
+            trace=self.trace,
+            profile=self.profile,
             options=options,
             shared_best=shared,
             cache_space_key=space,
         )
         try:
-            items = alive
             seed_results: list[_ShardResult] = []
             if workers > 1 and items:
-                # Evaluate the first alive candidate (the coarsest
-                # grouping) once, in-process, and seed every shard's
-                # deadline with its time: shards prune hard from their
-                # very first candidate even before the shared bound has
-                # anything published.
+                # Evaluate the first candidate (the coarsest grouping)
+                # once, in-process, and seed every shard's deadline with
+                # its time: shards prune hard from their very first
+                # candidate even before the shared bound has anything
+                # published.
                 seed = _evaluate_shard(payload, items[:1])
                 seed_results.append(seed)
                 seed_times = [
@@ -846,34 +746,8 @@ class OfflineTuner:
             if shared is not None:
                 shared.release()
 
-    def _promote(self, records: list[EvaluatedConfig]) -> set[int]:
-        """Deterministic promotion out of one prefix rung.
-
-        Runtime completion is timing-dependent under the shared bound,
-        so promotion applies the same canonicalization as the final
-        report: a candidate counts as completed — and is promoted —
-        iff its exact elapsed cycles fit the rung deadline
-        (``rung best x promote_slack``, which every race resolves
-        identically).  Slower candidates are eliminated.
-        """
-        options = self.options
-        completed = [r for r in records if math.isfinite(r.time_ms)]
-        if not completed:
-            return set()
-        rung_best = min(r.time_ms for r in completed)
-        rung_deadline = (
-            rung_best * options.promote_slack * self.spec.clock_ghz * 1e6
-        )
-        return {
-            r.index
-            for r in completed
-            if r.cycles <= rung_deadline or r.time_ms == rung_best
-        }
-
     def _normalize(
-        self,
-        final_records: list[EvaluatedConfig],
-        eliminated: dict[int, EvaluatedConfig],
+        self, records: list[EvaluatedConfig]
     ) -> tuple[list[EvaluatedConfig], Optional[PipelineConfig], float]:
         """Rewrite runtime records as the canonical deterministic report.
 
@@ -882,14 +756,13 @@ class OfflineTuner:
         completes); every other record is reclassified from
         deterministic quantities only — completed iff its elapsed
         cycles fit the final deadline, else dominated iff its bound
-        exceeds it, else prefix-eliminated iff a rung cut it, else
-        timeout.
+        exceeds it, else timeout.
         """
         options = self.options
         best: Optional[PipelineConfig] = None
         best_index = -1
         best_ms = math.inf
-        for record in final_records:  # canonical order: ties go to the
+        for record in records:  # canonical order: ties go to the
             if record.time_ms < best_ms:  # earliest candidate, as in
                 best = record.config  # the sequential search
                 best_ms = record.time_ms
@@ -899,23 +772,13 @@ class OfflineTuner:
         )
         profile = self.profile if options.dominance_pruning else None
 
-        merged = sorted(
-            itertools.chain(final_records, eliminated.values()),
-            key=lambda record: record.index,
-        )
         evaluated: list[EvaluatedConfig] = []
-        for record in merged:
-            prefix_cut = record.index in eliminated
+        for record in records:
             if record.note.startswith("invalid"):
                 evaluated.append(record)
                 continue
-            if (
-                not prefix_cut
-                and math.isfinite(record.time_ms)
-                and (
-                    record.cycles <= final_deadline
-                    or record.index == best_index
-                )
+            if math.isfinite(record.time_ms) and (
+                record.cycles <= final_deadline or record.index == best_index
             ):
                 evaluated.append(record)
                 if record.pressure is not None:
@@ -928,8 +791,6 @@ class OfflineTuner:
                 )
                 if bound > final_deadline:
                     note = "dominated"
-            if note != "dominated" and prefix_cut:
-                note = "prefix-eliminated"
             evaluated.append(
                 EvaluatedConfig(
                     record.config,
@@ -972,9 +833,6 @@ class OfflineTuner:
                 ),
                 timeouts=sum(1 for e in evaluated if e.note == "timeout"),
                 dominated=sum(1 for e in evaluated if e.note == "dominated"),
-                prefix_eliminated=sum(
-                    1 for e in evaluated if e.note == "prefix-eliminated"
-                ),
                 invalid=sum(1 for e in evaluated if e.outcome == "invalid"),
                 cache_hits=cache_hits,
                 cache_misses=cache_misses,

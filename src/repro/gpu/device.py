@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from ..obs.events import EventBus, HostSync, KernelLaunched, Memcpy
 from .block import BlockProgram, ThreadBlock
-from .engine import make_engine
+from .engine import Engine
 from .kernel import KernelSpec
 from .metrics import DeviceMetrics
 from .scheduler import HardwareScheduler, KernelLaunch, Stream
@@ -35,35 +35,19 @@ class SimulationDeadlock(RuntimeError):
 class GPUDevice:
     """A simulated GPU plus its host-side timeline.
 
-    ``engine`` injects a pre-built event engine; otherwise ``engine_kind``
-    (``"scalar"`` / ``"vector"``) is resolved through
-    :func:`repro.gpu.engine.make_engine` — explicit argument, then the
-    CLI's ``--engine`` default, then ``REPRO_ENGINE``, then the built-in
-    default (vector).
+    ``engine`` injects a pre-built event engine; otherwise the device
+    builds a fresh :class:`~repro.gpu.engine.Engine`.
     """
 
-    def __init__(
-        self,
-        spec: GPUSpec,
-        engine=None,
-        engine_kind: Optional[str] = None,
-    ) -> None:
+    def __init__(self, spec: GPUSpec, engine: Optional[Engine] = None) -> None:
         self.spec = spec
-        self.engine = engine if engine is not None else make_engine(engine_kind)
-        #: Device-level array clock state: per-SM occupancy counters in
+        self.engine = engine if engine is not None else Engine()
+        #: Device-level occupancy state: per-SM occupancy counters in
         #: flat numpy arrays, mirrored by the SMs (see
         #: :class:`~repro.gpu.sm.SMStateArrays`).
         self.sm_state = SMStateArrays(spec.num_sms)
-        #: Per-SM next-completion clock: slot *i* is SM *i*'s tick timer.
-        #: On the vector engine this is a numpy
-        #: :class:`~repro.gpu.engine.VectorTimerBank` — ``sm_clock.times``
-        #: holds every SM's next completion time and the engine advances
-        #: to its minimum, retiring same-time completions in bulk.
-        self.sm_clock = self.engine.timer_bank(spec.num_sms)
         self.sms = [
-            StreamingMultiprocessor(
-                i, spec, self.engine, tick_bank=self.sm_clock, state=self.sm_state
-            )
+            StreamingMultiprocessor(i, spec, self.engine, state=self.sm_state)
             for i in range(spec.num_sms)
         ]
         self.scheduler = HardwareScheduler(self.sms, state=self.sm_state)

@@ -47,7 +47,7 @@ _EPS = 1e-7
 
 
 class SMStateArrays:
-    """Device-level array clock state: per-SM occupancy counters in flat
+    """Device-level occupancy state: per-SM occupancy counters in flat
     numpy arrays.
 
     Each SM mirrors its (authoritative, plain-``int``) counters here on
@@ -129,7 +129,6 @@ class StreamingMultiprocessor:
         sm_id: int,
         spec: GPUSpec,
         engine: Engine,
-        tick_bank=None,
         state: Optional[SMStateArrays] = None,
     ) -> None:
         self.sm_id = sm_id
@@ -141,14 +140,8 @@ class StreamingMultiprocessor:
         self.resident_blocks: list[ThreadBlock] = []
         self._segments: dict[int, _Segment] = {}
         self._last_sync = 0.0
-        #: Next-completion tick: slot ``sm_id`` of the device's timer
-        #: bank when one is provided (the array clock — on the vector
-        #: engine the device advances to ``bank.times.min()`` and retires
-        #: same-time completions in bulk), else a standalone timer.
-        if tick_bank is not None:
-            self._tick_timer = tick_bank.timer(sm_id, self._tick)
-        else:
-            self._tick_timer = engine.timer(self._tick)
+        #: Next-completion tick, re-armed on every residency change.
+        self._tick_timer = engine.timer(self._tick)
         #: Device-level occupancy mirror (see :class:`SMStateArrays`).
         self._state = state
         self.on_retire: Optional[Callable[[ThreadBlock], None]] = None

@@ -210,9 +210,9 @@ class TunerEvaluation(Event):
 
     Tuner events are host-side: ``t`` is the candidate's position in the
     canonical enumeration order, not a device clock.  ``outcome`` is one
-    of ``completed``, ``timeout``, ``dominated``, ``prefix-eliminated``
-    or ``invalid``; ``cached`` marks outcomes served from the persistent
-    profile cache instead of a fresh replay.
+    of ``completed``, ``timeout``, ``dominated`` or ``invalid``;
+    ``cached`` marks outcomes served from the persistent profile cache
+    instead of a fresh replay.
     """
 
     kind: ClassVar[str] = "tuner_eval"
@@ -239,8 +239,6 @@ class TunerSearchCompleted(Event):
     cache_misses: int
     workers: int
     best_time_ms: float
-    #: Candidates cut by a prefix-racing rung (0 when racing is off).
-    prefix_eliminated: int = 0
 
 
 @dataclass(slots=True)

@@ -576,7 +576,6 @@ class TunerStats:
     completed: int = 0
     timeouts: int = 0
     dominated: int = 0
-    prefix_eliminated: int = 0
     invalid: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -593,7 +592,6 @@ class TunerStats:
             completed=report.num_completed,
             timeouts=report.num_timeout,
             dominated=report.num_dominated,
-            prefix_eliminated=getattr(report, "num_prefix_eliminated", 0),
             invalid=report.num_invalid,
             cache_hits=report.cache_hits,
             cache_misses=report.cache_misses,
@@ -612,9 +610,6 @@ class TunerStats:
                 stats.completed = event.completed
                 stats.timeouts = event.timeouts
                 stats.dominated = event.dominated
-                stats.prefix_eliminated = getattr(
-                    event, "prefix_eliminated", 0
-                )
                 stats.invalid = event.invalid
                 stats.cache_hits = event.cache_hits
                 stats.cache_misses = event.cache_misses
@@ -631,12 +626,7 @@ class TunerStats:
 
     @property
     def pruned(self) -> int:
-        return (
-            self.timeouts
-            + self.dominated
-            + self.prefix_eliminated
-            + self.invalid
-        )
+        return self.timeouts + self.dominated + self.invalid
 
     @property
     def cache_hit_rate(self) -> float:
@@ -649,7 +639,6 @@ class TunerStats:
             "completed": self.completed,
             "timeout": self.timeouts,
             "dominated": self.dominated,
-            "prefix-eliminated": self.prefix_eliminated,
             "invalid": self.invalid,
         }
 
@@ -660,7 +649,6 @@ class TunerStats:
             "completed": self.completed,
             "timeouts": self.timeouts,
             "dominated": self.dominated,
-            "prefix_eliminated": self.prefix_eliminated,
             "invalid": self.invalid,
             "pruned": self.pruned,
             "provenance": self.provenance(),
@@ -679,7 +667,6 @@ class TunerStats:
         lines.append(
             f"evaluated {self.evaluated} configs: {self.completed} completed,"
             f" {self.timeouts} timeout, {self.dominated} dominated,"
-            f" {self.prefix_eliminated} prefix-eliminated,"
             f" {self.invalid} invalid ({self.workers} workers)"
         )
         lines.append(

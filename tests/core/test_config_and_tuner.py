@@ -244,7 +244,6 @@ class TestTunerOptions:
             ("timeout_slack", 0.5),
             ("timeout_slack", 0.999),
             ("timeout_slack", float("nan")),
-            ("promote_slack", 0.9),
             ("max_configs", 0),
             ("max_configs", -3),
         ],
@@ -257,5 +256,5 @@ class TestTunerOptions:
             TunerOptions(**{field: value})
 
     def test_boundary_values_accepted(self):
-        options = TunerOptions(max_configs=1, timeout_slack=1.0, promote_slack=1.0)
-        assert options.timeout_slack == options.promote_slack == 1.0
+        options = TunerOptions(max_configs=1, timeout_slack=1.0)
+        assert options.timeout_slack == 1.0

@@ -1,7 +1,5 @@
 """Trace data structure: stats, node access, replay placeholders."""
 
-import pytest
-
 from repro.core.stage import TaskCost
 from repro.core.trace import Trace, TraceNode
 from repro.core.tuner.profiler import replay_placeholders
@@ -49,47 +47,3 @@ class TestReplayPlaceholders:
         assert len(placeholders["a"]) == 1
         assert len(placeholders["b"]) == 2
         assert all(p is None for p in placeholders["b"])
-
-
-class TestTracePrefix:
-    def test_prefix_drops_edges_past_the_cut(self):
-        prefix = make_trace().prefix(2)
-        assert prefix.num_tasks == 2
-        assert prefix.nodes[0].children == (1,)  # child 2 was cut
-        assert prefix.initial == {"a": [0]}
-        assert prefix.recorded_outputs == {}
-
-    def test_prefix_keeps_entry_nodes(self):
-        trace = make_trace()
-        trace.initial = {"a": [0], "b": [1]}
-        prefix = trace.prefix(1)
-        assert prefix.initial == {"a": [0]}  # entries past the cut drop
-
-    def test_full_length_prefix_is_identity(self):
-        trace = make_trace()
-        assert trace.prefix(3) is trace
-        assert trace.prefix(99) is trace
-
-    def test_prefix_is_replayable(self):
-        """A prefix of a real recorded trace must replay cleanly (its
-        closure property: children always have larger ids)."""
-        from repro.core.tuner.offline import OfflineTuner, TunerOptions
-        from repro.core.tuner.profiler import profile_pipeline
-        from repro.gpu.specs import K20C
-
-        from .conftest import toy_pipeline
-
-        pipe = toy_pipeline()
-        _, trace = profile_pipeline(pipe, K20C, {"doubler": list(range(1, 40))})
-        assert all(
-            child > node.node_id
-            for node in trace.nodes
-            for child in node.children
-        )
-        prefix = trace.prefix(trace.num_tasks // 3)
-        tuner = OfflineTuner(
-            pipe, K20C, prefix,
-            options=TunerOptions(max_configs=1, prefix_frac=None),
-        )
-        config = tuner.candidates()[0]
-        assert tuner.evaluate(config) > 0.0

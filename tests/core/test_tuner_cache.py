@@ -41,8 +41,9 @@ class TestSearchWithCache:
     def test_cold_then_warm(self, tmp_path):
         cold = _tuner(tmp_path / "c").tune()
         assert cold.cache_hits == 0
-        # Prefix rungs re-evaluate promoted candidates on longer traces,
-        # so cold misses can exceed the number of reported candidates.
+        # Only candidates the bound skips at run time bypass the cache,
+        # and each of those is dominated in the canonical report too
+        # (the run-time deadline is never below the final one).
         assert cold.cache_misses >= cold.num_evaluated - cold.num_dominated
         assert cold.cache_stats.stores == cold.cache_misses
 

@@ -83,6 +83,44 @@ def test_runaway_guard_raises():
         engine.run(max_events=100)
 
 
+def _three_events(extra: float | None = None) -> Engine:
+    engine = Engine()
+    for delay in (1.0, 2.0, 3.0):
+        engine.schedule(delay, lambda: None)
+    if extra is not None:
+        engine.schedule(extra, lambda: None)
+    return engine
+
+
+def test_max_events_guard_needs_a_next_event():
+    """The guard trips only when another live event would fire after the
+    budget: an exactly spent budget, a cancelled leftover or a stop
+    condition that holds all end the run quietly."""
+    engine = _three_events()
+    engine.run(max_events=3)
+    assert engine.events_processed == 3
+    assert engine.pending_events == 0
+
+    engine = _three_events()
+    engine.schedule(4.0, lambda: None).cancel()
+    engine.run(max_events=3)
+    assert engine.events_processed == 3
+
+    engine = _three_events(extra=4.0)
+    engine.run(max_events=3, deadline=2.5)
+    engine = _three_events(extra=4.0)
+    engine.run(max_events=3, until=lambda: engine.now >= 3.0)
+    stop = [False]
+    engine = _three_events(extra=4.0)
+    engine.schedule(3.0, lambda: stop.__setitem__(0, True))
+    engine.run(max_events=4, until_flag=stop)
+    assert engine.events_processed == 4
+
+    engine = _three_events(extra=4.0)
+    with pytest.raises(RuntimeError, match="livelock"):
+        engine.run(max_events=3)
+
+
 def test_peek_time_skips_cancelled():
     engine = Engine()
     token = engine.schedule(1.0, lambda: None)

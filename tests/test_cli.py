@@ -208,8 +208,7 @@ class TestBatchingFlags:
 
 
 class TestArgValidation:
-    """Zero/negative --workers and --budget, and a --prefix-frac outside
-    (0, 1), are rejected up front."""
+    """Zero/negative --workers and --budget are rejected up front."""
 
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     @pytest.mark.parametrize("flag", ["--workers"])
@@ -239,17 +238,6 @@ class TestArgValidation:
             main(["tune", "ldpc", "--budget", value])
         assert excinfo.value.code == 2
         assert "positive integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "value", ["0", "1", "2", "-0.25", "nan", "inf", "banana"]
-    )
-    def test_bad_prefix_frac_rejected(self, capsys, value):
-        # --no-prefix is the off switch; a degenerate fraction must not
-        # silently turn racing off instead.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["tune", "ldpc", "--prefix-frac", value])
-        assert excinfo.value.code == 2
-        assert "fraction between 0 and 1" in capsys.readouterr().err
 
 
 class TestBench:
