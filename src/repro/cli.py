@@ -71,7 +71,7 @@ from .core.tuner.offline import TunerOptions
 from .gpu.device import GPUDevice
 from .gpu.specs import PRESETS, get_spec
 from .gpu.tracing import render_timeline
-from .harness.runner import execute_model, run_workload_models
+from .harness.runner import check_cell, execute_model, run_workload_models
 from .harness.tracecache import DEFAULT_TRACE_CACHE_DIR, TraceCache
 from .obs import Observer, RunReport, write_report_json
 from .obs.events import ComputeSegment
@@ -192,11 +192,11 @@ def _run_once(spec, model_name, gpu, params, cache, observe=False):
     device = GPUDevice(gpu)
     observer = Observer().attach(device) if observe else None
     before = cache.stats()
-    result, _replayed = execute_model(
+    result, _replayed, trace = execute_model(
         spec, pipeline, model, device, params, cache=cache
     )
     cache.last_run = cache.stats() - before
-    spec.check_outputs(params, result.outputs)
+    check_cell(spec, params, result, trace, model_name)
     if observer is not None:
         observer.finalize(
             result, label=f"{spec.name}/{model_name}/{gpu.name}"

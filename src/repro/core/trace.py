@@ -11,8 +11,9 @@ the real program per configuration, at a fraction of the cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,6 +54,13 @@ class Trace:
     #: Lazily built structured event table (see :meth:`event_table`).
     #: Derived data: never pickled, never compared, rebuilt on demand.
     _event_table: Optional[tuple[tuple[str, ...], np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Identity multiset of the recorded outputs, set once they passed
+    #: the workload's check (see :meth:`checked_output_ids`).  Derived
+    #: data: never pickled, never compared, so a decoded copy is checked
+    #: again in the process that decodes it.
+    _checked_ids: Optional[Counter] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -103,10 +111,38 @@ class Trace:
             self._event_table = table
         return table
 
+    def checked_output_ids(
+        self, check: Callable[[list[object]], None]
+    ) -> Counter:
+        """``Counter(id(o))`` over the recorded outputs, checked once.
+
+        The first call gathers :attr:`recorded_outputs` node by node into
+        one list, hands it to ``check`` (which raises if the outputs are
+        wrong) and keeps the list's identity multiset; later calls return
+        it without checking again.  Replay hands every run the recorded
+        payload objects themselves, so a replayed run delivered exactly
+        the checked outputs iff its outputs have this multiset.  Identity
+        is the only comparison that works here: payloads hold numpy
+        arrays, whose ``==`` broadcasts or raises.
+        """
+        ids = self._checked_ids
+        if ids is None:
+            recorded = self.recorded_outputs
+            outputs = [
+                payload
+                for node_id in sorted(recorded)
+                for payload in recorded[node_id]
+            ]
+            check(outputs)
+            ids = Counter(map(id, outputs))
+            self._checked_ids = ids
+        return ids
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_replay_children"] = None
         state["_event_table"] = None
+        state["_checked_ids"] = None
         return state
 
     @property

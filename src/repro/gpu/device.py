@@ -24,7 +24,7 @@ from .engine import Engine
 from .kernel import KernelSpec
 from .metrics import DeviceMetrics
 from .scheduler import HardwareScheduler, KernelLaunch, Stream
-from .sm import SMStateArrays, StreamingMultiprocessor
+from .sm import StreamingMultiprocessor
 from .specs import GPUSpec
 
 
@@ -42,15 +42,11 @@ class GPUDevice:
     def __init__(self, spec: GPUSpec, engine: Optional[Engine] = None) -> None:
         self.spec = spec
         self.engine = engine if engine is not None else Engine()
-        #: Device-level occupancy state: per-SM occupancy counters in
-        #: flat numpy arrays, mirrored by the SMs (see
-        #: :class:`~repro.gpu.sm.SMStateArrays`).
-        self.sm_state = SMStateArrays(spec.num_sms)
         self.sms = [
-            StreamingMultiprocessor(i, spec, self.engine, state=self.sm_state)
+            StreamingMultiprocessor(i, spec, self.engine)
             for i in range(spec.num_sms)
         ]
-        self.scheduler = HardwareScheduler(self.sms, state=self.sm_state)
+        self.scheduler = HardwareScheduler(self.sms)
         self.metrics = DeviceMetrics()
         self.default_stream = Stream(self.scheduler)
         #: Host-side clock, in device cycles.  Models advance it as they

@@ -18,22 +18,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from ..obs.events import EventBus, KernelRetired
 from .block import ThreadBlock
 from .kernel import KernelSpec
-from .sm import SMStateArrays, StreamingMultiprocessor
-
-#: Sentinel load for SMs that cannot admit the candidate block; any real
-#: ``threads_used`` value is far below it, so ``argmin`` never picks one
-#: unless no SM qualifies at all.
-_NO_SM = 1 << 62
-
-#: Below this SM count the per-SM python scan beats the vectorized masks
-#: (numpy's fixed per-ufunc overhead dominates tiny arrays); both paths
-#: pick the identical SM, so the cutover is purely a speed choice.
-_VECTOR_PICK_MIN_SMS = 32
+from .sm import StreamingMultiprocessor
 
 
 class KernelLaunch:
@@ -120,11 +108,7 @@ class Stream:
 class HardwareScheduler:
     """Greedy, in-order dispatch of ready blocks onto SMs."""
 
-    def __init__(
-        self,
-        sms: Iterable[StreamingMultiprocessor],
-        state: Optional[SMStateArrays] = None,
-    ) -> None:
+    def __init__(self, sms: Iterable[StreamingMultiprocessor]) -> None:
         self.sms = list(sms)
         self._active: list[KernelLaunch] = []
         self._dispatching = False
@@ -133,17 +117,6 @@ class HardwareScheduler:
         self.resident_count = 0
         #: Optional telemetry bus (set via GPUDevice.attach_observer).
         self.obs: Optional[EventBus] = None
-        #: Device-level occupancy arrays (see :class:`SMStateArrays`).
-        #: When present (and the device is wide enough to pay off), SM
-        #: selection runs as vectorized capacity masks; otherwise the
-        #: original per-SM scan is used.
-        self._state = (
-            state
-            if len(self.sms) >= _VECTOR_PICK_MIN_SMS
-            else None
-        )
-        #: Memoised boolean masks for per-block SM filters.
-        self._filter_masks: dict[frozenset[int], np.ndarray] = {}
         for sm in self.sms:
             sm.on_retire = self._on_block_retired
 
@@ -151,51 +124,22 @@ class HardwareScheduler:
         self._active.append(launch)
         self.dispatch()
 
-    def _filter_mask(self, sm_filter: frozenset[int]) -> np.ndarray:
-        mask = self._filter_masks.get(sm_filter)
-        if mask is None:
-            mask = np.array(
-                [sm.sm_id in sm_filter for sm in self.sms], dtype=bool
-            )
-            self._filter_masks[sm_filter] = mask
-        return mask
-
     def _pick_sm(self, block: ThreadBlock) -> Optional[StreamingMultiprocessor]:
         """Least-loaded SM (by resident threads) that can admit the block.
 
-        Ties break towards the lowest SM id — the vectorized path's
-        ``argmin`` (first minimum) and the scalar scan's strict ``<``
-        comparison pick the same SM, so schedules are identical either
-        way (pinned by the golden tests).
+        Ties break towards the lowest SM id: the scan's strict ``<``
+        keeps the first minimum (pinned by the golden tests).
         """
-        state = self._state
         kernel = block.kernel
-        if state is None:
-            best: Optional[StreamingMultiprocessor] = None
-            for sm in self.sms:
-                if block.sm_filter is not None and sm.sm_id not in block.sm_filter:
-                    continue
-                if not sm.can_admit(kernel):
-                    continue
-                if best is None or sm.threads_used < best.threads_used:
-                    best = sm
-            return best
-        # Vectorized capacity masks over the device state arrays.  Kernel
-        # footprints are derived from (kernel, spec) only, so any SM's
-        # memo gives the per-block costs for all of them.
-        spec = self.sms[0].spec
-        fp = self.sms[0]._footprint(kernel)
-        ok = state.resident_blocks < spec.max_blocks_per_sm
-        ok &= state.threads_used + fp.threads <= spec.max_threads_per_sm
-        ok &= state.registers_used + fp.registers <= spec.registers_per_sm
-        ok &= state.shared_mem_used + fp.shared_mem <= spec.shared_mem_per_sm
-        if block.sm_filter is not None:
-            ok &= self._filter_mask(block.sm_filter)
-        load = np.where(ok, state.threads_used, _NO_SM)
-        best_id = int(load.argmin())
-        if not ok[best_id]:
-            return None
-        return self.sms[best_id]
+        best: Optional[StreamingMultiprocessor] = None
+        for sm in self.sms:
+            if block.sm_filter is not None and sm.sm_id not in block.sm_filter:
+                continue
+            if not sm.can_admit(kernel):
+                continue
+            if best is None or sm.threads_used < best.threads_used:
+                best = sm
+        return best
 
     def dispatch(self) -> None:
         """Place as many ready blocks as will fit, in launch order.

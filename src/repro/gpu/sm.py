@@ -34,8 +34,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-import numpy as np
-
 from ..obs.events import BlockAdmitted, BlockExited, ComputeSegment, EventBus
 from .block import ThreadBlock
 from .engine import Engine
@@ -44,38 +42,6 @@ from .occupancy import registers_per_block, shared_mem_per_block
 from .specs import GPUSpec
 
 _EPS = 1e-7
-
-
-class SMStateArrays:
-    """Device-level occupancy state: per-SM occupancy counters in flat
-    numpy arrays.
-
-    Each SM mirrors its (authoritative, plain-``int``) counters here on
-    every admission/retirement and residency change, so the hardware
-    scheduler picks a target SM with a handful of vectorized capacity
-    masks instead of a Python loop over every SM, and tooling can
-    snapshot whole-device occupancy without a per-SM scan.  The SMs keep
-    native ints for the throughput math itself — the share/rate float
-    expressions must stay byte-for-byte, and numpy scalars must never
-    leak into metrics payloads.
-    """
-
-    __slots__ = (
-        "threads_used",
-        "registers_used",
-        "shared_mem_used",
-        "resident_blocks",
-        "resident_warps",
-        "active_threads",
-    )
-
-    def __init__(self, num_sms: int) -> None:
-        self.threads_used = np.zeros(num_sms, dtype=np.int64)
-        self.registers_used = np.zeros(num_sms, dtype=np.int64)
-        self.shared_mem_used = np.zeros(num_sms, dtype=np.int64)
-        self.resident_blocks = np.zeros(num_sms, dtype=np.int64)
-        self.resident_warps = np.zeros(num_sms, dtype=np.int64)
-        self.active_threads = np.zeros(num_sms, dtype=np.int64)
 
 
 class _KernelFootprint:
@@ -124,13 +90,7 @@ class _Segment:
 class StreamingMultiprocessor:
     """One SM: admission control plus a shared compute pipeline."""
 
-    def __init__(
-        self,
-        sm_id: int,
-        spec: GPUSpec,
-        engine: Engine,
-        state: Optional[SMStateArrays] = None,
-    ) -> None:
+    def __init__(self, sm_id: int, spec: GPUSpec, engine: Engine) -> None:
         self.sm_id = sm_id
         self.spec = spec
         self.engine = engine
@@ -142,8 +102,6 @@ class StreamingMultiprocessor:
         self._last_sync = 0.0
         #: Next-completion tick, re-armed on every residency change.
         self._tick_timer = engine.timer(self._tick)
-        #: Device-level occupancy mirror (see :class:`SMStateArrays`).
-        self._state = state
         self.on_retire: Optional[Callable[[ThreadBlock], None]] = None
         #: Optional telemetry bus (set via GPUDevice.attach_observer).
         #: Every emission is guarded so nothing is allocated when unset.
@@ -196,8 +154,6 @@ class StreamingMultiprocessor:
         self._resident_warps += fp.warps
         self.resident_blocks.append(block)
         self.blocks_admitted += 1
-        if self._state is not None:
-            self._mirror_occupancy()
         block.sm = self
         if self.obs is not None:
             self.obs.emit(
@@ -220,8 +176,6 @@ class StreamingMultiprocessor:
         self.shared_mem_used -= fp.shared_mem
         self.threads_used -= fp.threads
         self._resident_warps -= fp.warps
-        if self._state is not None:
-            self._mirror_occupancy()
         if self.obs is not None:
             self.obs.emit(
                 BlockExited(
@@ -233,17 +187,6 @@ class StreamingMultiprocessor:
             )
         if self.on_retire is not None:
             self.on_retire(block)
-
-    def _mirror_occupancy(self) -> None:
-        """Publish the admission counters into the device state arrays."""
-        state = self._state
-        assert state is not None
-        i = self.sm_id
-        state.threads_used[i] = self.threads_used
-        state.registers_used[i] = self.registers_used
-        state.shared_mem_used[i] = self.shared_mem_used
-        state.resident_blocks[i] = len(self.resident_blocks)
-        state.resident_warps[i] = self._resident_warps
 
     # ------------------------------------------------------------------
     # Processor-sharing compute model.
@@ -276,8 +219,6 @@ class StreamingMultiprocessor:
         )
         self._segments[block.block_id] = seg
         self._active_threads += threads
-        if self._state is not None:
-            self._state.active_threads[self.sm_id] = self._active_threads
         self._reschedule()
 
     def active_threads(self) -> int:
@@ -362,8 +303,6 @@ class StreamingMultiprocessor:
                         work=seg.work,
                     )
                 )
-        if finished and self._state is not None:
-            self._state.active_threads[self.sm_id] = self._active_threads
         # Resuming blocks may add new segments (each add calls _reschedule);
         # make sure we also reschedule when nothing was added back.
         for seg in finished:

@@ -6,6 +6,7 @@ renderers and the tests can consume them uniformly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -54,7 +55,7 @@ def execute_model(
     params: object,
     batch_size: Optional[int] = None,
     cache: Optional[Store] = None,
-) -> tuple[RunResult, bool]:
+) -> tuple[RunResult, bool, Optional[Trace]]:
     """Run ``model`` with the cheapest executor that preserves the result.
 
     Without a ``cache`` the stages execute functionally (``batch_size``
@@ -69,8 +70,10 @@ def execute_model(
     Both the batched and the replayed paths are schedule-preserving, so
     the returned :class:`RunResult` is identical either way.
 
-    Returns ``(result, replayed)``; ``replayed`` is True when the trace
-    came from the cache rather than from this call.
+    Returns ``(result, replayed, trace)``: ``replayed`` is True when the
+    trace came from the cache rather than from this call, and ``trace``
+    is the trace the run replayed (``None`` for a functional run), which
+    :func:`check_cell` grades the outputs against.
     """
     if cache is not None:
         key = workload_fingerprint(spec, params)
@@ -89,10 +92,43 @@ def execute_model(
         result = model.run(
             pipeline, device, executor, replay_placeholders(trace)
         )
-        return result, replayed
+        return result, replayed, trace
     executor = FunctionalExecutor(pipeline, batch_size=batch_size)
     result = model.run(pipeline, device, executor, spec.initial_items(params))
-    return result, False
+    return result, False, None
+
+
+def check_cell(
+    spec: WorkloadSpec,
+    params: object,
+    result: RunResult,
+    trace: Optional[Trace],
+    model: str,
+) -> None:
+    """Grade one run's outputs, checking each recording only once.
+
+    A functional run (``trace`` is ``None``) goes through
+    ``spec.check_outputs`` in full.  A replayed run is held to its
+    recording instead: the trace's recorded outputs pass
+    ``spec.check_outputs`` once (:meth:`Trace.checked_output_ids`), and
+    every replay, the recording one included, must deliver exactly that
+    multiset of objects, so a lost or duplicated task still fails.
+    Raises :class:`AssertionError`, like ``check_outputs`` itself.
+    """
+    if trace is None:
+        spec.check_outputs(params, result.outputs)
+        return
+    expected = trace.checked_output_ids(
+        lambda outputs: spec.check_outputs(params, outputs)
+    )
+    delivered = Counter(map(id, result.outputs))
+    if delivered != expected:
+        missing = sum((expected - delivered).values())
+        extra = sum((delivered - expected).values())
+        raise AssertionError(
+            f"{spec.name}/{model}: outputs differ from the checked "
+            f"recording: {missing} missing, {extra} extra"
+        )
 
 
 def run_cell(
@@ -112,18 +148,21 @@ def run_cell(
     the run and the derived :class:`~repro.obs.RunReport` lands on
     ``cell.result.report``, labelled ``workload/model/device``.  Pass a
     :class:`TraceCache` to enable compute-once/simulate-many trace reuse
-    across models (see :func:`execute_model`).
+    across models (see :func:`execute_model`).  ``check`` grades the
+    outputs with :func:`check_cell`: every functional run in full, and a
+    replayed trace once, after which each replay only has to deliver
+    the recorded outputs.
     """
     params = params if params is not None else spec.default_params()
     pipeline = spec.build_pipeline(params)
     device = GPUDevice(gpu)
     observer = Observer().attach(device) if observe else None
-    result, replayed = execute_model(
+    result, replayed, trace = execute_model(
         spec, pipeline, model, device, params, batch_size=batch_size,
         cache=cache,
     )
     if check:
-        spec.check_outputs(params, result.outputs)
+        check_cell(spec, params, result, trace, label or result.model)
     if observer is not None:
         observer.finalize(
             result,

@@ -64,12 +64,17 @@ class TraceCache(Store):
     """The harness's replay cache: a ``traces`` store plus ``last_run``.
 
     The traces stored here must be recorded with ``record_outputs=True``
-    so replayed runs still produce the real outputs (and pass the
-    workloads' ``check_outputs``).  With ``disk_dir`` set, every memory
-    miss probes the directory and every ``put`` also persists the
-    entry, so the cache survives the process and is shared between
-    harness pool workers, ``tune_workload`` and repeated benchmark/CI
-    invocations.
+    so replayed runs still deliver the real outputs: the recorded payload
+    objects themselves.  The harness checks each live trace's outputs
+    once and then only requires every replay to deliver that same
+    multiset of objects (:func:`~repro.harness.runner.check_cell`).  The
+    verdict lives on the in-memory trace, so a trace decoded from disk
+    or in another process is checked again.
+
+    With ``disk_dir`` set, every memory miss probes the directory and
+    every ``put`` also persists the entry, so the cache survives the
+    process and is shared between harness pool workers,
+    ``tune_workload`` and repeated benchmark/CI invocations.
     """
 
     def __init__(

@@ -46,10 +46,11 @@ A mid-run re-tune (:func:`retune_serve_plan`) searches on the same
 recording.
 
 Serving does not check outputs.  A workload's ``check_outputs`` grades
-its numerical result, and at quick sizes that grade can reject a valid
-run: ldpc's check wants 90% of its 6 quick frames decoded cleanly, so
-one unlucky channel realisation (the benchmark's seed 41 decodes 5/6)
-would fail a serving cell whose schedule is sound.
+a batch run's outputs as a whole, one result per input item, and a
+serving cell has no such set: requests cycle through the entry items,
+so an item is served any number of times or not at all, and admission
+may shed requests.  The template's stage code is the code the harness
+checks (docs/harness.md, "Checking").
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from ..core.config import GroupConfig, PipelineConfig
 from ..core.models.kbk import KBKModel
 from ..core.models.sm_bound import fit_fine_block_map
 from ..core.pipeline import Pipeline
-from ..core.stage import OUTPUT, Stage, TaskCost
+from ..core.stage import OUTPUT, EmitContext, Stage, TaskCost
 from ..gpu.specs import GPUSpec
 from .batching import group_indices
 from .registry import PaperNumbers, WorkloadSpec, register_workload
@@ -427,18 +427,50 @@ def initial_items(params: LDPCParams) -> dict[str, list]:
     }
 
 
+def reference_decode(params: LDPCParams, frame_id: int) -> DecodedFrame:
+    """Ground truth for one frame: its received samples decoded serially,
+    one task at a time, through each stage's scalar ``execute``."""
+    pipeline = build_pipeline(params)
+    stage = "initialize"
+    item: object = (frame_id, received_samples(params, frame_id))
+    while True:
+        stage_obj = pipeline.stage(stage)
+        ctx = EmitContext(stage_obj.emits_to)
+        stage_obj.execute(item, ctx)
+        if ctx.outputs:
+            (decoded,) = ctx.outputs
+            return decoded
+        ((stage, item),) = ctx.children
+
+
 def check_outputs(params: LDPCParams, outputs: list) -> None:
-    assert len(outputs) == params.num_frames
-    decoded_zero = sum(
-        1 for frame in outputs if not frame.bits.any() and frame.syndrome_ok
-    )
-    # At the default SNR the decoder must recover (nearly) every all-zero
-    # frame; a couple of channel realisations may genuinely fail.
-    assert decoded_zero >= 0.9 * params.num_frames, (
-        f"only {decoded_zero}/{params.num_frames} frames decoded cleanly"
+    """Exact check: one decoded frame per frame id, each after the
+    configured iterations, and frame 0 plus every frame that did not
+    decode cleanly equal to :func:`reference_decode` bit for bit.
+
+    Whether a frame decodes depends on its channel realisation alone,
+    never on the model or the schedule, so a failing frame is graded
+    against the reference rather than rejected: a quick run of six
+    frames can hold one.  The decoder's convergence rate at the
+    default SNR is asserted in the workload tests instead.
+    """
+    ids = sorted(frame.frame_id for frame in outputs)
+    assert ids == list(range(params.num_frames)), (
+        f"expected one decoded frame per id 0..{params.num_frames - 1}, "
+        f"got ids {ids}"
     )
     for frame in outputs:
-        assert frame.iterations == params.iterations
+        assert frame.iterations == params.iterations, (
+            f"frame {frame.frame_id} ran {frame.iterations} iterations, "
+            f"expected {params.iterations}"
+        )
+        clean = frame.syndrome_ok and not frame.bits.any()
+        if frame.frame_id == 0 or not clean:
+            ref = reference_decode(params, frame.frame_id)
+            assert (
+                frame.syndrome_ok == ref.syndrome_ok
+                and np.array_equal(frame.bits, ref.bits)
+            ), f"frame {frame.frame_id} differs from its reference decode"
 
 
 def versapipe_config(

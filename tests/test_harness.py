@@ -1,8 +1,12 @@
 """Evaluation-harness tests: runner cells, table rendering, longest stage."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.gpu.specs import GTX1080, K20C
+from repro.harness.pool import run_suite
 from repro.harness.runner import (
     aggregate_reports,
     longest_stage_ms,
@@ -16,7 +20,9 @@ from repro.harness.tables import (
     render_figure11,
     render_table2,
 )
+from repro.harness.tracecache import TraceCache, workload_fingerprint
 from repro.core.models import MegakernelModel
+from repro.workloads import registry
 from repro.workloads.registry import all_workloads, get_workload
 
 
@@ -129,6 +135,105 @@ class TestObservedCells:
         )
         sweep = aggregate_reports([observed, plain])
         assert sweep.runs == 1
+
+
+class _CountingCheck:
+    """A spec's ``check_outputs``, counted per workload."""
+
+    def __init__(self) -> None:
+        self.calls: dict[str, int] = {}
+
+    def spec(self, spec):
+        def check(params, outputs, _inner=spec.check_outputs):
+            self.calls[spec.name] = self.calls.get(spec.name, 0) + 1
+            _inner(params, outputs)
+
+        return dataclasses.replace(spec, check_outputs=check)
+
+
+class _LosingModel(MegakernelModel):
+    """The megakernel, but the run loses or repeats one output."""
+
+    def __init__(self, fault: str) -> None:
+        super().__init__()
+        self.fault = fault
+
+    def run(self, *args, **kwargs):
+        result = super().run(*args, **kwargs)
+        if self.fault == "lose":
+            result.outputs.pop()
+        else:
+            result.outputs.append(result.outputs[0])
+        return result
+
+
+class TestCheckOncePerRecording:
+    def test_two_device_suite_checks_each_workload_once(self, monkeypatch):
+        counter = _CountingCheck()
+        for name, spec in all_workloads().items():
+            monkeypatch.setitem(registry._REGISTRY, name, counter.spec(spec))
+        result = run_suite(devices=("K20c", "GTX1080"), workers=1)
+        assert len(result.cells) == 36
+        assert counter.calls == {name: 1 for name in all_workloads()}
+
+    @pytest.mark.parametrize("recorded_before", [False, True])
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("lose", "1 missing, 0 extra"), ("repeat", "0 missing, 1 extra")],
+    )
+    def test_replay_must_deliver_the_recorded_outputs(
+        self, fault, message, recorded_before
+    ):
+        """Every replayed cell is held to the recording, the one that
+        records it included."""
+        spec = get_workload("reyes")
+        params = spec.quick_params()
+        cache = TraceCache()
+        if recorded_before:
+            run_cell(spec, MegakernelModel(), K20C, params, cache=cache)
+        with pytest.raises(AssertionError) as raised:
+            run_cell(spec, _LosingModel(fault), K20C, params, cache=cache)
+        assert str(raised.value).startswith("reyes/megakernel: ")
+        assert str(raised.value).endswith(message)
+
+    def test_decoded_trace_is_checked_again(self):
+        counter = _CountingCheck()
+        spec = counter.spec(get_workload("ldpc"))
+        params = spec.quick_params()
+        cache = TraceCache()
+        for _ in range(2):
+            run_cell(spec, MegakernelModel(), K20C, params, cache=cache)
+        assert counter.calls == {"ldpc": 1}
+        key = workload_fingerprint(spec, params)
+        decoded = pickle.loads(pickle.dumps(cache.get(key)))
+        fresh = TraceCache()
+        fresh.put(key, decoded)
+        for _ in range(2):
+            cell = run_cell(spec, MegakernelModel(), K20C, params, cache=fresh)
+            assert cell.replayed
+        assert counter.calls == {"ldpc": 2}
+
+    def test_failed_check_is_not_remembered(self):
+        spec = get_workload("ldpc")
+
+        def reject(params, outputs):
+            raise AssertionError("rejected")
+
+        spec = dataclasses.replace(spec, check_outputs=reject)
+        cache = TraceCache()
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="rejected"):
+                run_cell(
+                    spec, MegakernelModel(), K20C, spec.quick_params(),
+                    cache=cache,
+                )
+
+    def test_functional_runs_check_every_run(self):
+        counter = _CountingCheck()
+        spec = counter.spec(get_workload("ldpc"))
+        for _ in range(2):
+            run_cell(spec, MegakernelModel(), K20C, spec.quick_params())
+        assert counter.calls == {"ldpc": 2}
 
 
 class TestLongestStage:

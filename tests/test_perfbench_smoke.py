@@ -7,7 +7,9 @@ scenario at its small size (``full=False``, seed 0) the two ways the
 benchmark does:
 
 * ``traced`` -- ``workers=1``, seeded specs wrapped by the span
-  recorder, every layer entry point wrapped, the recorder active;
+  recorder, every layer entry point wrapped, the recorder active; this
+  pass then also runs ``fig11_cold``'s quick pass at seed 41, where an
+  ldpc frame fails to decode;
 * ``pool`` -- ``workers=2`` with the pool probe installed.
 
 Each runs in its own process, because the wrappers patch classes for the
@@ -30,6 +32,9 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
 SEED = 0
+#: A benchmark seed at which one of ldpc's six quick frames genuinely
+#: fails to decode; ``fig11_cold``'s quick pass must still run clean.
+CHANNEL_FAILURE_SEED = 41
 
 
 def _child(mode: str) -> dict:
@@ -53,6 +58,7 @@ def _child(mode: str) -> dict:
         probe.install()
         workers = 2
     outcomes = {}
+    channel_failure = None
     try:
         for name, (run, summarize) in scenarios.RUNNERS.items():
             events = recorder.counts["events"] if recorder is not None else 0
@@ -68,11 +74,23 @@ def _child(mode: str) -> dict:
                     else None
                 ),
             }
+        if recorder is not None:
+            # The specs installed above are already wrapped; reseed them.
+            run, summarize = scenarios.RUNNERS["fig11_cold"]
+            seeded = scenarios.install_seeded_specs(CHANNEL_FAILURE_SEED)
+            outcome = summarize(
+                run(CHANNEL_FAILURE_SEED, workers, full=False), seeded
+            )
+            channel_failure = {
+                "attempted": outcome.attempted,
+                "failed": outcome.failed,
+            }
     finally:
         shutdown_pool()
     layers = recorder.layer_metrics() if recorder is not None else {}
     return {
         "outcomes": outcomes,
+        "fig11_cold_channel_failure": channel_failure,
         "sim.events": layers.get("sim.events"),
         "pool.dispatches": probe.dispatches if probe is not None else None,
     }
@@ -102,6 +120,11 @@ def test_every_scenario_runs_clean(passes):
             assert outcome["attempted"] > 0, (mode, name)
             assert outcome["failed"] == 0, (mode, name, outcome)
             assert outcome["digests"], (mode, name)
+
+
+def test_fig11_cold_runs_clean_where_a_frame_fails_to_decode(passes):
+    outcome = passes["traced"]["fig11_cold_channel_failure"]
+    assert outcome == {"attempted": 36, "failed": 0}
 
 
 def test_traced_and_pool_passes_agree(passes):
