@@ -12,12 +12,21 @@ summary from the device engine.  Two optional outputs:
   `pyinstrument <https://github.com/joerick/pyinstrument>`_ when it is
   installed; silently skipped (with a note) when it is not.
 
+``--replay WORKLOAD`` counts instead of timing: it records the
+workload's paper-scale trace, fully replays the first ``-n`` (default 2)
+of the tuner's candidate plans as the tuner's replay does, without a
+deadline, and prints Python calls, bytecodes and engine events per
+replayed task.  Calls and bytecodes are counted with ``sys.settrace``, so
+they repeat exactly from run to run where wall time on a shared host
+does not; they compare two versions of the simulator's host code.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile_run.py synthetic --model megakernel
     PYTHONPATH=src python scripts/profile_run.py reyes --model versapipe -n 40
     PYTHONPATH=src python scripts/profile_run.py face_detection \
         --callgrind callgrind.out.face
+    PYTHONPATH=src python scripts/profile_run.py --replay ldpc -n 2
 
 ``synthetic`` is the deep-pipeline stress case also used by
 ``benchmarks/bench_simspeed.py``; every registry workload name
@@ -81,6 +90,64 @@ def build_case(workload: str, model_name: str, device_name: str):
     return pipeline, model, GPUDevice(spec), initial
 
 
+def replay_counts(workload: str, device_name: str, n: int) -> dict[str, int]:
+    """Count the host work of fully replaying ``workload``'s first ``n``
+    tuner candidates on its paper-scale trace.
+
+    Returns the candidates replayed and skipped (infeasible on the
+    device), the tasks and engine events they ran, and the Python calls
+    and bytecodes that ``sys.settrace`` saw while each replay built its
+    device and engine and ran to completion.
+    """
+    from repro.core.errors import ConfigurationError
+    from repro.core.executor import ReplayExecutor
+    from repro.core.models.hybrid import HybridEngine
+    from repro.core.tuner.offline import OfflineTuner
+    from repro.core.tuner.profiler import profile_pipeline, replay_placeholders
+    from repro.workloads.registry import get_workload
+
+    spec = _DEVICES[device_name]
+    wspec = get_workload(workload)
+    params = wspec.default_params()
+    pipeline = wspec.build_pipeline(params)
+    profile, trace = profile_pipeline(pipeline, spec, wspec.initial_items(params))
+    candidates = OfflineTuner(pipeline, spec, trace, profile=profile).candidates()
+    counts = dict.fromkeys(
+        ("candidates", "skipped", "tasks", "events", "calls", "bytecodes"), 0
+    )
+
+    def on_opcode(frame, event, arg):
+        if event == "opcode":
+            counts["bytecodes"] += 1
+        return on_opcode
+
+    def on_call(frame, event, arg):
+        counts["calls"] += 1
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    for config in candidates[:n]:
+        sys.settrace(on_call)
+        try:
+            device = GPUDevice(spec)
+            engine = HybridEngine(
+                pipeline, device, ReplayExecutor(pipeline, trace), config
+            )
+            engine.start(replay_placeholders(trace))
+            device.engine.run(until=engine._complete)
+        except ConfigurationError:
+            counts["skipped"] += 1
+            continue
+        finally:
+            sys.settrace(None)
+        if not engine._complete():
+            raise SystemExit(f"{workload}: replay of {config} did not complete")
+        counts["candidates"] += 1
+        counts["tasks"] += trace.num_tasks
+        counts["events"] += device.engine.events_processed
+    return counts
+
+
 def write_callgrind(stats: pstats.Stats, path: str) -> None:
     """Dump cProfile stats as a callgrind file (times in microseconds)."""
     with open(path, "w", encoding="utf-8") as out:
@@ -113,17 +180,40 @@ def write_callgrind(stats: pstats.Stats, path: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workload", help="'synthetic' or any registry workload")
+    parser.add_argument("workload", nargs="?",
+                        help="'synthetic' or any registry workload")
+    parser.add_argument("--replay", metavar="WORKLOAD", default=None,
+                        help="count calls, bytecodes and events per task "
+                             "over tuner replays of WORKLOAD's paper-scale "
+                             "trace instead of profiling")
     parser.add_argument("--model", default="megakernel",
                         choices=("megakernel", "versapipe", "kbk"))
     parser.add_argument("--device", default="K20c", choices=sorted(_DEVICES))
-    parser.add_argument("-n", "--top", type=int, default=25,
-                        help="rows per ranking table (default 25)")
+    parser.add_argument("-n", "--top", type=int, default=None,
+                        help="rows per ranking table (default 25); with "
+                             "--replay, candidates to replay (default 2)")
     parser.add_argument("--callgrind", metavar="FILE", default=None,
                         help="also write stats in callgrind format")
     parser.add_argument("--pyinstrument", action="store_true",
                         help="also render a pyinstrument tree (if installed)")
     args = parser.parse_args(argv)
+    if args.replay is not None:
+        counts = replay_counts(
+            args.replay, args.device, 2 if args.top is None else args.top
+        )
+        tasks = counts["tasks"] or 1
+        print(f"== replay {args.replay} / {args.device}, paper scale ==")
+        print(f"candidates     : {counts['candidates']:10d} replayed, "
+              f"{counts['skipped']} infeasible skipped")
+        print(f"tasks          : {counts['tasks']:10d}")
+        for key in ("calls", "bytecodes", "events"):
+            print(f"{key + ' / task':<15}: {counts[key] / tasks:10.1f} "
+                  f"({counts[key]} in all)")
+        return 0
+    if args.workload is None:
+        parser.error("a workload (or --replay WORKLOAD) is required")
+    if args.top is None:
+        args.top = 25
 
     pipeline, model, device, initial = build_case(
         args.workload, args.model, args.device

@@ -286,6 +286,10 @@ class ReplayExecutor(Executor):
         self.trace = trace
         self.on_task = on_task
         self._initial_cursor: dict[str, int] = {}
+        # Fetched once: a trace is complete before any replay of it starts.
+        self._nodes = trace.nodes
+        self._children = trace.replay_children()
+        self._recorded_outputs = trace.recorded_outputs
 
     def wrap_initial(self, stage: str, payload: object) -> object:
         cursor = self._initial_cursor.get(stage, 0)
@@ -303,14 +307,14 @@ class ReplayExecutor(Executor):
         return {stage: list(ids) for stage, ids in self.trace.initial.items()}
 
     def run_task(self, stage: str, item: object) -> ExecResult:
-        node = self.trace.node(item)
+        node = self._nodes[item]
         if node.stage != stage:
             raise ExecutionError(
                 f"replay mismatch: node {item} belongs to stage "
                 f"{node.stage!r}, fetched for {stage!r}"
             )
-        children = self.trace.replay_children()[item]
-        recorded = self.trace.recorded_outputs.get(item)
+        children = self._children[item]
+        recorded = self._recorded_outputs.get(item)
         if recorded is not None:
             outputs: list[object] = list(recorded)
         else:

@@ -85,7 +85,7 @@ class DynamicParallelismModel(ExecutionModel):
                         state["launch_free_at"] = (
                             max(state["launch_free_at"], now) + dp_latency
                         )
-                        device.engine.schedule(
+                        device.engine.schedule_call(
                             state["launch_free_at"] - now,
                             lambda t=target, c=child: spawn(
                                 t, c, depth + 1, from_device=True

@@ -84,7 +84,7 @@ class OnlineAdapter:
                 )
             target.add_blocks(tuple(target.group.stages), freed)
 
-        self.ctx.device.engine.schedule(delay, relaunch)
+        self.ctx.device.engine.schedule_call(delay, relaunch)
 
 
 class HybridEngine:

@@ -99,6 +99,8 @@ class SharedQueueSet(_QueueSetBase):
         #: Pushes dominate queue traffic (one per emitted child), so the
         #: per-push cost-model evaluation collapses to one dict lookup.
         self._push_costs: dict[str, float] = {}
+        #: (stage, batch size) -> pop cost at the current contention level.
+        self._pop_costs: dict[tuple[str, int], float] = {}
         self.steals = 0  # always zero for the shared organisation
 
     @property
@@ -110,6 +112,7 @@ class SharedQueueSet(_QueueSetBase):
         if value != self._contention_level:
             self._contention_level = value
             self._push_costs.clear()
+            self._pop_costs.clear()
 
     def push(
         self,
@@ -157,15 +160,16 @@ class SharedQueueSet(_QueueSetBase):
     ) -> tuple[list[QueuedItem], float]:
         queue = self._queues[stage]
         batch = queue.pop_batch(max_items)
-        if batch:
-            depth = self.depth.pop(stage, len(batch))
+        count = len(batch)
+        if count:
+            depth = self.depth.pop(stage, count)
             if self.bus is not None:
-                self._emit_pop(
-                    stage, SHARED_SHARD, len(batch), depth, stolen=False
-                )
-        cost = queue_op_cost(
-            self.spec, queue.item_bytes, len(batch), self._contention_level
-        )
+                self._emit_pop(stage, SHARED_SHARD, count, depth, stolen=False)
+        cost = self._pop_costs.get((stage, count))
+        if cost is None:
+            cost = self._pop_costs[stage, count] = queue_op_cost(
+                self.spec, queue.item_bytes, count, self._contention_level
+            )
         return batch, cost
 
     def drain(

@@ -64,9 +64,6 @@ class Trace:
         default=None, init=False, repr=False, compare=False
     )
 
-    def node(self, node_id: int) -> TraceNode:
-        return self.nodes[node_id]
-
     def replay_children(self) -> list[tuple[tuple[str, int], ...]]:
         """Per-node ``(child_stage, child_id)`` tuples, precomputed.
 

@@ -6,12 +6,21 @@ micro/milliseconds for reporting.  Determinism is guaranteed by breaking
 time ties with a monotonically increasing sequence number, so repeated runs
 of the same program produce bit-identical schedules.
 
-:class:`Engine` is a ``heapq`` of ``(time, seq, token, callback)`` tuples,
-popped one event at a time.  Cancellation is *lazy*: a cancelled event
-leaves a tombstone in the heap that is skipped when it surfaces, and the
-heap is compacted once tombstones both reach ``COMPACT_MIN`` and
-outnumber live events.  ``(time, seq)``
-is a total order, so compaction cannot change the order events fire in
+:class:`Engine` is a ``heapq`` of ``(time, seq, fn, arg, owner)`` entries,
+popped one event at a time; an event runs as ``fn()``, or as ``fn(arg)``
+when scheduled with an argument, so it needs no closure.  ``owner`` is
+``None`` for the fire-and-forget ``schedule_call``/``schedule_call_at``,
+else the :class:`CancelToken` or :class:`Timer` that can cancel the entry.
+An entry is live iff ``owner is None or owner._seq == seq``: an owner
+holds the sequence number of its one live entry, or ``None``, and the
+engine clears it before calling ``fn``, so a timer re-armed from its own
+tick leaves no tombstone (a dead entry, skipped when it surfaces).
+Tombstones are counted exactly, and the heap is compacted once they both
+reach ``COMPACT_MIN`` and outnumber live events.  A cancel or re-arm first
+invalidates the old entry, then counts its tombstone (which may compact
+the heap), then pushes the new entry: counted first, the old entry would
+survive compaction uncounted.  ``(time, seq)`` is a total order, so
+compaction cannot change the order events fire in
 (``tests/gpu/test_determinism_golden.py`` and the frozen random programs
 of ``tests/gpu/test_engine_differential.py`` pin this).
 """
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Optional
+from typing import Callable
 
 #: Sentinel distinguishing "no argument" from "argument is None".
 _NO_ARG = object()
@@ -29,23 +38,25 @@ _NO_ARG = object()
 class CancelToken:
     """Handle for a scheduled event that may be cancelled before it fires.
 
-    The engine back-reference lets the engine keep an exact count of
-    tombstones still sitting in the heap; it is dropped when the entry
-    leaves the heap so late ``cancel()`` calls on fired events are free.
+    ``_seq`` is the sequence number of the token's heap entry while that
+    entry is live, and ``None`` once it fired or was cancelled.
+    ``cancelled`` only records that :meth:`cancel` was called: a token
+    whose event fired reports ``False``, and cancelling it then is free.
     """
 
-    __slots__ = ("cancelled", "_engine")
+    __slots__ = ("cancelled", "_seq", "_engine")
 
-    def __init__(self, engine: "Optional[Engine]" = None) -> None:
+    def __init__(self, engine: Engine, seq: int) -> None:
         self.cancelled = False
+        self._seq: int | None = seq
         self._engine = engine
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            engine = self._engine
-            if engine is not None:
-                engine._note_cancel()
+            if self._seq is not None:
+                self._seq = None
+                self._engine._note_tombstone()
 
 
 class Timer:
@@ -54,40 +65,46 @@ class Timer:
     ``arm(delay)`` replaces any previous arming (the old heap entry
     becomes a tombstone); ``disarm()`` cancels without re-arming.  One
     ``Timer`` object serves an unbounded number of re-schedules, so call
-    sites like ``SM._reschedule`` stop allocating a fresh token and
-    re-deriving the callback on every residency change.  Arming performs
-    exactly the cancel-then-push sequence of the naive path, so event
-    ordering — including ties — is unchanged.
+    sites like ``SM._reschedule`` allocate no token per residency change.
+    Arming takes one sequence number, exactly as a fresh
+    :meth:`Engine.schedule` would, so event ordering — including ties —
+    is that of the naive cancel-then-schedule path.
     """
 
-    __slots__ = ("_engine", "_fn", "_token")
+    __slots__ = ("_engine", "_fn", "_seq")
 
-    def __init__(self, engine, fn: Callable[[], None]) -> None:
+    def __init__(self, engine: Engine, fn: Callable[[], None]) -> None:
         self._engine = engine
         self._fn = fn
-        self._token = None
+        self._seq: int | None = None
 
     @property
     def armed(self) -> bool:
-        return self._token is not None and not self._token.cancelled
+        return self._seq is not None
 
     def arm(self, delay: float) -> None:
         """Schedule the callback ``delay`` cycles from now, replacing any
         previous arming."""
-        token = self._token
-        if token is not None:
-            token.cancel()
-        self._token = self._engine.schedule(delay, self._fn)
+        engine = self._engine
+        if self._seq is not None:
+            self._seq = None
+            engine._note_tombstone()
+        if delay < 0:
+            delay = 0.0
+        seq = next(engine._seq)
+        self._seq = seq
+        heapq.heappush(
+            engine._heap, (engine.now + delay, seq, self._fn, _NO_ARG, self)
+        )
 
     def disarm(self) -> None:
-        token = self._token
-        if token is not None:
-            token.cancel()
-            self._token = None
+        if self._seq is not None:
+            self._seq = None
+            self._engine._note_tombstone()
 
-    def fired(self) -> None:
-        """Mark the armed event as delivered (call first in the callback)."""
-        self._token = None
+
+#: One heap entry (see the module docstring).
+_Entry = tuple[float, int, Callable, object, CancelToken | Timer | None]
 
 
 class Engine:
@@ -101,11 +118,10 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, CancelToken, Callable[[], None]]] = []
+        self._heap: list[_Entry] = []
         self._seq = itertools.count()
         self._events_processed = 0
-        self._peak_pending = 0
-        #: Cancelled entries still buried in the heap.
+        #: Dead entries still buried in the heap.
         self._tombstones = 0
 
     @property
@@ -114,16 +130,8 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Live (non-cancelled) events currently scheduled."""
+        """Live (not cancelled, not yet fired) events currently scheduled."""
         return len(self._heap) - self._tombstones
-
-    @property
-    def peak_pending_events(self) -> int:
-        """High-water mark of *live* scheduled events — how much
-        simultaneous in-flight activity the simulated run generated
-        (telemetry).  Cancelled tombstones awaiting removal do not
-        count; they are heap garbage, not pending work."""
-        return self._peak_pending
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> CancelToken:
         """Schedule ``fn`` to run ``delay`` cycles from now.
@@ -133,30 +141,28 @@ class Engine:
         """
         if delay < 0:
             delay = 0.0
-        token = CancelToken(self)
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), token, fn))
-        live = len(self._heap) - self._tombstones
-        if live > self._peak_pending:
-            self._peak_pending = live
+        seq = next(self._seq)
+        token = CancelToken(self, seq)
+        heapq.heappush(self._heap, (self.now + delay, seq, fn, _NO_ARG, token))
         return token
 
     def schedule_call(self, delay: float, fn: Callable, arg: object = _NO_ARG) -> None:
-        """Typed fire-and-forget schedule: run ``fn(arg)`` (or ``fn()``
-        when no argument is given) ``delay`` cycles from now.
+        """Fire-and-forget schedule: run ``fn(arg)`` (or ``fn()`` when no
+        argument is given) ``delay`` cycles from now.
 
-        Implemented on top of :meth:`schedule`, so it consumes exactly
-        one sequence number.  No token is returned: typed events cannot
-        be cancelled.
+        Consumes exactly one sequence number, like :meth:`schedule`, but
+        allocates no token: the event cannot be cancelled.
         """
-        if arg is _NO_ARG:
-            self.schedule(delay, fn)
-        else:
-            self.schedule(delay, lambda: fn(arg))
+        if delay < 0:
+            delay = 0.0
+        heapq.heappush(
+            self._heap, (self.now + delay, next(self._seq), fn, arg, None)
+        )
 
     def schedule_call_at(
         self, time: float, fn: Callable, arg: object = _NO_ARG
     ) -> None:
-        """Typed fire-and-forget schedule at an absolute time."""
+        """Fire-and-forget schedule at an absolute time (clamped to >= now)."""
         self.schedule_call(max(0.0, time - self.now), fn, arg)
 
     def schedule_many(
@@ -165,23 +171,20 @@ class Engine:
         """Schedule several callbacks at the same delay in list order.
 
         Equivalent to — and fires in the same order as — calling
-        :meth:`schedule` once per callback, with the bookkeeping done
-        once per batch instead of once per event.
+        :meth:`schedule` once per callback.
         """
         if delay < 0:
             delay = 0.0
         time = self.now + delay
         heap = self._heap
         push = heapq.heappush
-        seq = self._seq
+        counter = self._seq
         tokens = []
         for fn in fns:
-            token = CancelToken(self)
-            push(heap, (time, next(seq), token, fn))
+            seq = next(counter)
+            token = CancelToken(self, seq)
+            push(heap, (time, seq, fn, _NO_ARG, token))
             tokens.append(token)
-        live = len(heap) - self._tombstones
-        if live > self._peak_pending:
-            self._peak_pending = live
         return tokens
 
     def schedule_at(self, time: float, fn: Callable[[], None]) -> CancelToken:
@@ -195,8 +198,8 @@ class Engine:
     # ------------------------------------------------------------------
     # Tombstone accounting.
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """Called by tokens of in-heap entries on first cancellation."""
+    def _note_tombstone(self) -> None:
+        """Count one entry its owner has just invalidated (see above)."""
         self._tombstones += 1
         if (
             self._tombstones >= self.COMPACT_MIN
@@ -210,34 +213,24 @@ class Engine:
         ``(time, seq)`` is a total order (seq is unique), so rebuilding
         the heap cannot change the order live events fire in.
         """
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        self._heap = [
+            entry
+            for entry in self._heap
+            if (owner := entry[4]) is None or owner._seq == entry[1]
+        ]
         heapq.heapify(self._heap)
         self._tombstones = 0
 
     def peek_time(self) -> float | None:
-        """Time of the next pending (non-cancelled) event, or None."""
+        """Time of the next live event, or None."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)[2]._engine = None
-            self._tombstones -= 1
-        return heap[0][0] if heap else None
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the heap is empty."""
-        heap = self._heap
-        pop = heapq.heappop
         while heap:
-            time, _seq, token, fn = pop(heap)
-            token._engine = None  # left the heap; late cancels are free
-            if token.cancelled:
-                self._tombstones -= 1
-                continue
-            assert time >= self.now, "event scheduled in the past"
-            self.now = time
-            self._events_processed += 1
-            fn()
-            return True
-        return False
+            time, seq, _fn, _arg, owner = heap[0]
+            if owner is None or owner._seq == seq:
+                return time
+            heapq.heappop(heap)
+            self._tombstones -= 1
+        return None
 
     def run(
         self,
@@ -263,6 +256,7 @@ class Engine:
         ``RuntimeError`` rather than hanging a test run forever.
         """
         pop = heapq.heappop
+        no_arg = _NO_ARG
         for _ in range(max_events):
             if deadline is not None and self.now > deadline:
                 return
@@ -270,25 +264,25 @@ class Engine:
                 return
             if until is not None and until():
                 return
-            # Inlined step(): one attribute fetch + heap pop per event
-            # instead of a method call.  ``fn()`` may trigger
-            # ``_compact``, which rebinds ``self._heap`` — re-fetch it
-            # every iteration.
+            # ``fn`` may trigger ``_compact``, which rebinds
+            # ``self._heap`` — re-fetch it every iteration.
             heap = self._heap
-            fired = False
             while heap:
-                time, _seq, token, fn = pop(heap)
-                token._engine = None  # left the heap; late cancels are free
-                if token.cancelled:
-                    self._tombstones -= 1
-                    continue
+                time, seq, fn, arg, owner = pop(heap)
+                if owner is not None:
+                    if owner._seq != seq:
+                        self._tombstones -= 1
+                        continue
+                    owner._seq = None  # fired: a re-arm leaves no tombstone
                 assert time >= self.now, "event scheduled in the past"
                 self.now = time
                 self._events_processed += 1
-                fn()
-                fired = True
+                if arg is no_arg:
+                    fn()
+                else:
+                    fn(arg)
                 break
-            if not fired:
+            else:
                 return
         # The budget is spent: trip the guard only if the run would go on.
         if deadline is not None and self.now > deadline:

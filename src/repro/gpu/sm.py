@@ -191,10 +191,6 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
     # Processor-sharing compute model.
     # ------------------------------------------------------------------
-    def _code_factor(self, kernel: KernelSpec) -> float:
-        """Instruction-cache slowdown for a kernel's code footprint."""
-        return self._footprint(kernel).code_factor
-
     def add_work(
         self,
         block: ThreadBlock,
@@ -209,43 +205,31 @@ class StreamingMultiprocessor:
             # to keep the event ordering uniform).
             self.engine.schedule_call(0.0, on_done)
             return
+        # admit() cached this SM's footprint; one engine runs at a time.
         seg = _Segment(
             block,
             work,
             threads,
             on_done,
-            self._footprint(block.kernel).code_factor,
+            block.kernel._fp_cache[1].code_factor,  # type: ignore[attr-defined]
             self.engine.now,
         )
         self._segments[block.block_id] = seg
         self._active_threads += threads
         self._reschedule()
 
-    def active_threads(self) -> int:
-        return self._active_threads
-
-    def _utilization(self) -> float:
-        """Latency-hiding factor from resident warps.
-
-        All resident warps count, not only those in a Compute segment: an
-        idle persistent block busy-polls its work queue, so its warps still
-        occupy scheduler slots and cover memory latency for the others.
-        """
-        warps = self._resident_warps
-        if warps <= 0:
-            return 0.0
-        return min(1.0, warps / self.spec.warps_for_peak)
-
     def _sync(self) -> None:
         """Drain elapsed work from all segments up to the current time."""
         now = self.engine.now
         elapsed = now - self._last_sync
         if elapsed > 0:
+            busy = self.busy_lane_cycles
             for seg in self._segments.values():
                 drained = seg.rate * elapsed
                 rem = seg.remaining - drained
                 seg.remaining = rem if rem > 0.0 else 0.0
-                self.busy_lane_cycles += drained
+                busy += drained
+            self.busy_lane_cycles = busy
         self._last_sync = now
 
     def _reschedule(self) -> None:
@@ -254,7 +238,14 @@ class StreamingMultiprocessor:
         if not segments:
             self._tick_timer.disarm()
             return
-        lanes = self.spec.cores_per_sm * self._utilization()
+        # Latency hiding counts every resident warp, not only those in a
+        # Compute segment: an idle persistent block busy-polls its queue,
+        # so its warps still cover memory latency for the others.
+        warps = self._resident_warps
+        spec = self.spec
+        lanes = spec.cores_per_sm * (
+            0.0 if warps <= 0 else min(1.0, warps / spec.warps_for_peak)
+        )
         total_threads = self._active_threads
         horizon = math.inf
         # NB: the share/rate expressions must stay byte-for-byte as in the
@@ -278,7 +269,6 @@ class StreamingMultiprocessor:
         self._tick_timer.arm(max(horizon, 1e-9))
 
     def _tick(self) -> None:
-        self._tick_timer.fired()
         self._sync()
         # The completion threshold scales with the drain rate: floating-point
         # cancellation can leave a residue of remaining work smaller than one
@@ -307,7 +297,6 @@ class StreamingMultiprocessor:
         # make sure we also reschedule when nothing was added back.
         for seg in finished:
             seg.on_done()
-        self._sync()
         self._reschedule()
 
     # ------------------------------------------------------------------

@@ -126,6 +126,7 @@ class AdmissionPolicy:
     """Decides, at arrival time, whether a request may enter the queues."""
 
     kind = "none"
+    reads_predictor = False
 
     def should_shed(self, controller: "ServeController") -> bool:
         return False
@@ -158,6 +159,7 @@ class SloEwmaAdmission(AdmissionPolicy):
     """
 
     kind = "slo-ewma"
+    reads_predictor = True
 
     def __init__(self, margin: float = 1.0) -> None:
         self.margin = margin
@@ -415,10 +417,14 @@ class ServeController:
     ) -> None:
         self.admission = parse_admission_spec(admission)
         self.slo_ms = slo_ms
-        self.predictor = LatencyPredictor()
+        predictor = LatencyPredictor()
         self.former: Optional[BatchFormer] = None
         if max_batch is not None:
-            self.former = BatchFormer(slo_ms, max_batch, self.predictor)
+            self.former = BatchFormer(slo_ms, max_batch, predictor)
+        #: ``None`` when nothing reads it, so the driver skips the feed.
+        self.predictor: Optional[LatencyPredictor] = None
+        if self.former is not None or self.admission.reads_predictor:
+            self.predictor = predictor
         self.retuner: Optional[RetuneController] = None
         if retune_ratio is not None:
             self.retuner = RetuneController(window_ms, retune_ratio)

@@ -410,6 +410,7 @@ def serve_workload(
     start = 0
     base_cycles = 0.0
     retuner = controller.retuner
+    predictor = controller.predictor
     while start < n:
         device = GPUDevice(gpu)
         if observer is not None:
@@ -428,18 +429,20 @@ def serve_workload(
             wait_ms = cycles_to_ms(wait_cycles)
             service_ms = cycles_to_ms(service_cycles)
             report.observe_visit(stage, wait_ms, service_ms)
-            controller.predictor.note_visit(stage, wait_ms, service_ms)
+            if predictor is not None:
+                predictor.note_visit(stage, wait_ms, service_ms)
 
         def on_complete(span, base: float = base) -> None:
             latency_ms = cycles_to_ms(span.latency_cycles)
             t_abs_ms = cycles_to_ms(base + span.completion_t)
             report.observe_complete(latency_ms, t_abs_ms)
-            controller.predictor.note_request(
-                {
-                    stage: totals.visits
-                    for stage, totals in span.stages.items()
-                }
-            )
+            if predictor is not None:
+                predictor.note_request(
+                    {
+                        stage: totals.visits
+                        for stage, totals in span.stages.items()
+                    }
+                )
             if retuner is not None:
                 retuner.note(
                     t_abs_ms,
@@ -453,54 +456,50 @@ def serve_workload(
         ctx.request_tracker = tracker
         ctx.expect_arrivals(counts_from(start))
 
-        def make_fire(
+        def fire(
             rid: int,
             device: GPUDevice = device,
             ctx=ctx,
             tracker: RequestTracker = tracker,
             episode: _EpisodeState = episode,
             base: float = base,
-        ):
+        ) -> None:
+            if episode.deferred_from is not None:
+                return
+            if retuner is not None and retuner.pending is not None:
+                # A re-tune is armed: defer this and every later
+                # arrival to the next episode and let the engine
+                # drain to the swap boundary.
+                episode.deferred_from = rid
+                episode.reason = retuner.pending
+                ctx.release_arrivals(counts_from(rid))
+                return
             stage, node = entries[rid % len(entries)]
             at = arrive_cycles[rid]
-
-            def fire() -> None:
-                if episode.deferred_from is not None:
-                    return
-                if retuner is not None and retuner.pending is not None:
-                    # A re-tune is armed: defer this and every later
-                    # arrival to the next episode and let the engine
-                    # drain to the swap boundary.
-                    episode.deferred_from = rid
-                    episode.reason = retuner.pending
-                    ctx.release_arrivals(counts_from(rid))
-                    return
-                now_abs_ms = cycles_to_ms(base + device.engine.now)
-                if controller.should_shed():
-                    report.observe_arrival(cycles_to_ms(at))
-                    report.observe_shed(now_abs_ms)
-                    tracker.shed(rid, stage, device.engine.now)
-                    ctx.release_arrivals({stage: 1})
-                else:
-                    device.memcpy_h2d(stage_bytes[stage])
-                    # Arrival time is episode-local (negative when the
-                    # request arrived during the previous drain), so the
-                    # swap stall is charged to the deferred latency.
-                    tracker.begin(rid, stage, at - base)
-                    report.observe_arrival(cycles_to_ms(at))
-                    ctx.deliver_arrival(stage, RequestItem(rid, node))
-                if retuner is not None and at >= base:
-                    # Catch-up replays of deferred arrivals (at < base)
-                    # are an artifact of the swap stall, not offered
-                    # load — only naturally-timed arrivals feed the
-                    # rate watcher.
-                    retuner.note(now_abs_ms, arrival=True)
-
-            return fire
+            now_abs_ms = cycles_to_ms(base + device.engine.now)
+            if controller.should_shed():
+                report.observe_arrival(cycles_to_ms(at))
+                report.observe_shed(now_abs_ms)
+                tracker.shed(rid, stage, device.engine.now)
+                ctx.release_arrivals({stage: 1})
+            else:
+                device.memcpy_h2d(stage_bytes[stage])
+                # Arrival time is episode-local (negative when the
+                # request arrived during the previous drain), so the
+                # swap stall is charged to the deferred latency.
+                tracker.begin(rid, stage, at - base)
+                report.observe_arrival(cycles_to_ms(at))
+                ctx.deliver_arrival(stage, RequestItem(rid, node))
+            if retuner is not None and at >= base:
+                # Catch-up replays of deferred arrivals (at < base)
+                # are an artifact of the swap stall, not offered
+                # load — only naturally-timed arrivals feed the
+                # rate watcher.
+                retuner.note(now_abs_ms, arrival=True)
 
         for rid in range(start, n):
-            device.engine.schedule_at(
-                max(0.0, arrive_cycles[rid] - base), make_fire(rid)
+            device.engine.schedule_call_at(
+                max(0.0, arrive_cycles[rid] - base), fire, rid
             )
 
         engine.run({})

@@ -26,7 +26,10 @@ def synthetic_rgb_image(
     y = np.linspace(0.0, 1.0, height, dtype=np.float32)[:, None]
     x = np.linspace(0.0, 1.0, width, dtype=np.float32)[None, :]
     base = 60.0 + 120.0 * (0.5 * x + 0.5 * y)
-    image = np.stack([base, base * 0.9, base * 1.1], axis=-1)
+    image = np.empty((height, width, 3), dtype=np.float32)
+    image[..., 0] = base
+    np.multiply(base, 0.9, out=image[..., 1])
+    np.multiply(base, 1.1, out=image[..., 2])
     # A handful of textured rectangles for histogram structure.
     for _ in range(6):
         x0 = int(rng.integers(0, width - width // 5))
@@ -35,8 +38,11 @@ def synthetic_rgb_image(
         h = int(rng.integers(height // 10, height // 5))
         tint = rng.uniform(-50.0, 50.0, size=3).astype(np.float32)
         image[y0 : y0 + h, x0 : x0 + w] += tint
-    noise = rng.normal(0.0, 3.0, size=image.shape).astype(np.float32)
-    return np.clip(image + noise, 0, 255).astype(np.uint8)
+    noise = rng.normal(0.0, 3.0, size=image.shape)
+    # Round the noise to float32 before adding: a float64 add rounds once,
+    # afterwards, and changes some pixels.
+    np.add(image, noise, out=image, dtype=np.float32, casting="same_kind")
+    return np.clip(image, 0, 255, out=image).astype(np.uint8)
 
 
 def plant_faces(

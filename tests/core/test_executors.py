@@ -60,7 +60,7 @@ class TestRecordingExecutor:
         trace = executor.trace
         for node in trace.nodes:
             for child_id in node.children:
-                child = trace.node(child_id)
+                child = trace.nodes[child_id]
                 assert child.stage in pipeline.stage(node.stage).emits_to
 
 

@@ -35,8 +35,8 @@ class TestTraceStats:
 
     def test_node_lookup(self):
         trace = make_trace()
-        assert trace.node(1).stage == "b"
-        assert trace.node(0).children == (1, 2)
+        assert trace.nodes[1].stage == "b"
+        assert trace.nodes[0].children == (1, 2)
 
 
 class TestReplayPlaceholders:

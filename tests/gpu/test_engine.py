@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.gpu.engine import Engine
@@ -129,12 +131,6 @@ def test_peek_time_skips_cancelled():
     assert engine.peek_time() == 7.0
 
 
-def test_step_on_empty_heap_returns_false():
-    engine = Engine()
-    assert engine.step() is False
-    assert engine.now == 0.0
-
-
 def test_schedule_at_clamps_past_times():
     engine = Engine()
     fired = []
@@ -159,24 +155,6 @@ def test_schedule_many_matches_individual_schedules():
 # ----------------------------------------------------------------------
 # Tombstone accounting and compaction.
 # ----------------------------------------------------------------------
-
-def test_peak_pending_ignores_tombstones():
-    """Cancelled events are heap garbage, not pending work: the peak must
-    count live events only."""
-    engine = Engine()
-    tokens = [engine.schedule(1.0, lambda: None) for _ in range(10)]
-    assert engine.peak_pending_events == 10
-    for token in tokens[2:]:
-        token.cancel()
-    assert engine.pending_events == 2
-    # Scheduling two more raises live count to 4 -- still below the peak
-    # of 10, and the 8 tombstones must not inflate it.
-    engine.schedule(1.0, lambda: None)
-    engine.schedule(1.0, lambda: None)
-    assert engine.peak_pending_events == 10
-    engine.run()
-    assert engine.events_processed == 4
-
 
 def test_pending_events_tracks_cancellations():
     engine = Engine()
@@ -242,12 +220,95 @@ def test_max_events_guard_survives_compaction(aggressive_compaction):
         engine.run(max_events=50)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_tombstone_accounting_under_churn(seed, aggressive_compaction, monkeypatch):
+    """Re-arm, disarm and cancel under forced compaction: after every
+    operation and every fired event, ``pending_events`` equals the live
+    count kept by this test and the tombstone count never goes negative.
+
+    A cancel or re-arm must invalidate the old entry before it counts the
+    tombstone: counted first, the compaction that the count triggers
+    keeps the old entry (it still looks live) and forgets it.
+    """
+    compactions = []
+    compact = Engine._compact
+    monkeypatch.setattr(
+        Engine, "_compact", lambda self: (compactions.append(1), compact(self))
+    )
+    rng = random.Random(seed)
+    delays = (0.0, 0.5, 1.0, 1.0, 2.0, 5.0)
+    engine = Engine()
+    calls = [0]  # live fire-and-forget events
+    tokens = {}  # token -> still live
+    armed = [False, False, False]
+
+    def check():
+        expected = calls[0] + sum(tokens.values()) + sum(armed)
+        assert engine.pending_events == expected
+        assert engine._tombstones >= 0
+
+    def on_call():
+        calls[0] -= 1
+        check()
+
+    def make_tick(i):
+        def tick():
+            armed[i] = False
+            check()
+            if rng.random() < 0.3:
+                timers[i].arm(rng.choice(delays))  # re-arm from own tick
+                armed[i] = True
+                check()
+
+        return tick
+
+    def on_token(cell):
+        tokens[cell[0]] = False
+        check()
+
+    timers = [engine.timer(make_tick(i)) for i in range(len(armed))]
+    # The shortest sequence that trips a count-before-invalidate order.
+    timers[0].arm(5.0)
+    timers[0].arm(2.0)
+    armed[0] = True
+    check()
+    for _ in range(400):
+        op = rng.random()
+        i = rng.randrange(len(armed))
+        if op < 0.25:
+            timers[i].arm(rng.choice(delays))
+            armed[i] = True
+        elif op < 0.40:
+            timers[i].disarm()
+            armed[i] = False
+        elif op < 0.60:
+            cell = []
+            token = engine.schedule(rng.choice(delays), lambda c=cell: on_token(c))
+            cell.append(token)
+            tokens[token] = True
+        elif op < 0.80:
+            if tokens:
+                token = rng.choice(list(tokens))  # may have fired already
+                token.cancel()
+                tokens[token] = False
+        elif op < 0.90:
+            engine.schedule_call(rng.choice(delays), on_call)
+            calls[0] += 1
+        else:
+            engine.run(deadline=engine.now + rng.choice(delays))
+        check()
+    engine.run()
+    check()
+    assert engine.pending_events == 0
+    assert engine._tombstones == 0
+    assert compactions
+
+
 def test_timer_rearm_replaces_previous_arming():
     engine = Engine()
     fired = []
 
     def on_tick():
-        timer.fired()
         fired.append(engine.now)
 
     timer = engine.timer(on_tick)

@@ -138,6 +138,18 @@ class TestAdmissionPolicies:
         lax.predictor.note_request({"s": 1})
         assert not lax.should_shed()
 
+    def test_predictor_exists_only_where_something_reads_it(self):
+        """The driver feeds the predictor only when it exists, so a cell
+        with neither ``slo-ewma`` admission nor a batch former skips the
+        feed."""
+        assert self._controller("none").predictor is None
+        assert self._controller("drop-tail:3").predictor is None
+        assert self._controller("slo-ewma").predictor is not None
+        batched = ServeController(
+            admission="none", slo_ms=5.0, window_ms=1.0, max_batch=4
+        )
+        assert batched.predictor is batched.former.predictor
+
 
 class TestLatencyPredictor:
     def test_prediction_sums_stage_visit_costs(self):

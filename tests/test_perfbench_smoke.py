@@ -16,8 +16,15 @@ Each runs in its own process, because the wrappers patch classes for the
 rest of the process.  Both must finish without an exception and without
 failed operations, agree on every result digest and simulated product
 (``perfbench/run.py``'s ``correct`` rule), and the traced pass must have
-counted engine events.  Serving arrival schedules are written under
-``.bench_build/``.  Nothing in ``perfbench/`` is modified.
+counted engine events.  The traced pass's per-scenario event counts,
+digests and simulated products must also equal
+``golden/perfbench_quick_seed0.json``: an event lost, or a dead heap
+entry counted as an event, fails here even on the tuner's deadline and
+in-flight-cut stop paths.  Regenerate it (only after an intentional
+change to the schedule) from the repo root with
+``python tests/test_perfbench_smoke.py record``.  Serving arrival
+schedules are written under ``.bench_build/``.  Nothing in
+``perfbench/`` is modified.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
 SEED = 0
+GOLDEN = os.path.join(ROOT, "tests", "golden", "perfbench_quick_seed0.json")
 #: A benchmark seed at which one of ldpc's six quick frames genuinely
 #: fails to decode; ``fig11_cold``'s quick pass must still run clean.
 CHANNEL_FAILURE_SEED = 41
@@ -96,6 +104,15 @@ def _child(mode: str) -> dict:
     }
 
 
+def _pinned(traced: dict) -> dict:
+    """The exact, repeatable part of a traced pass's result."""
+    return {
+        "outcomes": traced["outcomes"],
+        "fig11_cold_channel_failure": traced["fig11_cold_channel_failure"],
+        "sim.events": traced["sim.events"],
+    }
+
+
 @pytest.fixture(scope="module")
 def passes() -> dict:
     results = {}
@@ -146,5 +163,17 @@ def test_traced_pass_counts_engine_events(passes):
         assert outcome["events"] > 0, name
 
 
+def test_traced_pass_matches_golden(passes):
+    with open(GOLDEN) as handle:
+        assert _pinned(passes["traced"]) == json.load(handle)
+
+
 if __name__ == "__main__":
-    print(json.dumps(_child(sys.argv[1]), sort_keys=True))
+    if sys.argv[1] == "record":
+        os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+        with open(GOLDEN, "w") as out:
+            json.dump(_pinned(_child("traced")), out, indent=2, sort_keys=True)
+            out.write("\n")
+        print(f"wrote {GOLDEN}")
+    else:
+        print(json.dumps(_child(sys.argv[1]), sort_keys=True))
