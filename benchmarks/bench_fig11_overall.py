@@ -9,7 +9,9 @@ Shape assertions are deliberately looser than the absolute numbers: the
 paper's claims that must survive the substitution are (a) VersaPipe beats
 the baseline everywhere, (b) VersaPipe matches or beats Megakernel within
 tolerance, (c) the average speedup is a multiple of the baseline, and
-(d) both devices show the same ordering.
+(d) both devices show the same ordering.  A last test checks that the
+default execution path (batched kernels, trace replay) simulates the
+same cells as the scalar reference path.
 """
 
 import json
@@ -17,6 +19,7 @@ import os
 
 import pytest
 
+from repro.harness import TraceCache, run_workload_models
 from repro.harness.tables import render_figure11
 from repro.workloads.registry import all_workloads
 
@@ -113,3 +116,24 @@ def test_fig11_device_consistency(benchmark, k20c_cells, gtx1080_cells):
     for name, vp_k, vp_g in rows:
         print(f"  {name:16s} K20c {vp_k:5.2f}x   GTX1080 {vp_g:5.2f}x")
         assert vp_g >= 1.0, f"{name} regressed on GTX1080"
+
+
+def test_scalar_path_equals_batched_replay():
+    """Batched kernels and trace replay are schedule-preserving: at paper
+    scale on K20c, every workload's three Table-2 columns simulate the
+    same cells on the scalar reference path (one item per
+    ``execute_batch`` call, every model re-running the stage code) as on
+    the default path (unlimited batches, one recording replayed)."""
+    for name in sorted(all_workloads()):
+        scalar = run_workload_models(name, batch_size=1, cache=None)
+        batched = run_workload_models(name, cache=TraceCache())
+        for column, old in scalar.items():
+            new = batched[column]
+            assert old.time_ms == new.time_ms, (name, column)
+            assert old.result.cycles == new.result.cycles, (name, column)
+            assert len(old.result.outputs) == len(new.result.outputs), (
+                name, column
+            )
+            assert old.result.stage_stats == new.result.stage_stats, (
+                name, column
+            )

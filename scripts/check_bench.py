@@ -5,31 +5,32 @@ Compares a freshly generated ``BENCH_*.json`` against the committed
 baseline and fails when throughput regresses beyond a threshold.
 
 Both files are arbitrary nested JSON; every numeric leaf whose key ends
-in ``_ms`` (a timing) or ``_cost`` (a machine-normalised overhead ratio,
-e.g. the simulator speed gate's ``event_cost``) is treated as a
-*lower-is-better* metric.  The gate
-statistic is the geometric mean of the per-metric ``current/baseline``
-ratios over the metrics present in both files — a geomean above
-``1 + threshold`` means throughput dropped by more than the allowed
-slice and the check fails.  Metrics present in only one file are
-reported but do not fail the gate (workloads come and go); zero or
+in ``_ms`` (a timing) is treated as a *lower-is-better* metric.
+The gate statistic is the geometric mean of the per-metric
+``current/baseline`` ratios over the metrics present in both files — a
+geomean above ``1 + threshold`` means throughput dropped by more than
+the allowed slice and the check fails.  A baseline metric that is
+absent, non-finite or not positive in the current file also fails the
+gate: a benchmark that stopped emitting a gated leaf must not turn it
+green.  A current metric without a baseline is only noted; zero or
 negative baselines are skipped.
 
 A second, independent gate class sets **hard floors**: ``--min
 PATH=VALUE`` (repeatable) requires the numeric leaf at ``PATH`` in the
 *current* file to be strictly greater than ``VALUE``.  Floors are
-absolute claims about the current run — "warm-parallel actually beats
-cold" — not drift budgets, so they apply to any numeric leaf (no suffix
-filtering), ignore the baseline entirely, and a missing or non-numeric
-leaf fails the gate rather than passing silently.
+absolute claims about the current run — "adaptive serving beats the
+static plan under overload" — not drift budgets, so they apply to any
+numeric leaf (no suffix filtering), ignore the baseline entirely, and a
+missing or non-numeric leaf fails the gate rather than passing
+silently.
 
 Usage::
 
     python scripts/check_bench.py \
-        --baseline benchmarks/baselines/BENCH_fig11.json \
-        --current BENCH_fig11.json \
+        --baseline benchmarks/baselines/BENCH_serve.json \
+        --current BENCH_serve.json \
         --threshold 0.10 \
-        --min suite.warm_parallel_speedup=1.0
+        --min serve.overload.adaptive_goodput_ratio=1.15
 
 Exit codes: 0 = within budget, 1 = regression/floor violation,
 2 = bad input.
@@ -43,14 +44,13 @@ import math
 import sys
 from typing import Iterator
 
-#: Keys ending in one of these are gated metrics (lower is better):
-#: ``_ms`` for timings, ``_cost`` for dimensionless normalised overheads
-#: (insensitive to how fast the CI host happens to be).
-METRIC_SUFFIXES = ("_ms", "_cost")
+#: Keys ending in one of these are gated metrics (lower is better).
+METRIC_SUFFIXES = ("_ms",)
 
 
 def iter_metrics(node, path: str = "") -> Iterator[tuple[str, float]]:
-    """Yield (json-path, value) for every timing leaf under ``node``."""
+    """Yield (json-path, value) for every finite ``_ms`` leaf under
+    ``node``."""
     if isinstance(node, dict):
         for key in sorted(node):
             child_path = f"{path}.{key}" if path else str(key)
@@ -129,16 +129,14 @@ def compare(
     threshold: float,
 ) -> tuple[bool, str]:
     """Return (ok, human-readable report)."""
-    shared = [
-        key
-        for key in sorted(baseline)
-        if key in current and baseline[key] > 0 and current[key] > 0
-    ]
+    gated = [key for key in sorted(baseline) if baseline[key] > 0]
+    shared = [key for key in gated if current.get(key, 0.0) > 0]
     lines = []
-    missing = sorted(set(baseline) - set(current))
+    missing = sorted(set(gated) - set(shared))
     added = sorted(set(current) - set(baseline))
     if missing:
-        lines.append(f"note: {len(missing)} baseline metric(s) absent: "
+        lines.append(f"error: {len(missing)} baseline metric(s) absent, "
+                     "non-finite or <= 0 in the current file: "
                      + ", ".join(missing[:5]))
     if added:
         lines.append(f"note: {len(added)} new metric(s) without baseline: "
@@ -167,6 +165,9 @@ def compare(
         f"(budget <= {1.0 + threshold:.2f})"
     )
     lines.append(f"worst metric: {worst_key} at {worst_ratio:.3f}x")
+    if missing:
+        lines.append("FAIL: gated baseline metric(s) missing")
+        return False, "\n".join(lines)
     ok = geomean <= 1.0 + threshold
     lines.append("PASS" if ok else
                  f"FAIL: geomean throughput regressed beyond "

@@ -28,8 +28,9 @@ Usage::
         --callgrind callgrind.out.face
     PYTHONPATH=src python scripts/profile_run.py --replay ldpc -n 2
 
-``synthetic`` is the deep-pipeline stress case also used by
-``benchmarks/bench_simspeed.py``; every registry workload name
+``synthetic`` is the deep-pipeline stress case ``synthetic_deep`` of
+:mod:`repro.harness.simspeed` at bench scale (10 stages, 256 items;
+2383 events, 0.082 simulated ms); every registry workload name
 (``reyes``, ``face_detection``, ...) works too.
 """
 
@@ -58,13 +59,9 @@ def build_case(workload: str, model_name: str, device_name: str):
     """Return ``(pipeline, model, device, initial_items)`` for one run."""
     spec = _DEVICES[device_name]
     if workload == "synthetic":
-        from repro.workloads import synthetic
+        from repro.harness.simspeed import build_case as simspeed_case
 
-        params = synthetic.SyntheticParams.uniform(
-            num_stages=10, registers=64, mean_cycles=600.0, num_items=256
-        )
-        pipeline = synthetic.build_pipeline(params)
-        initial = synthetic.initial_items(params)
+        pipeline, _megakernel, initial = simspeed_case("synthetic_deep")
         versapipe_config = None
     else:
         from repro.workloads.registry import get_workload

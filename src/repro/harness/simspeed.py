@@ -1,8 +1,6 @@
-"""Canonical simulator-speed cases.
+"""Canonical simulator cases.
 
-Shared by ``benchmarks/bench_simspeed.py`` (the wall-clock speed gate)
-and ``tests/gpu/test_determinism_golden.py`` (the bit-identical-schedule
-regression test), so both always measure exactly the same runs:
+Three fixed runs that pin the simulator's event schedule:
 
 * ``synthetic_deep`` — a 10-stage uniform synthetic pipeline under the
   all-stage megakernel model: every task crosses a work queue and every
@@ -13,8 +11,12 @@ regression test), so both always measure exactly the same runs:
 * ``reyes`` — the paper's flagship split-bound pipeline under its
   described hybrid plan.
 
-Two scales exist per case: ``bench`` (long enough for stable wall-clock
-measurement) and ``test`` (small, for the determinism golden test).
+Two scales exist per case; only ``synthetic_deep`` differs between
+them (256 against 64 items).  ``test`` scale is the golden schedule of
+``tests/gpu/test_determinism_golden.py``.  ``bench`` scale is the
+deep-pipeline stress case that ``scripts/profile_run.py synthetic``
+profiles; the golden test pins its event count, outputs and simulated
+time exactly.  Host time is measured by perfbench, not here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..gpu.specs import K20C
 from ..workloads import synthetic
 from ..workloads.registry import get_workload
 
-#: The three canonical workloads of the simulator speed gate.
+#: The three canonical cases.
 CANONICAL_CASES = ("synthetic_deep", "face_detection", "reyes")
 
 _SYNTHETIC_ITEMS = {"bench": 256, "test": 64}
@@ -64,7 +66,7 @@ class SimRun:
         }
 
 
-def _build(name: str, scale: str):
+def build_case(name: str, scale: str = "bench"):
     """Return ``(pipeline, model, initial_items)`` for one case."""
     if name == "synthetic_deep":
         params = synthetic.SyntheticParams.uniform(
@@ -111,7 +113,7 @@ def run_case(name: str, scale: str = "bench") -> SimRun:
         raise ValueError(
             f"unknown simspeed case {name!r}; choose from {CANONICAL_CASES}"
         )
-    pipeline, model, initial = _build(name, scale)
+    pipeline, model, initial = build_case(name, scale)
     device = GPUDevice(K20C)
     executor = FunctionalExecutor(pipeline)
     result = model.run(pipeline, device, executor, initial)

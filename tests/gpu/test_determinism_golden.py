@@ -60,3 +60,13 @@ def test_schedule_matches_pre_optimisation_golden(name, golden):
         f"{name}: the event schedule drifted from the golden snapshot -- "
         "a performance change altered simulation semantics"
     )
+
+
+def test_bench_scale_deep_pipeline_pinned():
+    """The bench-scale deep-pipeline stress case, which
+    ``scripts/profile_run.py synthetic`` profiles, schedules exactly as
+    recorded."""
+    run = run_case("synthetic_deep", scale="bench")
+    assert run.events_processed == 2383
+    assert run.num_outputs == 256
+    assert run.sim_time_ms == 0.08234701869972723

@@ -39,10 +39,9 @@ class TestIterMetrics:
             "workloads.ldpc.best_time_ms": 4.0,
         }
 
-    def test_cost_leaves_are_gated(self):
-        """``_cost`` leaves (machine-normalised overheads, e.g. the
-        simulator speed gate's event_cost) are metrics; raw wall times
-        and throughputs are not."""
+    def test_cost_leaves_are_not_gated(self):
+        """Wall-clock ratios (``_cost``), wall times and throughputs are
+        not metrics: the drift gate reads only ``_ms`` leaves."""
         node = {
             "synthetic_deep": {
                 "event_cost": 40.0,
@@ -50,8 +49,7 @@ class TestIterMetrics:
                 "events_per_s": 50_000.0,
             }
         }
-        metrics = dict(check_bench.iter_metrics(node))
-        assert metrics == {"synthetic_deep.event_cost": 40.0}
+        assert dict(check_bench.iter_metrics(node)) == {}
 
     def test_lists_and_bools_handled(self):
         node = {"runs": [{"t_ms": 2.0}, {"t_ms": 3.0}], "ok_ms": True}
@@ -110,14 +108,33 @@ class TestGate:
         cur = _write(tmp_path, "cur.json", current)
         assert check_bench.main(["--baseline", base, "--current", cur]) == 0
 
-    def test_missing_metric_noted_not_fatal(self, tmp_path, capsys):
+    def test_missing_metric_fails(self, tmp_path, capsys):
+        """A gated baseline leaf that vanished from the current file
+        fails the gate, even though the leaves left are unchanged."""
         current = json.loads(json.dumps(BASELINE))
         del current["workloads"]["ldpc"]
         base = _write(tmp_path, "base.json", BASELINE)
         cur = _write(tmp_path, "cur.json", current)
-        assert check_bench.main(["--baseline", base, "--current", cur]) == 0
+        assert check_bench.main(["--baseline", base, "--current", cur]) == 1
         out = capsys.readouterr().out
-        assert "absent" in out
+        assert "workloads.ldpc.best_time_ms" in out
+        assert "PASS" not in out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_unusable_current_metric_fails(self, tmp_path, value):
+        current = json.loads(json.dumps(BASELINE))
+        current["workloads"]["ldpc"]["best_time_ms"] = value
+        base = _write(tmp_path, "base.json", BASELINE)
+        cur = _write(tmp_path, "cur.json", current)
+        assert check_bench.main(["--baseline", base, "--current", cur]) == 1
+
+    def test_new_metric_noted_not_fatal(self, tmp_path, capsys):
+        current = json.loads(json.dumps(BASELINE))
+        current["workloads"]["cfd"] = {"best_time_ms": 9.0}
+        base = _write(tmp_path, "base.json", BASELINE)
+        cur = _write(tmp_path, "cur.json", current)
+        assert check_bench.main(["--baseline", base, "--current", cur]) == 0
+        assert "without baseline" in capsys.readouterr().out
 
     def test_no_shared_metrics_fails(self, tmp_path):
         base = _write(tmp_path, "base.json", {"a_ms": 1.0})
@@ -177,7 +194,7 @@ class TestFloors:
         assert code == 1
 
     def test_floor_applies_to_unsuffixed_leaves(self, tmp_path, capsys):
-        """Floors gate any numeric leaf, not just _ms/_cost metrics."""
+        """Floors gate any numeric leaf, not just _ms metrics."""
         payload = dict(BASELINE, suite={"warm_total_hits": 48})
         base = _write(tmp_path, "base.json", payload)
         cur = _write(tmp_path, "cur.json", payload)
@@ -219,20 +236,20 @@ class TestFloors:
             )
             assert code == 2, bad
 
-    def test_committed_harness_baseline_meets_the_ci_floor(self):
-        """The gate wired into ci.yml must hold on the committed
-        baseline itself — warm-parallel beats cold even on the 1-core
-        box that recorded it."""
+    def test_committed_serve_baseline_meets_the_ci_floors(self):
+        """The floors wired into ci.yml hold on the committed baseline."""
         path = os.path.join(
             os.path.dirname(_SCRIPT),
             "..",
             "benchmarks",
             "baselines",
-            "BENCH_harness.json",
+            "BENCH_serve.json",
         )
         assert check_bench.main(
             ["--baseline", path, "--current", path,
-             "--min", "suite.warm_parallel_speedup=1.0"]
+             "--min", "serve.merged.slo_attainment=0.93",
+             "--min", "serve.merged.goodput_per_ms=1.0",
+             "--min", "serve.overload.adaptive_goodput_ratio=1.15"]
         ) == 0
 
 
@@ -241,7 +258,7 @@ class TestRealBaselines:
 
     @pytest.mark.parametrize(
         "name",
-        ["BENCH_fig11.json", "BENCH_tuner.json", "BENCH_simspeed.json"],
+        ["BENCH_fig11.json", "BENCH_serve.json", "BENCH_tuner.json"],
     )
     def test_baseline_self_compare(self, name):
         path = os.path.join(

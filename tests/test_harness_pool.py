@@ -27,9 +27,43 @@ from repro.harness.runner import (
 )
 from repro.harness.tracecache import TraceCache, workload_fingerprint
 from repro.store import FORMAT_VERSION, MAX_OPEN_STORES, open_store
+from repro.workloads import (
+    cfd,
+    face_detection,
+    ldpc,
+    pyramid,
+    rasterization,
+    reyes,
+)
 from repro.workloads.registry import get_workload
 
 WORKLOADS = ["ldpc", "reyes"]
+
+#: All six workloads at a few times their quick sizes.
+SUITE_PARAMS = {
+    "cfd": cfd.CFDParams(
+        num_chunks=12, chunk_cells=256, outer_iterations=12,
+        inner_iterations=3, seed=11,
+    ),
+    "face_detection": face_detection.FaceDetectionParams(
+        num_images=6, width=320, height=240, min_height=60, band_rows=4,
+        faces_per_image=3, seed=50,
+    ),
+    "ldpc": ldpc.LDPCParams(
+        n_bits=128, check_degree=6, var_degree=3, num_frames=24,
+        iterations=10, snr_db=4.5, seed=5,
+    ),
+    "pyramid": pyramid.PyramidParams(
+        num_images=12, width=320, height=240, min_height=24, seed=2017,
+    ),
+    "rasterization": rasterization.RasterParams(
+        width=256, height=192, num_cubes=30, band_rows=64, seed=23,
+    ),
+    "reyes": reyes.ReyesParams(
+        width=320, height=240, num_base_patches=24, split_threshold=48.0,
+        grid=8, max_split_depth=14, seed=7,
+    ),
+}
 
 
 def suite_json(result):
@@ -126,6 +160,29 @@ class TestDeterminism:
         # only the placement-agnostic totals are deterministic.
         assert warm.cache_stats.total_hits >= 1
         assert warm.cache_stats.misses == 0
+
+    def test_six_workload_suite_pinned_cold_warm_and_parallel(self, tmp_path):
+        """The 36-cell two-device suite of all six workloads: cold at
+        ``workers=1`` records each trace once, warm at ``workers=1``
+        and at ``workers=4`` replay everything, all three simulate the
+        same bytes, and the simulated total is pinned exactly."""
+        cache_dir = str(tmp_path / "traces")
+        cold, *warm = [
+            run_suite(
+                devices=("K20c", "GTX1080"),
+                workers=workers,
+                cache_dir=cache_dir,
+                params=SUITE_PARAMS,
+            )
+            for workers in (1, 1, 4)
+        ]
+        assert len(cold.cells) == 36
+        assert sum(c.time_ms for c in cold.cells) == 89.57003317468863
+        assert cold.cache_stats.stores == len(SUITE_PARAMS)
+        for leg in warm:
+            assert leg.cache_stats.misses == 0
+            assert leg.cache_stats.total_hits >= 1
+            assert suite_json(leg) == suite_json(cold)
 
     def test_warm_dispatch_stats_are_per_dispatch_deltas(self, tmp_path):
         """Reused workers must report each dispatch's counters, not their
