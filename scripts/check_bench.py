@@ -5,11 +5,15 @@ Compares a freshly generated ``BENCH_*.json`` against the committed
 baseline and fails when throughput regresses beyond a threshold.
 
 Both files are arbitrary nested JSON; every numeric leaf whose key ends
-in ``_ms`` (a timing) is treated as a *lower-is-better* metric.
-The gate statistic is the geometric mean of the per-metric
-``current/baseline`` ratios over the metrics present in both files — a
-geomean above ``1 + threshold`` means throughput dropped by more than
-the allowed slice and the check fails.  A baseline metric that is
+in ``_ms`` is a gated metric.  Most are times, where lower is better.
+A key ending in ``_per_ms`` is a rate instead (``goodput_per_ms``:
+good completions per millisecond), where higher is better.  Each metric
+gives a regression ratio that reads above 1 when it got worse:
+``current/baseline`` for a time, ``baseline/current`` for a rate.  The
+gate statistic is the geometric mean of those ratios over the metrics
+present in both files — a geomean above ``1 + threshold`` means
+throughput dropped by more than the allowed slice and the check fails.
+A baseline metric that is
 absent, non-finite or not positive in the current file also fails the
 gate: a benchmark that stopped emitting a gated leaf must not turn it
 green.  A current metric without a baseline is only noted; zero or
@@ -44,8 +48,20 @@ import math
 import sys
 from typing import Iterator
 
-#: Keys ending in one of these are gated metrics (lower is better).
+#: Keys ending in one of these are gated metrics.
 METRIC_SUFFIXES = ("_ms",)
+
+#: Gated keys ending in one of these are rates, where higher is better;
+#: every other gated key is a time, where lower is better.
+RATE_SUFFIXES = ("_per_ms",)
+
+
+def regression_ratio(key: str, baseline: float, current: float) -> float:
+    """How much worse ``current`` is than ``baseline`` (above 1 is
+    worse): ``current/baseline`` for a time, the inverse for a rate."""
+    if key.endswith(RATE_SUFFIXES):
+        return baseline / current
+    return current / baseline
 
 
 def iter_metrics(node, path: str = "") -> Iterator[tuple[str, float]]:
@@ -148,11 +164,11 @@ def compare(
     log_sum = 0.0
     worst_key, worst_ratio = "", 0.0
     for key in shared:
-        ratio = current[key] / baseline[key]
+        ratio = regression_ratio(key, baseline[key], current[key])
         log_sum += math.log(ratio)
         flag = ""
         if ratio > 1.0 + threshold:
-            flag = "  <-- slower than budget"
+            flag = "  <-- worse than budget"
         lines.append(
             f"  {key}: {baseline[key]:.4f} -> {current[key]:.4f} "
             f"({ratio:.3f}x){flag}"
@@ -161,8 +177,8 @@ def compare(
             worst_key, worst_ratio = key, ratio
     geomean = math.exp(log_sum / len(shared))
     lines.append(
-        f"geomean time ratio over {len(shared)} metric(s): {geomean:.4f} "
-        f"(budget <= {1.0 + threshold:.2f})"
+        f"geomean regression ratio over {len(shared)} metric(s): "
+        f"{geomean:.4f} (budget <= {1.0 + threshold:.2f})"
     )
     lines.append(f"worst metric: {worst_key} at {worst_ratio:.3f}x")
     if missing:

@@ -9,7 +9,9 @@ Commands:
 * ``bench`` — the full evaluation suite (workload × column × device)
   fanned across a process pool, rendered as Figure 11 per device;
 * ``serve`` — open-loop serving: a timed arrival process (Poisson,
-  bursty or trace-driven) injects requests into a resident pipeline;
+  bursty or trace-driven) injects requests into a resident pipeline,
+  one plan and one engine run per workload, with optional admission
+  control (``--admission``) and dynamic batching (``--max-batch``);
   reports per-request tail latency (p50/p99/p999), per-stage wait and
   service breakdowns, throughput/goodput windows and SLO attainment;
 * ``tune`` — profile a workload and run the offline auto-tuner: every
@@ -139,21 +141,6 @@ def _admission_spec(text):
     except AdmissionSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
-
-
-def _hysteresis_ratio(text):
-    """Argparse type for ``--retune``: a float ratio > 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a ratio > 1, got {text!r}"
-        ) from None
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a ratio > 1, got {text!r}"
-        )
-    return value
 
 
 def _params(spec, args):
@@ -496,8 +483,6 @@ def cmd_serve(args) -> int:
         full=args.full,
         admission=args.admission,
         max_batch=args.max_batch,
-        retune=args.retune,
-        retune_budget=args.retune_budget,
     )
     workers = args.workers or 1
     if args.trace_out:
@@ -789,24 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dynamic-batching ceiling: queue pops are clamped to a "
         "deadline-aware size target in [1, N] (default: static "
         "capacities)",
-    )
-    serve.add_argument(
-        "--retune",
-        type=_hysteresis_ratio,
-        default=None,
-        metavar="RATIO",
-        help="arm load-reactive re-tuning: re-run the offline tuner and "
-        "hot-swap the plan when the arrival-rate EWMA shifts past "
-        "RATIO (> 1) either way, or SLO attainment collapses "
-        "(default: off)",
-    )
-    serve.add_argument(
-        "--retune-budget",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="candidate budget for each mid-run re-tune search "
-        "(default: the tuner default)",
     )
     serve.add_argument(
         "--workers",

@@ -343,12 +343,11 @@ class RunContext:
         """Return unused arrival reservations (the inverse of
         :meth:`expect_arrivals`).
 
-        The adaptive serving driver calls this when an admission policy
-        sheds an arrival (the request will never be delivered) or when a
-        pending plan swap defers the remaining schedule to the next
-        engine episode.  Dropping the reservations lets the persistent
-        blocks reach quiescence once the already-admitted work drains,
-        so the episode ends at a clean boundary.
+        The serving driver calls this when an admission policy sheds an
+        arrival: the request will never be delivered.  Dropping its
+        reservation lets the persistent blocks reach quiescence once the
+        admitted work drains, so a run that sheds its last arrivals
+        still ends.
         """
         for stage, count in counts.items():
             if stage not in self.outstanding:

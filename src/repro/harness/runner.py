@@ -22,7 +22,6 @@ from ..core.tuner.profiler import (
     profile_pipeline,
     replay_placeholders,
 )
-from ..core.tuner.pool import map_shards
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, K20C
 from ..obs import Observer, RunReport, TunerStats
@@ -422,47 +421,25 @@ def tune_workload(
     )
 
 
-#: Fixed fan-in of the report reduction tree.  Chunk boundaries depend
-#: only on the report count — never on the worker count — so serial and
-#: parallel aggregation sum the same floats in the same order and the
-#: merged report is byte-identical for any ``workers``.
-_AGGREGATE_CHUNK = 8
-
-
-def _aggregate_chunk(label: str, reports: list) -> RunReport:
-    return RunReport.aggregate(reports, label=label)
-
-
 def aggregate_reports(
-    cells: Iterable[ExperimentCell],
-    label: str = "sweep",
-    workers: Optional[int] = None,
+    cells: Iterable[ExperimentCell], label: str = "sweep"
 ) -> RunReport:
     """Roll the observed cells of a sweep into one :class:`RunReport`.
 
     Cells run without ``observe=True`` carry no report and are skipped;
-    the aggregate's ``runs`` field counts only the observed ones.  More
-    than :data:`_AGGREGATE_CHUNK` reports reduce through a fixed-shape
-    chunk tree (optionally fanned across ``workers`` processes); the
-    tree's shape is a function of the report count alone, keeping the
-    float sums — and therefore the result — independent of ``workers``.
+    the aggregate's ``runs`` field counts only the observed ones.  The
+    reports fold left to right in cell order.  The harness returns cells
+    in plan order for any worker count, so the aggregate is the same for
+    any worker count too.
     """
-    reports = [
-        cell.result.report
-        for cell in cells
-        if cell.result is not None and cell.result.report is not None
-    ]
-    if len(reports) <= _AGGREGATE_CHUNK:
-        return RunReport.aggregate(reports, label=label)
-    chunks = [
-        reports[i : i + _AGGREGATE_CHUNK]
-        for i in range(0, len(reports), _AGGREGATE_CHUNK)
-    ]
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    partials = map_shards(_aggregate_chunk, label, chunks, workers)
-    return RunReport.aggregate(partials, label=label)
+    return RunReport.aggregate(
+        (
+            cell.result.report
+            for cell in cells
+            if cell.result is not None and cell.result.report is not None
+        ),
+        label=label,
+    )
 
 
 def longest_stage_ms(

@@ -294,23 +294,6 @@ class RequestShed(Event):
     stage: str
 
 
-@dataclass(slots=True)
-class ServeRetune(Event):
-    """The load-reactive controller hot-swapped the resident serve plan.
-
-    Emitted at the quiescent boundary between engine episodes; ``t`` is
-    the absolute serving clock (cycles since the run began, across
-    episodes).  ``old_plan``/``new_plan`` are
-    :meth:`~repro.core.config.PipelineConfig.describe` strings.
-    """
-
-    kind: ClassVar[str] = "serve_retune"
-
-    reason: str
-    old_plan: str
-    new_plan: str
-
-
 #: Event classes in a stable order (used by exporters and docs).
 EVENT_TYPES = (
     KernelLaunched,
@@ -330,5 +313,4 @@ EVENT_TYPES = (
     RequestStageSpan,
     RequestCompleted,
     RequestShed,
-    ServeRetune,
 )

@@ -242,23 +242,6 @@ def chrome_trace(
                     "tid": event.rid,
                 }
             )
-        elif kind == "serve_retune":
-            trace_events.append(
-                {
-                    "name": "serve-retune",
-                    "cat": "host",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": to_us(event.t),
-                    "pid": HOST_PID,
-                    "tid": 0,
-                    "args": {
-                        "reason": event.reason,
-                        "old_plan": event.old_plan,
-                        "new_plan": event.new_plan,
-                    },
-                }
-            )
         elif kind == "adaptation":
             trace_events.append(
                 {

@@ -7,11 +7,10 @@ arrival processes (:mod:`~repro.serve.arrivals`), the driver that
 injects them into a resident hybrid pipeline
 (:mod:`~repro.serve.driver`), the streaming report with deterministic
 tail percentiles and SLO accounting (:mod:`~repro.serve.report`,
-:mod:`~repro.serve.slo`), and the sharded multi-workload harness
+:mod:`~repro.serve.slo`), the sharded multi-workload harness
 (:mod:`~repro.serve.harness`), and the load-adaptive control plane —
-admission control, dynamic batching and load-reactive re-tuning
-(:mod:`~repro.serve.controller`).  The CLI front end is ``repro
-serve``; see ``docs/serving.md``.
+admission control and dynamic batching (:mod:`~repro.serve.controller`).
+The CLI front end is ``repro serve``; see ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .controller import (
     AdmissionSpecError,
     BatchFormer,
     LatencyPredictor,
-    RetuneController,
     ServeController,
     parse_admission_spec,
 )
@@ -39,7 +37,6 @@ from .driver import (
     RequestTaggingExecutor,
     ServeConfig,
     build_serve_plan,
-    retune_serve_plan,
     serve_workload,
 )
 from .harness import plan_serve, run_serve_cells
@@ -64,7 +61,6 @@ __all__ = [
     "LatencyPredictor",
     "PoissonArrivals",
     "RequestTaggingExecutor",
-    "RetuneController",
     "SLOTracker",
     "ServeConfig",
     "ServeController",
@@ -76,7 +72,6 @@ __all__ = [
     "parse_admission_spec",
     "parse_arrival_spec",
     "plan_serve",
-    "retune_serve_plan",
     "run_meta",
     "run_serve_cells",
     "serve_workload",

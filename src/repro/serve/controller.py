@@ -1,10 +1,11 @@
-"""The load-adaptive serving control plane.
+"""The serving control plane: admission control and dynamic batching.
 
-PR 6's serving core admits every arrival and executes a static plan no
-matter how deep the backlog grows — under sustained overload the queue
-wait dominates every latency and SLO attainment collapses.  This module
-adds the three control loops that make serving fast *under load*, all
-deterministic functions of simulated state (no wall clock, no
+Without it a serving cell admits every arrival and pops each queue at
+its static capacity no matter how deep the backlog grows — under
+sustained overload the queue wait dominates every latency and SLO
+attainment collapses.  This module adds two control loops that act on
+each arrival and each queue pop, inside the cell's one engine run.  Both
+are deterministic functions of simulated state (no wall clock, no
 randomness), so adaptive runs keep the byte-identical ``--workers``
 contract:
 
@@ -23,16 +24,11 @@ contract:
   as queue depth and predicted-latency pressure rise (throughput
   mode).  The target clamps the run context's queue pops and the KBK
   drain path through ``RunContext.batch_governor``.
-* **Load-reactive re-tuning** (:class:`RetuneController`): a windowed
-  watcher of arrival-rate and SLO-attainment EWMAs.  When the arrival
-  mix shifts past a hysteresis ratio (or attainment collapses), it
-  arms a re-tune; the serving driver then defers the remaining
-  arrivals, drains to a quiescent boundary, calls
-  :func:`~repro.serve.driver.retune_serve_plan`, and hot-swaps the
-  winning plan for the next episode.  Re-arming re-anchors the EWMAs,
-  so one load shift triggers exactly one re-tune.
 
-:class:`ServeController` bundles the three for the driver.
+The resident plan itself never changes during a cell: the paper's one
+run-time reaction to load is the online adaptation of §7, and serve
+plans run with it off.  :class:`ServeController` bundles the two loops
+for the driver.
 """
 
 from __future__ import annotations
@@ -270,150 +266,25 @@ class BatchFormer:
 
 
 # ----------------------------------------------------------------------
-# Load-reactive re-tune trigger.
-# ----------------------------------------------------------------------
-class RetuneController:
-    """Windowed arrival-rate / attainment watcher that arms re-tunes.
-
-    Arrivals and completions roll fixed ``window_ms`` windows (aligned
-    to the absolute serving clock); each closed window updates an
-    arrival-rate EWMA and an SLO-attainment EWMA.  After a short warmup
-    the current EWMAs are *anchored* as the load the resident plan was
-    (re)tuned for; a later window whose rate EWMA leaves the
-    ``[anchor / ratio, anchor * ratio]`` hysteresis band — or whose
-    attainment EWMA falls ``attainment_drop`` below its anchor — arms
-    ``pending`` with a human-readable reason.  The driver acts on
-    ``pending`` at the next arrival (defer + drain + re-tune + swap) and
-    then calls :meth:`rearm`, which restarts measurement and
-    re-anchors, so a single sustained shift triggers exactly one
-    re-tune.
-    """
-
-    def __init__(
-        self,
-        window_ms: float,
-        ratio: float,
-        alpha: float = 0.5,
-        warmup_windows: int = 2,
-        attainment_drop: float = 0.3,
-    ) -> None:
-        self.window_ms = window_ms
-        self.ratio = ratio
-        self.alpha = alpha
-        self.warmup_windows = warmup_windows
-        self.attainment_drop = attainment_drop
-        self.rate_ewma = Ewma(alpha)
-        self.attain_ewma = Ewma(alpha)
-        self.rate_anchor: Optional[float] = None
-        self.attain_anchor: Optional[float] = None
-        self.pending: Optional[str] = None
-        self.windows = 0
-        self._win_end = window_ms
-        self._arrivals = 0
-        self._completions = 0
-        self._good = 0
-
-    # ------------------------------------------------------------------
-    def note(
-        self,
-        t_ms: float,
-        arrival: bool = False,
-        completion: bool = False,
-        good: bool = False,
-    ) -> None:
-        """Roll windows up to ``t_ms`` and count one observation."""
-        self._roll(t_ms)
-        if arrival:
-            self._arrivals += 1
-        if completion:
-            self._completions += 1
-            if good:
-                self._good += 1
-
-    def _roll(self, t_ms: float) -> None:
-        while t_ms >= self._win_end:
-            if self.rate_ewma.value is not None or self._arrivals:
-                # Leading idle windows (before the first arrival) carry
-                # no load signal; folding their zero rate in would make
-                # the first loaded windows look like a huge up-shift.
-                self.rate_ewma.update(self._arrivals / self.window_ms)
-            if self._completions:
-                self.attain_ewma.update(self._good / self._completions)
-            self.windows += 1
-            self._arrivals = self._completions = self._good = 0
-            self._win_end += self.window_ms
-            self._evaluate()
-
-    def _evaluate(self) -> None:
-        if self.pending is not None or self.windows < self.warmup_windows:
-            return
-        if self.rate_anchor is None:
-            rate = self.rate_ewma.value
-            if rate is None or rate <= 0.0:
-                # Idle warmup (no arrivals yet): keep waiting and anchor
-                # at the first loaded window instead of at rate 0.
-                return
-            self.rate_anchor = rate
-            self.attain_anchor = self.attain_ewma.value
-            return
-        rate = self.rate_ewma.value
-        anchor = self.rate_anchor
-        if rate is not None and anchor is not None and anchor > 0:
-            shift = rate / anchor
-            if shift >= self.ratio or shift <= 1.0 / self.ratio:
-                self.pending = (
-                    f"arrival-rate ewma shifted x{shift:.2f} "
-                    f"({anchor:.3f} -> {rate:.3f} req/ms)"
-                )
-                return
-        attain = self.attain_ewma.value
-        attain_anchor = self.attain_anchor
-        if (
-            attain is not None
-            and attain_anchor is not None
-            and attain_anchor - attain >= self.attainment_drop
-        ):
-            self.pending = (
-                f"slo-attainment ewma dropped "
-                f"{attain_anchor:.2f} -> {attain:.2f}"
-            )
-
-    def rearm(self, t_ms: float) -> None:
-        """Restart measurement after a plan swap completed at ``t_ms``."""
-        self.pending = None
-        self.rate_ewma = Ewma(self.alpha)
-        self.attain_ewma = Ewma(self.alpha)
-        self.rate_anchor = None
-        self.attain_anchor = None
-        self.windows = 0
-        self._arrivals = self._completions = self._good = 0
-        # Window boundaries stay on the absolute window_ms grid.
-        passed = int(t_ms / self.window_ms) + 1
-        self._win_end = passed * self.window_ms
-
-
-# ----------------------------------------------------------------------
 # The facade the serving driver drives.
 # ----------------------------------------------------------------------
 class ServeController:
-    """Per-cell adaptive control state, shared across engine episodes.
+    """Per-cell adaptive control state.
 
     Built once per serving cell from its
-    :class:`~repro.serve.driver.ServeConfig`; the driver binds it to
-    each engine episode (:meth:`bind_episode`) so the admission policy
-    and batch former read the *live* queue backlog, and chains the
-    request-tracker callbacks into the latency predictor and re-tune
-    watcher.  Everything here is a pure function of simulated state, so
-    adaptive serving keeps the byte-identical determinism contract.
+    :class:`~repro.serve.driver.ServeConfig`; the driver binds it to the
+    cell's run context (:meth:`bind`) so the admission policy and batch
+    former read the *live* queue backlog, and chains the request-tracker
+    callbacks into the latency predictor.  Everything here is a pure
+    function of simulated state, so adaptive serving keeps the
+    byte-identical determinism contract.
     """
 
     def __init__(
         self,
         admission: str,
         slo_ms: float,
-        window_ms: float,
         max_batch: Optional[int] = None,
-        retune_ratio: Optional[float] = None,
     ) -> None:
         self.admission = parse_admission_spec(admission)
         self.slo_ms = slo_ms
@@ -425,16 +296,13 @@ class ServeController:
         self.predictor: Optional[LatencyPredictor] = None
         if self.former is not None or self.admission.reads_predictor:
             self.predictor = predictor
-        self.retuner: Optional[RetuneController] = None
-        if retune_ratio is not None:
-            self.retuner = RetuneController(window_ms, retune_ratio)
         self.shed = 0
         self._backlog: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    def bind_episode(self, ctx) -> None:
-        """Point the live-backlog readers at one episode's run context
-        and install the dynamic-batching governor on it."""
+    def bind(self, ctx) -> None:
+        """Point the live-backlog readers at the cell's run context and
+        install the dynamic-batching governor on it."""
         self._backlog = ctx.depth_series.current
         if self.former is not None:
             ctx.batch_governor = self.batch_limit

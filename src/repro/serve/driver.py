@@ -42,8 +42,10 @@ trace cache (:data:`~repro.harness.tracecache.DEFAULT_TRACE_CACHE`).
 Recording a template costs 1-21 ms at quick sizes (reyes to
 face_detection, on a 2-vCPU x86 VM), and a shared store would let an
 untimed warm-up pre-fill what every ``repro serve`` invocation pays.
-A mid-run re-tune (:func:`retune_serve_plan`) searches on the same
-recording.
+
+A cell runs one resident plan (:func:`build_serve_plan`) in one engine
+run.  It reacts to load only per request and per queue pop, through
+admission control and dynamic batching (:mod:`repro.serve.controller`).
 
 Serving does not check outputs.  A workload's ``check_outputs`` grades
 a batch run's outputs as a whole, one result per input item, and a
@@ -56,7 +58,8 @@ checks (docs/harness.md, "Checking").
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.config import GroupConfig, PipelineConfig
@@ -66,8 +69,7 @@ from ..core.models.hybrid import HybridEngine
 from ..core.models.sm_bound import default_fine_block_map, split_sms_proportionally
 from ..core.pipeline import Pipeline
 from ..core.trace import Trace
-from ..core.tuner.offline import OfflineTuner, TunerOptions, TunerReport
-from ..core.tuner.profiler import PipelineProfile, profile_pipeline
+from ..core.tuner.profiler import profile_pipeline
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, get_spec
 from ..obs import Observer
@@ -138,12 +140,6 @@ class ServeConfig:
     admission: str = "none"
     #: Dynamic-batching ceiling; ``None`` keeps static pop capacities.
     max_batch: Optional[int] = None
-    #: Load-reactive re-tune hysteresis ratio (> 1); ``None`` disables
-    #: mid-run re-tuning.
-    retune: Optional[float] = None
-    #: Candidate budget (``TunerOptions.max_configs``) for each mid-run
-    #: re-tune; ``None`` uses the tuner default.
-    retune_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.model not in SERVE_MODELS:
@@ -161,12 +157,6 @@ class ServeConfig:
             raise ConfigurationError(str(exc)) from None
         if self.max_batch is not None and self.max_batch < 1:
             raise ConfigurationError("max_batch must be >= 1")
-        if self.retune is not None and not self.retune > 1.0:
-            raise ConfigurationError(
-                "retune hysteresis ratio must be > 1"
-            )
-        if self.retune_budget is not None and self.retune_budget < 1:
-            raise ConfigurationError("retune_budget must be >= 1")
 
 
 def build_serve_plan(
@@ -218,12 +208,10 @@ class RequestTemplate:
     """One serving cell's request template, recorded once.
 
     ``trace`` holds the workload's initial items and every task they
-    spawn; ``profile`` is its per-stage summary, which a mid-run
-    re-tune searches with.
+    spawn.
     """
 
     pipeline: Pipeline
-    profile: PipelineProfile
     trace: Trace
 
     @property
@@ -251,73 +239,17 @@ def record_template(
     The recording is the tuner's breadth-first walk
     (:func:`~repro.core.tuner.profiler.profile_pipeline`): no simulated
     device, and the same node order and ids as every other recording of
-    this workload, so a re-tune on it matches ``repro tune``.  Outputs
-    are not kept; serving never checks them.
+    this workload.  Outputs are not kept; serving never checks them.
     """
     pipeline = spec.build_pipeline(params)
-    profile, trace = profile_pipeline(
+    _profile, trace = profile_pipeline(
         pipeline, gpu, spec.initial_items(params)
     )
     if not trace.initial:
         raise ConfigurationError(
             f"workload {spec.name!r} has no initial items to serve"
         )
-    return RequestTemplate(pipeline=pipeline, profile=profile, trace=trace)
-
-
-def retune_serve_plan(
-    config: ServeConfig,
-    options: Optional[TunerOptions] = None,
-    template: Optional[RequestTemplate] = None,
-) -> tuple[PipelineConfig, TunerReport]:
-    """Re-run the offline search for one serving cell's workload.
-
-    The ROADMAP's load-reactive re-tuning entry point: serving keeps a
-    pipeline resident under a fixed plan, and when the arrival mix
-    shifts the operator re-runs the race-to-deadline tuner on the
-    cell's recorded template and swaps in the winner at the next
-    quiescent window.  ``template`` is that recording (the serving
-    driver passes its own); without one, a template is recorded here.
-    Returns ``(plan, tuner_report)`` where ``plan`` is the winning
-    configuration with online adaptation off (matching every other
-    serve plan — the serving driver owns reactivity).  Prefix racing
-    and the persistent-pool race keep the search cheap enough to re-run
-    between windows; see ``docs/tuning.md``.
-    """
-    spec, gpu, params = _resolve(config)
-    if template is None:
-        template = record_template(spec, gpu, params)
-    report = OfflineTuner(
-        template.pipeline,
-        gpu,
-        template.trace,
-        profile=template.profile,
-        options=options,
-    ).tune()
-    return replace(report.best_config, online_adaptation=False), report
-
-
-class _EpisodeState:
-    """Mutable flags shared between one episode's fire callbacks."""
-
-    __slots__ = ("deferred_from", "reason")
-
-    def __init__(self) -> None:
-        self.deferred_from: Optional[int] = None
-        self.reason = ""
-
-
-def _retune_options(config: ServeConfig) -> TunerOptions:
-    """Tuner options for a mid-run re-tune inside a serving cell.
-
-    ``workers=1`` is mandatory: serving cells may themselves run inside
-    pool workers, and a nested pool would deadlock; the in-process
-    sequential search is also what keeps the swapped plan byte-identical
-    for any ``--workers`` count.
-    """
-    if config.retune_budget is not None:
-        return TunerOptions(workers=1, max_configs=config.retune_budget)
-    return TunerOptions(workers=1)
+    return RequestTemplate(pipeline=pipeline, trace=trace)
 
 
 def serve_workload(
@@ -328,28 +260,18 @@ def serve_workload(
     """Run one open-loop serving cell and return its report.
 
     The arrival schedule is drawn up front from a
-    ``random.Random(seed)`` (open loop), and the run is split into
-    *episodes*, each a fresh engine instance executing one resident
-    plan:
+    ``random.Random(seed)`` (open loop), and the cell runs its resident
+    plan in one engine run:
 
     * every arrival fire first consults the admission policy — a shed
       request releases its reservation, is counted in the shed ledgers,
       and never touches a queue;
     * with ``max_batch`` set, the dynamic batch former governs every
-      queue pop through ``RunContext.batch_governor``;
-    * with ``retune`` set, when the re-tune watcher arms mid-episode,
-      the remaining arrivals are deferred (reservations released), the
-      episode drains to its natural quiescent boundary,
-      :func:`retune_serve_plan` races a new plan, and the next episode
-      resumes the deferred schedule under it with the serving clock
-      carried forward.  Deferred requests keep their true arrival
-      times, so the drain-and-swap stall is charged to their
-      latencies, not hidden.
+      queue pop through ``RunContext.batch_governor``.
 
-    A config with admission ``none`` and neither ``max_batch`` nor
-    ``retune`` admits every request and runs as a single episode under
-    its static plan.  The cell records its template once and replays it
-    for every request.
+    A config with admission ``none`` and no ``max_batch`` admits every
+    request under its static plan.  The cell records its template once
+    and replays it for every request.
 
     Deterministic: everything is a function of the seeded schedule and
     simulated state, and the report's histograms accumulate in
@@ -361,18 +283,13 @@ def serve_workload(
     spec, gpu, params = _resolve(config)
     template = record_template(spec, gpu, params)
     pipeline = template.pipeline
-    replay = ReplayExecutor(pipeline, template.trace)
     if arrival is None:
         arrival = parse_arrival_spec(config.arrival_spec)
-
     plan = build_serve_plan(spec, pipeline, gpu, params, config.model)
-    plan_desc = plan.describe()
     controller = ServeController(
         admission=config.admission,
         slo_ms=config.slo_ms,
-        window_ms=config.window_ms,
         max_batch=config.max_batch,
-        retune_ratio=config.retune,
     )
 
     report = ServeReport(
@@ -393,151 +310,82 @@ def serve_workload(
 
     rng = random.Random(config.seed)
     times_ms = arrival.times(config.duration_ms, rng)
+    if not times_ms:
+        # Nothing arrives: no engine runs, and elapsed_ms stays 0.
+        return report
     entries = template.entries
     stage_bytes = {
         stage: pipeline.stage(stage).item_bytes for stage, _ in entries
     }
     arrive_cycles = [gpu.us_to_cycles(t * 1000.0) for t in times_ms]
-    n = len(times_ms)
+    counts = Counter(
+        entries[rid % len(entries)][0] for rid in range(len(arrive_cycles))
+    )
 
-    def counts_from(lo: int) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rid in range(lo, n):
-            stage, _ = entries[rid % len(entries)]
-            counts[stage] = counts.get(stage, 0) + 1
-        return counts
-
-    start = 0
-    base_cycles = 0.0
-    retuner = controller.retuner
+    device = GPUDevice(gpu)
+    if observer is not None:
+        observer.attach(device)
+    engine = HybridEngine(
+        pipeline,
+        device,
+        RequestTaggingExecutor(ReplayExecutor(pipeline, template.trace)),
+        plan,
+    )
+    ctx = engine.ctx
+    controller.bind(ctx)
     predictor = controller.predictor
-    while start < n:
-        device = GPUDevice(gpu)
-        if observer is not None:
-            observer.attach(device)
-        engine = HybridEngine(
-            pipeline, device, RequestTaggingExecutor(replay), plan
+
+    def on_visit(
+        stage: str, wait_cycles: float, service_cycles: float
+    ) -> None:
+        wait_ms = cycles_to_ms(wait_cycles)
+        service_ms = cycles_to_ms(service_cycles)
+        report.observe_visit(stage, wait_ms, service_ms)
+        if predictor is not None:
+            predictor.note_visit(stage, wait_ms, service_ms)
+
+    def on_complete(span) -> None:
+        report.observe_complete(
+            cycles_to_ms(span.latency_cycles),
+            cycles_to_ms(span.completion_t),
         )
-        ctx = engine.ctx
-        controller.bind_episode(ctx)
-        base = base_cycles
-        episode = _EpisodeState()
-
-        def on_visit(
-            stage: str, wait_cycles: float, service_cycles: float
-        ) -> None:
-            wait_ms = cycles_to_ms(wait_cycles)
-            service_ms = cycles_to_ms(service_cycles)
-            report.observe_visit(stage, wait_ms, service_ms)
-            if predictor is not None:
-                predictor.note_visit(stage, wait_ms, service_ms)
-
-        def on_complete(span, base: float = base) -> None:
-            latency_ms = cycles_to_ms(span.latency_cycles)
-            t_abs_ms = cycles_to_ms(base + span.completion_t)
-            report.observe_complete(latency_ms, t_abs_ms)
-            if predictor is not None:
-                predictor.note_request(
-                    {
-                        stage: totals.visits
-                        for stage, totals in span.stages.items()
-                    }
-                )
-            if retuner is not None:
-                retuner.note(
-                    t_abs_ms,
-                    completion=True,
-                    good=latency_ms <= config.slo_ms,
-                )
-
-        tracker = RequestTracker(
-            bus=device.obs, on_visit=on_visit, on_complete=on_complete
-        )
-        ctx.request_tracker = tracker
-        ctx.expect_arrivals(counts_from(start))
-
-        def fire(
-            rid: int,
-            device: GPUDevice = device,
-            ctx=ctx,
-            tracker: RequestTracker = tracker,
-            episode: _EpisodeState = episode,
-            base: float = base,
-        ) -> None:
-            if episode.deferred_from is not None:
-                return
-            if retuner is not None and retuner.pending is not None:
-                # A re-tune is armed: defer this and every later
-                # arrival to the next episode and let the engine
-                # drain to the swap boundary.
-                episode.deferred_from = rid
-                episode.reason = retuner.pending
-                ctx.release_arrivals(counts_from(rid))
-                return
-            stage, node = entries[rid % len(entries)]
-            at = arrive_cycles[rid]
-            now_abs_ms = cycles_to_ms(base + device.engine.now)
-            if controller.should_shed():
-                report.observe_arrival(cycles_to_ms(at))
-                report.observe_shed(now_abs_ms)
-                tracker.shed(rid, stage, device.engine.now)
-                ctx.release_arrivals({stage: 1})
-            else:
-                device.memcpy_h2d(stage_bytes[stage])
-                # Arrival time is episode-local (negative when the
-                # request arrived during the previous drain), so the
-                # swap stall is charged to the deferred latency.
-                tracker.begin(rid, stage, at - base)
-                report.observe_arrival(cycles_to_ms(at))
-                ctx.deliver_arrival(stage, RequestItem(rid, node))
-            if retuner is not None and at >= base:
-                # Catch-up replays of deferred arrivals (at < base)
-                # are an artifact of the swap stall, not offered
-                # load — only naturally-timed arrivals feed the
-                # rate watcher.
-                retuner.note(now_abs_ms, arrival=True)
-
-        for rid in range(start, n):
-            device.engine.schedule_call_at(
-                max(0.0, arrive_cycles[rid] - base), fire, rid
+        if predictor is not None:
+            predictor.note_request(
+                {stage: totals.visits for stage, totals in span.stages.items()}
             )
 
-        engine.run({})
-        if tracker.in_flight:
-            raise ExecutionError(
-                f"{tracker.in_flight} request(s) never completed "
-                "(tracker/quiescence mismatch)"
-            )
-        base_cycles = base + max(device.engine.now, device.host_time)
+    tracker = RequestTracker(
+        bus=device.obs, on_visit=on_visit, on_complete=on_complete
+    )
+    ctx.request_tracker = tracker
+    ctx.expect_arrivals(counts)
 
-        if episode.deferred_from is None:
-            start = n
+    def fire(rid: int) -> None:
+        stage, node = entries[rid % len(entries)]
+        at = arrive_cycles[rid]
+        report.observe_arrival(cycles_to_ms(at))
+        if controller.should_shed():
+            now = device.engine.now
+            report.observe_shed(cycles_to_ms(now))
+            tracker.shed(rid, stage, now)
+            ctx.release_arrivals({stage: 1})
         else:
-            start = episode.deferred_from
-            new_plan, _tuner_report = retune_serve_plan(
-                config, options=_retune_options(config), template=template
-            )
-            new_desc = new_plan.describe()
-            swap_ms = cycles_to_ms(base_cycles)
-            report.observe_retune(
-                swap_ms, episode.reason, plan_desc, new_desc
-            )
-            if observer is not None:
-                from ..obs.events import ServeRetune
+            device.memcpy_h2d(stage_bytes[stage])
+            tracker.begin(rid, stage, at)
+            ctx.deliver_arrival(stage, RequestItem(rid, node))
 
-                observer.bus.emit(
-                    ServeRetune(
-                        t=base_cycles,
-                        reason=episode.reason,
-                        old_plan=plan_desc,
-                        new_plan=new_desc,
-                    )
-                )
-            plan, plan_desc = new_plan, new_desc
-            if retuner is not None:
-                retuner.rearm(swap_ms)
+    for rid, at in enumerate(arrive_cycles):
+        device.engine.schedule_call_at(at, fire, rid)
 
-    report.elapsed_ms = cycles_to_ms(base_cycles)
+    engine.run({})
+    if tracker.in_flight:
+        raise ExecutionError(
+            f"{tracker.in_flight} request(s) never completed "
+            "(tracker/quiescence mismatch)"
+        )
+    report.elapsed_ms = cycles_to_ms(
+        max(device.engine.now, device.host_time)
+    )
     return report
 
 

@@ -14,11 +14,11 @@ Determinism contract (pinned by ``tests/serve/test_serve_harness.py``):
 ``run_serve_cells`` returns reports in plan order whose
 :meth:`~repro.serve.report.ServeReport.payload` dicts are byte-identical
 for any ``workers`` count, and :func:`~repro.serve.report
-.merge_serve_reports` folds them through a fixed fan-in tree whose shape
-depends only on the cell count — so the merged report is byte-identical
-too.  Workers run without an observer (event capture is a per-process
-side channel); ``repro serve --trace-out`` therefore forces the traced
-cell to run serially in-process.
+.merge_serve_reports` folds them left to right in that order — so the
+merged report is byte-identical too.  Workers run without an observer
+(event capture is a per-process side channel); ``repro serve
+--trace-out`` therefore forces the traced cell to run serially
+in-process.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ def plan_serve(
     full: bool = False,
     admission: str = "none",
     max_batch: Optional[int] = None,
-    retune: Optional[float] = None,
-    retune_budget: Optional[int] = None,
 ) -> list[ServeConfig]:
     """The canonical serving plan: one cell per workload, in given order.
 
@@ -68,8 +66,8 @@ def plan_serve(
     service time, so one shared number mis-sizes most of them); a
     mapping missing a planned workload raises
     :class:`~repro.core.errors.ConfigurationError`.  The adaptive knobs
-    (``admission``, ``max_batch``, ``retune``, ``retune_budget``) apply
-    to every cell and default to the static PR 6 behaviour.
+    (``admission``, ``max_batch``) apply to every cell and default to
+    admitting every request at static pop capacities.
     """
     return [
         ServeConfig(
@@ -84,8 +82,6 @@ def plan_serve(
             full=full,
             admission=admission,
             max_batch=max_batch,
-            retune=retune,
-            retune_budget=retune_budget,
         )
         for name in workloads
     ]

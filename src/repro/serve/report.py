@@ -29,13 +29,8 @@ from .slo import SLOTracker
 #: Bumped whenever the ServeReport JSON layout changes shape.
 #: v2: admission-control shed counts (``shed``, ``sheds`` window
 #: series, SLO ``shed``/``offered_attainment``) and the re-tune log.
-SERVE_SCHEMA_VERSION = 2
-
-#: Fixed fan-in of the serve-report reduction tree (mirrors the
-#: harness's ``_AGGREGATE_CHUNK``): chunk boundaries depend only on the
-#: report count, so any worker split folds the same floats in the same
-#: order.
-MERGE_CHUNK = 8
+#: v3: the re-tune log is gone (a cell never changes plan).
+SERVE_SCHEMA_VERSION = 3
 
 
 def run_meta(
@@ -81,9 +76,6 @@ class ServeReport:
     good_completions: WindowSeries = field(default_factory=WindowSeries)
     sheds: WindowSeries = field(default_factory=WindowSeries)
     slo: SLOTracker = field(default_factory=lambda: SLOTracker(slo_ms=0.0))
-    #: One entry per mid-run plan swap: ``{"t_ms", "reason",
-    #: "old_plan", "new_plan"}`` in swap order.
-    retunes: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -117,19 +109,6 @@ class ServeReport:
         self.sheds.add(t_ms)
         self.slo.observe_shed()
 
-    def observe_retune(
-        self, t_ms: float, reason: str, old_plan: str, new_plan: str
-    ) -> None:
-        """A load-reactive re-tune swapped the resident plan."""
-        self.retunes.append(
-            {
-                "t_ms": t_ms,
-                "reason": reason,
-                "old_plan": old_plan,
-                "new_plan": new_plan,
-            }
-        )
-
     # ------------------------------------------------------------------
     # Derived rates.
     # ------------------------------------------------------------------
@@ -150,7 +129,6 @@ class ServeReport:
         self.completed += other.completed
         self.shed += other.shed
         self.sheds.merge(other.sheds)
-        self.retunes.extend(other.retunes)
         if other.elapsed_ms > self.elapsed_ms:
             self.elapsed_ms = other.elapsed_ms
         self.latency.merge(other.latency)
@@ -205,7 +183,6 @@ class ServeReport:
             "good_completions": self.good_completions.to_dict(),
             "sheds": self.sheds.to_dict(),
             "slo": self.slo.to_dict(),
-            "retunes": list(self.retunes),
         }
 
     def to_dict(self) -> dict:
@@ -238,11 +215,6 @@ class ServeReport:
                 f"(offered attainment "
                 f"{self.slo.offered_attainment * 100:.1f}%)"
             )
-        for swap in self.retunes:
-            lines.append(
-                f"  retune at {swap['t_ms']:.3f} ms: {swap['reason']} "
-                f"-> {swap['new_plan']}"
-            )
         for stage in sorted(self.stage_wait):
             wait = self.stage_wait[stage]
             service = self.stage_service[stage]
@@ -257,19 +229,13 @@ class ServeReport:
 def merge_serve_reports(
     reports: Iterable[ServeReport], label: str = "serve"
 ) -> ServeReport:
-    """Fold reports through a fixed fan-in-:data:`MERGE_CHUNK` tree.
+    """Fold reports left to right into one.
 
-    The tree's shape depends only on ``len(reports)``, so serial and
-    sharded harness runs fold identical floats in an identical order and
-    the merged report is byte-identical for any worker count.
+    The harness returns reports in plan order for any worker count, so
+    the fold sums the same floats in the same order and the merged
+    report is byte-identical for any ``--workers``.
     """
     items = list(reports)
-    if len(items) > MERGE_CHUNK:
-        chunked = [
-            merge_serve_reports(items[i : i + MERGE_CHUNK], label=label)
-            for i in range(0, len(items), MERGE_CHUNK)
-        ]
-        return merge_serve_reports(chunked, label=label)
     merged = ServeReport(label=label)
     if not items:
         return merged

@@ -1,12 +1,10 @@
-"""The load-adaptive serving control plane: admission, batching, re-tune.
+"""The load-adaptive serving control plane: admission and batching.
 
 Unit tests pin the controller pieces (spec parsing, shed decisions,
-batch-size targets, hysteresis windows) and the run-context hooks they
-ride on (``release_arrivals``, ``batch_governor``); the end-to-end tests
-pin the adaptive driver contracts from the ROADMAP serving item — exact
-shed accounting, byte-identical reports for any worker count, exactly
-one re-tune per sustained load shift, and adaptive goodput at least
-matching the static plan on the same schedule.
+batch-size targets) and the run-context hooks they ride on
+(``release_arrivals``, ``batch_governor``); the end-to-end tests pin
+the adaptive driver contracts — exact shed accounting, sheds that cost
+nothing downstream, and byte-identical reports for any worker count.
 """
 
 import json
@@ -29,7 +27,6 @@ from repro.serve.controller import (
     BatchFormer,
     DropTailAdmission,
     LatencyPredictor,
-    RetuneController,
     ServeController,
     SloEwmaAdmission,
     parse_admission_spec,
@@ -39,23 +36,6 @@ from repro.workloads.registry import get_workload
 
 def _payload_json(report):
     return json.dumps(report.payload(), sort_keys=True)
-
-
-def _shift_trace(tmp_path, name="shift.txt"):
-    """A deterministic two-phase schedule: 1 req/ms for 10 ms, then
-    8 req/ms for 6 ms — a clean x8 sustained rate shift."""
-    offsets = [0.5 + i for i in range(10)]
-    offsets += [10.0 + i * 0.125 for i in range(48)]
-    path = tmp_path / name
-    path.write_text("\n".join(f"{t:g}" for t in offsets))
-    return str(path)
-
-
-@pytest.fixture(scope="module")
-def shift_trace(tmp_path_factory):
-    """One shared trace file: its path lands in report payloads, so the
-    byte-identity tests need the same file across parametrized runs."""
-    return _shift_trace(tmp_path_factory.mktemp("arrivals"))
 
 
 class TestAdmissionSpec:
@@ -102,9 +82,7 @@ class TestAdmissionSpec:
 
 class TestAdmissionPolicies:
     def _controller(self, admission, slo_ms=5.0):
-        return ServeController(
-            admission=admission, slo_ms=slo_ms, window_ms=1.0
-        )
+        return ServeController(admission=admission, slo_ms=slo_ms)
 
     def test_none_never_sheds(self):
         controller = self._controller("none")
@@ -145,9 +123,7 @@ class TestAdmissionPolicies:
         assert self._controller("none").predictor is None
         assert self._controller("drop-tail:3").predictor is None
         assert self._controller("slo-ewma").predictor is not None
-        batched = ServeController(
-            admission="none", slo_ms=5.0, window_ms=1.0, max_batch=4
-        )
+        batched = ServeController(admission="none", slo_ms=5.0, max_batch=4)
         assert batched.predictor is batched.former.predictor
 
 
@@ -200,102 +176,12 @@ class TestBatchFormer:
 
     def test_controller_clamps_never_raises_cap(self):
         controller = ServeController(
-            admission="none", slo_ms=10.0, window_ms=1.0, max_batch=64
+            admission="none", slo_ms=10.0, max_batch=64
         )
         controller._backlog = {"s": 10**6}
         assert controller.batch_limit("s", 4) == 4
         controller._backlog = {"s": 0}
         assert controller.batch_limit("s", 64) == 1
-
-
-class TestRetuneController:
-    def _feed_window(self, rc, start_ms, rate_per_ms, window_ms=1.0):
-        for i in range(int(rate_per_ms * window_ms)):
-            rc.note(start_ms + i / max(rate_per_ms, 1.0), arrival=True)
-
-    def test_warmup_then_anchor(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        for w in range(4):
-            self._feed_window(rc, float(w), 4.0)
-        rc.note(4.5, arrival=True)
-        assert rc.rate_anchor == pytest.approx(4.0)
-        assert rc.pending is None
-
-    def test_idle_warmup_anchors_at_first_loaded_window(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        # Five empty windows roll by before any load shows up; the
-        # leading idle must not make the steady 4/ms look like a shift.
-        for w in range(5, 10):
-            self._feed_window(rc, float(w), 4.0)
-        rc.note(10.5, arrival=True)
-        assert rc.pending is None
-        assert rc.rate_anchor == pytest.approx(4.0)
-
-    def test_arms_on_rate_upshift(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        for w in range(4):
-            self._feed_window(rc, float(w), 2.0)
-        for w in range(4, 8):
-            self._feed_window(rc, float(w), 16.0)
-        rc.note(8.5, arrival=True)
-        assert rc.pending is not None
-        assert "arrival-rate" in rc.pending
-
-    def test_arms_on_rate_downshift(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        for w in range(4):
-            self._feed_window(rc, float(w), 16.0)
-        for w in range(4, 10):
-            self._feed_window(rc, float(w), 2.0)
-        rc.note(10.5, arrival=True)
-        assert rc.pending is not None
-
-    def test_sub_ratio_wobble_stays_quiet(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        rates = [4.0, 5.0, 3.0, 5.0, 4.0, 6.0, 4.0, 5.0]
-        for w, rate in enumerate(rates):
-            self._feed_window(rc, float(w), rate)
-        rc.note(float(len(rates)) + 0.5, arrival=True)
-        assert rc.pending is None
-
-    def test_attainment_collapse_arms(self):
-        rc = RetuneController(window_ms=1.0, ratio=100.0)
-        for w in range(4):
-            self._feed_window(rc, float(w), 4.0)
-            for i in range(4):
-                rc.note(w + 0.2 + i * 0.1, completion=True, good=True)
-        for w in range(4, 10):
-            self._feed_window(rc, float(w), 4.0)
-            for i in range(4):
-                rc.note(w + 0.2 + i * 0.1, completion=True, good=False)
-        rc.note(10.5, arrival=True)
-        assert rc.pending is not None
-        assert "attainment" in rc.pending
-
-    def test_rearm_gives_exactly_one_fire_per_shift(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        fires = []
-        t = 0.0
-        for phase, rate in enumerate((2.0, 16.0, 16.0, 16.0)):
-            for w in range(4):
-                self._feed_window(rc, t, rate)
-                t += 1.0
-                if rc.pending is not None:
-                    fires.append(rc.pending)
-                    rc.rearm(t)
-        # One sustained shift (2 -> 16) == one fire, even though the
-        # high rate persists for three more phases.
-        assert len(fires) == 1
-
-    def test_rearm_resets_measurement(self):
-        rc = RetuneController(window_ms=1.0, ratio=2.0)
-        for w in range(8):
-            self._feed_window(rc, float(w), 16.0)
-        rc.rearm(8.0)
-        assert rc.pending is None
-        assert rc.rate_anchor is None
-        assert rc.windows == 0
-        assert rc.rate_ewma.value is None
 
 
 class TestRunContextHooks:
@@ -346,9 +232,9 @@ def _config(**overrides):
 
 class TestAdaptiveServe:
     def test_static_cell_matches_never_shedding_admission(self):
-        """A static cell is the admit-everything episode loop: its
-        payload equals that of an admission policy that never sheds at
-        this load, ``sheds`` window included."""
+        """A static cell is the admit-everything run: its payload equals
+        that of an admission policy that never sheds at this load,
+        ``sheds`` window included."""
         fields = dict(arrival_spec="poisson:0.5", duration_ms=6.0,
                       slo_ms=6.0, window_ms=2.0)
         static = serve_workload(_config(**fields))
@@ -461,88 +347,3 @@ class TestAdaptiveServe:
         assert qs.backlog("v2c") == 2
         assert len(qs.drain("v2c")) == 2
         assert qs.backlog("v2c") == 0
-
-
-class TestRetuneServe:
-    def test_retune_fires_exactly_once_per_shift(self, shift_trace):
-        trace = shift_trace
-        cfg = _config(
-            arrival_spec=f"trace:{trace}",
-            duration_ms=16.0,
-            slo_ms=10.0,
-            window_ms=2.0,
-            retune=2.0,
-            retune_budget=8,
-        )
-        report = serve_workload(cfg)
-        assert len(report.retunes) == 1
-        swap = report.retunes[0]
-        assert "arrival-rate" in swap["reason"]
-        assert swap["old_plan"] and swap["new_plan"]
-        assert report.completed == report.requests
-        assert report.payload()["retunes"] == report.retunes
-
-    def test_retune_emits_obs_event(self, shift_trace):
-        trace = shift_trace
-        cfg = _config(
-            arrival_spec=f"trace:{trace}",
-            duration_ms=16.0,
-            slo_ms=10.0,
-            window_ms=2.0,
-            retune=2.0,
-            retune_budget=8,
-        )
-        observer = Observer()
-        report = serve_workload(cfg, observer=observer)
-        swaps = [e for e in observer.events if e.kind == "serve_retune"]
-        assert len(swaps) == len(report.retunes) == 1
-        assert swaps[0].reason == report.retunes[0]["reason"]
-        assert swaps[0].new_plan == report.retunes[0]["new_plan"]
-
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_swapped_plan_byte_identical_across_workers(
-        self, shift_trace, workers
-    ):
-        trace = shift_trace
-        configs = [
-            _config(
-                arrival_spec=f"trace:{trace}",
-                duration_ms=16.0,
-                slo_ms=10.0,
-                window_ms=2.0,
-                retune=2.0,
-                retune_budget=8,
-                seed=seed,
-            )
-            for seed in (0, 1, 2, 3)
-        ]
-        reports = run_serve_cells(configs, workers=workers)
-        key = "|".join(_payload_json(r) for r in reports)
-        if not hasattr(type(self), "_plan_baseline"):
-            type(self)._plan_baseline = key
-        assert key == type(self)._plan_baseline
-        for report in reports:
-            assert len(report.retunes) == 1
-
-    def test_midrun_retune_goodput_beats_static(self, shift_trace):
-        trace = shift_trace
-        base = dict(
-            arrival_spec=f"trace:{trace}",
-            duration_ms=16.0,
-            slo_ms=10.0,
-            window_ms=2.0,
-        )
-        static = serve_workload(_config(**base))
-        retuned = serve_workload(
-            _config(**base, retune=2.0, retune_budget=8)
-        )
-        assert len(retuned.retunes) == 1
-        assert retuned.goodput_per_ms >= static.goodput_per_ms
-
-    def test_steady_load_never_retunes(self):
-        report = serve_workload(
-            _config(arrival_spec="poisson:1.0", retune=3.0,
-                    retune_budget=8, window_ms=2.0)
-        )
-        assert report.retunes == []
-        assert report.completed == report.requests

@@ -12,7 +12,6 @@ from repro.serve import (
     SERVE_MODELS,
     RequestTaggingExecutor,
     ServeConfig,
-    retune_serve_plan,
     serve_workload,
 )
 from repro.workloads.registry import get_workload
@@ -122,24 +121,3 @@ class TestRequestTaggingExecutor:
         executor = RequestTaggingExecutor(FunctionalExecutor(pipeline))
         with pytest.raises(ExecutionError, match="deliver_arrival"):
             executor.wrap_initial("initialize", object())
-
-
-class TestRetuneServePlan:
-    def test_returns_raced_winner_with_adaptation_off(self):
-        from repro.core.tuner.offline import TunerOptions
-
-        plan, report = retune_serve_plan(
-            _config(), options=TunerOptions(max_configs=12)
-        )
-        assert plan.online_adaptation is False
-        assert plan.groups == report.best_config.groups
-        assert report.num_evaluated > 0
-        assert report.best_time_ms > 0
-
-    def test_retune_is_deterministic(self):
-        from repro.core.tuner.offline import TunerOptions
-
-        options = TunerOptions(max_configs=12)
-        first, _ = retune_serve_plan(_config(), options=options)
-        second, _ = retune_serve_plan(_config(), options=options)
-        assert first == second

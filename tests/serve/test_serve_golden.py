@@ -5,10 +5,9 @@ canonical :meth:`ServeReport.payload` as produced when every request
 re-ran its stage code.  The driver now records each cell's request
 template once and replays that recording for every request, so these
 digests pin that replay moves no simulated result: static cells under
-every serve plan, an admission + dynamic-batching cell, and a
-re-tune-armed cell whose mid-run searches tune on the cell's own
-recording.  Plans that cannot co-reside a workload's stages are frozen
-as the error they raise.
+every serve plan, and an admission + dynamic-batching cell.  Plans that
+cannot co-reside a workload's stages are frozen as the error they
+raise.
 
 Regenerate (only after an intentional model change) from the repo
 root::
@@ -64,15 +63,6 @@ def _cells() -> dict[str, dict]:
         max_batch=8,
         seed=0,
     )
-    cells["ldpc/retune"] = dict(
-        workload="ldpc",
-        arrival_spec="burst:0.3,3.0,15",
-        duration_ms=90.0,
-        slo_ms=12.0,
-        retune=1.3,
-        retune_budget=12,
-        seed=5,
-    )
     return cells
 
 
@@ -120,11 +110,16 @@ def _template_tasks(config: ServeConfig) -> int:
 
 @pytest.mark.parametrize(
     "cell, duration_ms",
-    [("ldpc/versapipe", 4.0), ("ldpc/versapipe", 40.0), ("ldpc/retune", 90.0)],
+    [
+        ("ldpc/versapipe", 4.0),
+        ("ldpc/versapipe", 40.0),
+        ("ldpc/slo-ewma+batch8", 30.0),
+    ],
 )
 def test_stage_code_runs_once_per_template_task(cell, duration_ms, monkeypatch):
-    """Whatever the request count, and re-tunes included, a cell runs
-    each task of its template through the stage code exactly once."""
+    """Whatever the request count, sheds and batching included, a cell
+    runs each task of its template through the stage code exactly
+    once."""
     config = ServeConfig(**{**CELLS[cell], "duration_ms": duration_ms})
     expected = _template_tasks(config)
     executed = [0]
@@ -153,11 +148,11 @@ def test_stage_code_runs_once_per_template_task(cell, duration_ms, monkeypatch):
 
 
 def test_serving_leaves_shared_trace_cache_untouched():
-    """Serving, its mid-run re-tunes included, neither reads nor writes
-    the process-wide trace cache."""
+    """Serving, an adaptive cell included, neither reads nor writes the
+    process-wide trace cache."""
     before = (DEFAULT_TRACE_CACHE.stats(), len(DEFAULT_TRACE_CACHE))
-    report = serve_workload(ServeConfig(**CELLS["ldpc/retune"]))
-    assert report.retunes
+    report = serve_workload(ServeConfig(**CELLS["ldpc/slo-ewma+batch8"]))
+    assert report.shed
     assert (DEFAULT_TRACE_CACHE.stats(), len(DEFAULT_TRACE_CACHE)) == before
 
 

@@ -11,7 +11,6 @@ from repro.serve import (
     run_serve_cells,
     serve_workload,
 )
-from repro.serve.report import MERGE_CHUNK
 
 
 def _payloads(reports):
@@ -60,15 +59,16 @@ class TestMergeServeReports:
         assert merged.workload == "mixed"
         assert merged.duration_ms == sum(r.duration_ms for r in reports)
 
-    def test_chunked_tree_matches_flat_merge(self):
-        # More reports than the fan-in: exercises the chunked reduction.
+    def test_many_copies_merge_exactly(self):
+        # Nineteen copies of one report fold into one: counts scale,
+        # percentiles stay.
         base = serve_workload(
             ServeConfig(
                 workload="ldpc", arrival_spec="poisson:0.5",
                 duration_ms=4.0, slo_ms=5.0,
             )
         )
-        count = MERGE_CHUNK * 2 + 3
+        count = 19
         reports = [base for _ in range(count)]
         merged = merge_serve_reports(reports)
         assert merged.requests == base.requests * count

@@ -158,6 +158,36 @@ class TestGate:
         assert code == 2
 
 
+class TestRates:
+    """``*_per_ms`` leaves are rates: higher is better."""
+
+    def _overload_arm(self):
+        path = os.path.join(
+            os.path.dirname(_SCRIPT), "..", "benchmarks", "baselines",
+            "BENCH_serve.json",
+        )
+        with open(path, encoding="utf-8") as fh:
+            overload = json.load(fh)["serve"]["overload"]
+        return {"serve": {"overload": overload}}
+
+    def test_rate_ratio_is_inverted(self):
+        assert check_bench.regression_ratio("a.goodput_per_ms", 2.0, 1.0) == 2.0
+        assert check_bench.regression_ratio("a.latency_p99_ms", 2.0, 1.0) == 0.5
+
+    @pytest.mark.parametrize("factor, code", [(0.5, 1), (2.0, 0)])
+    def test_goodput_drop_fails_and_gain_passes(self, tmp_path, factor, code):
+        """The committed overload arm, with its adaptive goodput halved
+        (a loss: fails) or doubled (a gain: passes)."""
+        baseline = self._overload_arm()
+        current = json.loads(json.dumps(baseline))
+        current["serve"]["overload"]["adaptive_goodput_per_ms"] *= factor
+        base = _write(tmp_path, "base.json", baseline)
+        cur = _write(tmp_path, "cur.json", current)
+        assert check_bench.main(
+            ["--baseline", base, "--current", cur]
+        ) == code
+
+
 class TestFloors:
     """The ``--min PATH=VALUE`` hard-floor gate class."""
 

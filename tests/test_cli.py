@@ -409,6 +409,7 @@ class TestServe:
             ("serve", "ldpc", "--arrival", "uniform:3"),
             ("serve", "ldpc", "--workers", "0"),
             ("serve", "ldpc", "--max-batch", "0"),
+            ("serve", "ldpc", "--retune", "2"),
         ],
     )
     def test_serve_flag_validation(self, capsys, argv):

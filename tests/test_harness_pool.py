@@ -96,8 +96,9 @@ class TestDeterminism:
         assert suite_json(parallel) == suite_json(serial)
 
     def test_parallel_merged_reports_match_serial(self):
-        # Two devices -> 12 observed cells, exercising the chunked
-        # (fixed fan-in) report reduction tree beyond one chunk.
+        """The aggregate of the observed cells' reports is byte-identical
+        for any worker count: cells come back in plan order, and the
+        reports fold left to right in that order."""
         devices = ("K20c", "GTX1080")
         serial = run_suite(
             workloads=WORKLOADS, devices=devices, workers=1, observe=True
@@ -107,33 +108,15 @@ class TestDeterminism:
         )
         assert suite_json(parallel) == suite_json(serial)
         agg_serial = aggregate_reports(serial.cells).to_dict()
-        agg_parallel = aggregate_reports(parallel.cells, workers=4).to_dict()
+        agg_parallel = aggregate_reports(parallel.cells).to_dict()
         assert json.dumps(agg_parallel, sort_keys=True) == json.dumps(
             agg_serial, sort_keys=True
         )
-
-    def test_aggregate_histogram_percentiles_worker_invariant(self):
-        """Property: the merged report's latency histograms — and the
-        percentiles derived from them — are identical whichever worker
-        count folded the per-cell reports, including the fan-in-8
-        chunked reduction (12 observed cells > one chunk)."""
-        devices = ("K20c", "GTX1080")
-        suite = run_suite(
-            workloads=WORKLOADS, devices=devices, workers=2, observe=True
-        )
-        observed = [
-            cell for cell in suite.cells if cell.result.report is not None
-        ]
-        assert len(observed) > 8  # forces the chunk-tree path
-        reference = aggregate_reports(suite.cells, workers=1).to_dict()
-        for workers in (2, 3, 5):
-            merged = aggregate_reports(suite.cells, workers=workers).to_dict()
-            assert json.dumps(merged, sort_keys=True) == json.dumps(
-                reference, sort_keys=True
-            )
-        # The percentile fields themselves must be populated, not just
-        # vacuously equal empty histograms.
-        latencies = reference["stage_latency"]
+        # Every observed cell is folded in (two devices: 12 cells), and
+        # the percentile fields are populated, not vacuously equal empty
+        # histograms.
+        assert agg_serial["runs"] == 12
+        latencies = agg_serial["stage_latency"]
         assert latencies
         for hist in latencies.values():
             assert hist["count"] > 0
