@@ -20,6 +20,12 @@ replayed task.  Calls and bytecodes are counted with ``sys.settrace``, so
 they repeat exactly from run to run where wall time on a shared host
 does not; they compare two versions of the simulator's host code.
 
+``--record WORKLOAD`` times the workload's stage code instead: it
+synthesises the paper-scale inputs, records one trace as the harness
+does, and prints the CPU seconds of each and, per stage, the CPU seconds
+and tasks of the recording's ``FunctionalExecutor.run_batch`` calls.
+The largest row is the next kernel hotspot.
+
 Usage::
 
     PYTHONPATH=src python scripts/profile_run.py synthetic --model megakernel
@@ -27,6 +33,7 @@ Usage::
     PYTHONPATH=src python scripts/profile_run.py face_detection \
         --callgrind callgrind.out.face
     PYTHONPATH=src python scripts/profile_run.py --replay ldpc -n 2
+    PYTHONPATH=src python scripts/profile_run.py --record face_detection
 
 ``synthetic`` is the deep-pipeline stress case ``synthetic_deep`` of
 :mod:`repro.harness.simspeed` at bench scale (10 stages, 256 items;
@@ -42,6 +49,7 @@ import pstats
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -145,6 +153,51 @@ def replay_counts(workload: str, device_name: str, n: int) -> dict[str, int]:
     return counts
 
 
+def record_times(workload: str, device_name: str, quick: bool = False) -> dict:
+    """Time input synthesis and one recording of ``workload``.
+
+    The recording is the harness's (``profile_pipeline`` keeping the
+    outputs): a breadth-first walk that drains each stage through
+    ``FunctionalExecutor.run_batch``.  Each of those calls is timed and
+    its items counted.  Returns CPU seconds ``inputs_s`` and ``record_s``
+    and ``stages``, mapping each stage to ``[cpu_s, tasks]``.
+    """
+    from repro.core.tuner.profiler import profile_pipeline
+    from repro.workloads.registry import get_workload
+
+    wspec = get_workload(workload)
+    params = wspec.quick_params() if quick else wspec.default_params()
+    pipeline = wspec.build_pipeline(params)
+    start = time.process_time()
+    initial = wspec.initial_items(params)
+    inputs_s = time.process_time() - start
+    stages = {name: [0.0, 0] for name in pipeline.stage_names}
+    run_batch = FunctionalExecutor.run_batch
+
+    def timed_run_batch(self, stage, items):
+        begin = time.process_time()
+        results = run_batch(self, stage, items)
+        stages[stage][0] += time.process_time() - begin
+        stages[stage][1] += len(items)
+        return results
+
+    with mock.patch.object(FunctionalExecutor, "run_batch", timed_run_batch):
+        start = time.process_time()
+        profile_pipeline(pipeline, _DEVICES[device_name], initial,
+                         record_outputs=True)
+        record_s = time.process_time() - start
+    return {"inputs_s": inputs_s, "record_s": record_s, "stages": stages}
+
+
+def print_record_times(workload: str, times: dict) -> None:
+    print(f"== record {workload} ==")
+    print(f"inputs         : {times['inputs_s']:10.3f} s CPU")
+    print(f"recording      : {times['record_s']:10.3f} s CPU")
+    print(f"{'stage':<15}  {'cpu s':>9}  {'tasks':>8}")
+    for name, (cpu_s, tasks) in times["stages"].items():
+        print(f"{name:<15}  {cpu_s:9.3f}  {tasks:8d}")
+
+
 def write_callgrind(stats: pstats.Stats, path: str) -> None:
     """Dump cProfile stats as a callgrind file (times in microseconds)."""
     with open(path, "w", encoding="utf-8") as out:
@@ -183,6 +236,10 @@ def main(argv=None) -> int:
                         help="count calls, bytecodes and events per task "
                              "over tuner replays of WORKLOAD's paper-scale "
                              "trace instead of profiling")
+    parser.add_argument("--record", metavar="WORKLOAD", default=None,
+                        help="time input synthesis and one paper-scale "
+                             "recording of WORKLOAD, split by stage, "
+                             "instead of profiling")
     parser.add_argument("--model", default="megakernel",
                         choices=("megakernel", "versapipe", "kbk"))
     parser.add_argument("--device", default="K20c", choices=sorted(_DEVICES))
@@ -207,8 +264,11 @@ def main(argv=None) -> int:
             print(f"{key + ' / task':<15}: {counts[key] / tasks:10.1f} "
                   f"({counts[key]} in all)")
         return 0
+    if args.record is not None:
+        print_record_times(args.record, record_times(args.record, args.device))
+        return 0
     if args.workload is None:
-        parser.error("a workload (or --replay WORKLOAD) is required")
+        parser.error("a workload (or --replay/--record WORKLOAD) is required")
     if args.top is None:
         args.top = 25
 

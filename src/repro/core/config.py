@@ -16,7 +16,7 @@ The pure models are special cases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from ..gpu.occupancy import max_blocks_per_sm, registers_per_block, shared_mem_per_block
@@ -97,12 +97,6 @@ class PipelineConfig:
                 seen_sms.add(sm)
             if group.model == "fine":
                 _validate_fine_residency(pipeline, spec, group)
-
-    def group_of(self, stage: str) -> GroupConfig:
-        for group in self.groups:
-            if stage in group.stages:
-                return group
-        raise ConfigurationError(f"stage {stage!r} not in any group")
 
     def describe(self) -> str:
         """Human-readable one-line-per-group summary."""

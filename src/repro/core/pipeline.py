@@ -12,7 +12,7 @@ stage-group quiescence detection and the online tuner) are computed here.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PipelineDefinitionError
 from .stage import OUTPUT, Stage
@@ -151,14 +151,3 @@ class Pipeline:
 
     def __repr__(self) -> str:
         return f"<Pipeline {self.name}: {' -> '.join(self.stages)}>"
-
-
-def validate_initial_items(
-    pipeline: Pipeline, items: Mapping[str, Sequence[object]]
-) -> None:
-    """Check that initial insertions target known stages."""
-    for name in items:
-        if name not in pipeline.stages:
-            raise PipelineDefinitionError(
-                f"initial items target unknown stage {name!r}"
-            )

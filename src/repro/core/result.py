@@ -27,12 +27,6 @@ class RunResult:
     #: Derived telemetry; populated only when the run was observed.
     report: Optional[RunReport] = None
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """How much faster this run is than ``other`` (>1 means faster)."""
-        if self.time_ms <= 0:
-            raise ValueError("cannot compute speedup of a zero-time run")
-        return other.time_ms / self.time_ms
-
     def summary(self) -> str:
         return (
             f"{self.model}: {self.time_ms:.3f} ms, "

@@ -66,16 +66,6 @@ class QueuePressure:
     peak_per_stage: dict[str, int]
     residual_per_stage: dict[str, int]
 
-    @property
-    def peak_total(self) -> int:
-        return sum(self.peak_per_stage.values())
-
-    @property
-    def hottest_stage(self) -> str:
-        if not self.peak_per_stage:
-            return ""
-        return max(self.peak_per_stage, key=self.peak_per_stage.__getitem__)
-
 
 def queue_pressure(depth: DepthSeries) -> QueuePressure:
     """Summarise a finished run's :class:`DepthSeries`."""

@@ -78,7 +78,7 @@ class LatencyPredictor:
 
     __slots__ = ("stage_wait", "stage_service", "stage_visits", "completed")
 
-    def __init__(self, alpha: float = 0.3) -> None:
+    def __init__(self) -> None:
         self.stage_wait: dict[str, Ewma] = {}
         self.stage_service: dict[str, Ewma] = {}
         self.stage_visits: dict[str, Ewma] = {}

@@ -122,10 +122,6 @@ def _pressure_arrays(
     )
 
 
-def _pressure(state: ChunkState) -> np.ndarray:
-    return _pressure_arrays(state.density, state.momentum, state.energy)
-
-
 def compute_step_factor_arrays(
     density: np.ndarray, momentum: np.ndarray, energy: np.ndarray
 ) -> np.ndarray:

@@ -38,6 +38,8 @@ from .registry import PaperNumbers, WorkloadSpec, register_workload
 
 WINDOW = 24
 STRIDE = 8
+# Scanning scores each window as a 3x3 block of STRIDE x STRIDE cells.
+assert WINDOW == 3 * STRIDE
 HIST_BINS = 16
 #: Chi-square distance below which a window is declared a face.
 DETECT_THRESHOLD = 0.18
@@ -119,29 +121,6 @@ def face_template() -> np.ndarray:
     return images.lbp_histogram(codes, HIST_BINS)
 
 
-def _window_histograms(codes: np.ndarray, rows: range) -> np.ndarray:
-    """Folded LBP histograms of every window whose window-row index is in
-    ``rows``; returns (n_windows, HIST_BINS), row-major order."""
-    folded = codes // (256 // HIST_BINS)
-    width = folded.shape[1]
-    cols = (width - WINDOW) // STRIDE + 1
-    patches = []
-    for row in rows:
-        y = row * STRIDE
-        strip = folded[y : y + WINDOW]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            strip, (WINDOW, WINDOW)
-        )[0, ::STRIDE]
-        patches.append(windows.reshape(cols, WINDOW * WINDOW))
-    stacked = np.concatenate(patches, axis=0)
-    n = stacked.shape[0]
-    flat = stacked.astype(np.int64) + HIST_BINS * np.arange(n)[:, None]
-    hist = np.bincount(flat.ravel(), minlength=n * HIST_BINS).reshape(
-        n, HIST_BINS
-    )
-    return hist / (WINDOW * WINDOW)
-
-
 def _chi_square(hists: np.ndarray, template: np.ndarray) -> np.ndarray:
     diff = hists - template
     denom = hists + template + 1e-9
@@ -153,35 +132,58 @@ def _chi_square(hists: np.ndarray, template: np.ndarray) -> np.ndarray:
 CONTRAST_THRESHOLD = 80.0
 
 
-def _window_contrast(pixels: np.ndarray, rows: range) -> np.ndarray:
-    """Interior face contrast of each window in the band.
+def band_scores(item: _BandItem) -> tuple[np.ndarray, np.ndarray]:
+    """Chi-square distance to the face template and interior contrast of
+    every window in the band, row-major.
 
-    Compares the bright cheek/nose region of the face template against the
-    two dark eye sockets — a structural feature *inside* the window, so it
-    is invariant to how bright the surrounding background happens to be
-    (unlike a centre-vs-corner test, which fails for faces planted on
-    bright textured regions).
+    Windows overlap: each is a 3x3 block of STRIDE x STRIDE cells.  So the
+    band's folded codes are binned once per cell, and a window's histogram
+    is the sum of its nine cell histograms; integer counts make that equal
+    to binning the window's 576 codes directly.
+
+    The contrast compares the bright cheek/nose region of the face
+    template against the two dark eye sockets — a structural feature
+    *inside* the window, so it is invariant to how bright the surrounding
+    background happens to be (unlike a centre-vs-corner test, which fails
+    for faces planted on bright textured regions).
     """
-    # Match the window grid of the LBP code map (codes are (H-2, W-2)).
-    cropped = pixels[1:-1, 1:-1].astype(np.float32)
-    width = cropped.shape[1]
-    cols = (width - WINDOW) // STRIDE + 1
-    out = []
-    for row in rows:
-        y = row * STRIDE
-        strip = cropped[y : y + WINDOW]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            strip, (WINDOW, WINDOW)
-        )[0, ::STRIDE]
-        cheeks = windows[:, 11:16, 8:16].mean(axis=(1, 2))
-        # Min-pool the eye boxes: the dark pupil dot survives resampling
-        # misalignment, while smooth background keeps min ~= mean.
-        eyes = (
-            windows[:, 5:10, 5:10].min(axis=(1, 2))
-            + windows[:, 5:10, 12:17].min(axis=(1, 2))
-        ) / 2.0
-        out.append(cheeks - eyes)
-    return np.concatenate(out)
+    n = item.num_rows
+    cols = (item.codes.shape[1] - WINDOW) // STRIDE + 1
+    cell_rows, cell_cols = n + 2, cols + 2
+    y0 = item.row_start * STRIDE
+    y1 = y0 + cell_rows * STRIDE
+    x1 = cell_cols * STRIDE
+    folded = item.codes[y0:y1, :x1] // (256 // HIST_BINS)
+    # The cell of each code, by cell row and code column.
+    cell = np.arange(cell_rows)[:, None, None] * cell_cols
+    cell = cell + np.arange(x1) // STRIDE
+    binned = folded.reshape(cell_rows, STRIDE, x1) + HIST_BINS * cell
+    counts = np.bincount(
+        binned.ravel(), minlength=HIST_BINS * cell_rows * cell_cols
+    ).reshape(cell_rows, cell_cols, HIST_BINS)
+    counts = counts[:-2] + counts[1:-1] + counts[2:]
+    hists = counts[:, :-2] + counts[:, 1:-1] + counts[:, 2:]
+    scores = _chi_square(
+        hists.reshape(-1, HIST_BINS) / (WINDOW * WINDOW), face_template()
+    )
+    # The pixel strip under the band, on the code map's grid (codes are
+    # (H-2, W-2)): every window is a strided view into it, not a copy.
+    strip = item.pixels[1 + y0 : 1 + y1, 1:-1].astype(np.float32)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        strip, (WINDOW, WINDOW)
+    )[::STRIDE, ::STRIDE]
+    cheeks = windows[:, :, 11:16, 8:16].mean(axis=(2, 3))
+    # Min-pool the eye boxes (rows 5-9; columns 5-9 and 12-16): the dark
+    # pupil dot survives resampling misalignment, while smooth background
+    # keeps min ~= mean.  The pool is separable: a min over five
+    # window-strided row slices, then over five column slices per eye.
+    rows = np.min([strip[y::STRIDE][:n] for y in range(5, 10)], axis=0)
+    left, right = (
+        np.min([rows[:, x::STRIDE][:, :cols] for x in xs], axis=0)
+        for xs in (range(5, 10), range(12, 17))
+    )
+    eyes = (left + right) / 2.0
+    return scores, (cheeks - eyes).reshape(-1)
 
 
 class FDGrayscale(Stage):
@@ -380,19 +382,7 @@ class FDScanning(Stage):
     code_bytes = 2200
 
     def execute(self, item: _BandItem, ctx) -> None:
-        rows = range(item.row_start, item.row_start + item.num_rows)
-        hists = _window_histograms(item.codes, rows)
-        scores = _chi_square(hists, face_template())
-        contrast = _window_contrast(item.pixels, rows)
-        self._emit_detections(item, scores, contrast, ctx)
-
-    def _emit_detections(
-        self,
-        item: _BandItem,
-        scores: np.ndarray,
-        contrast: np.ndarray,
-        ctx,
-    ) -> None:
+        scores, contrast = band_scores(item)
         cols = (item.codes.shape[1] - WINDOW) // STRIDE + 1
         scale = 2**item.level
         accepted = np.nonzero(
@@ -411,49 +401,6 @@ class FDScanning(Stage):
                     score=float(scores[index]),
                 )
             )
-
-    def execute_batch(self, items, ctxs):
-        # Bands of one pyramid level share their (read-only) code map; all
-        # their windows classify in one strided pass over that map.
-        for indices in group_indices(items, lambda it: id(it.codes)).values():
-            self._execute_level(
-                [items[i] for i in indices], [ctxs[i] for i in indices]
-            )
-        return [self.cost(item) for item in items]
-
-    def _execute_level(self, items: list[_BandItem], ctxs: list) -> None:
-        codes = items[0].codes
-        pixels = items[0].pixels
-        swv = np.lib.stride_tricks.sliding_window_view
-        cols = (codes.shape[1] - WINDOW) // STRIDE + 1
-        # Shared per-level work the scalar path redoes per band: folding the
-        # code map, converting pixels to float, building the window views.
-        folded = codes // (256 // HIST_BINS)
-        code_wins = swv(folded, (WINDOW, WINDOW))[:, ::STRIDE]
-        cropped = pixels[1:-1, 1:-1].astype(np.float32)
-        pix_wins = swv(cropped, (WINDOW, WINDOW))[:, ::STRIDE]
-        # The histograms themselves stay chunked per band: gathering every
-        # band's windows into one array was measured slower (the int64
-        # histogram input balloons past the cache), while per-band chunks
-        # stay resident.  Integer counts are order-independent, so the
-        # per-band chi-square/contrast values match the scalar pass exactly.
-        for item, ctx in zip(items, ctxs):
-            ys = STRIDE * np.arange(item.row_start, item.row_start + item.num_rows)
-            wins = code_wins[ys]
-            n = item.num_rows * cols
-            flat = wins.reshape(n, WINDOW * WINDOW).astype(np.int64)
-            hist = np.bincount(
-                (flat + HIST_BINS * np.arange(n)[:, None]).ravel(),
-                minlength=n * HIST_BINS,
-            ).reshape(n, HIST_BINS) / (WINDOW * WINDOW)
-            scores = _chi_square(hist, face_template())
-            pwins = pix_wins[ys]
-            cheeks = pwins[:, :, 11:16, 8:16].mean(axis=(2, 3))
-            eyes = (
-                pwins[:, :, 5:10, 5:10].min(axis=(2, 3))
-                + pwins[:, :, 5:10, 12:17].min(axis=(2, 3))
-            ) / 2.0
-            self._emit_detections(item, scores, (cheeks - eyes).reshape(n), ctx)
 
     def cost(self, item: _BandItem) -> TaskCost:
         cols = (item.codes.shape[1] - WINDOW) // STRIDE + 1

@@ -75,10 +75,6 @@ class LDPCParams:
         return self.n_bits * self.var_degree // self.check_degree
 
     @property
-    def n_edges(self) -> int:
-        return self.n_bits * self.var_degree
-
-    @property
     def modelled_edges(self) -> int:
         return self.modelled_bits * self.var_degree
 
