@@ -11,8 +11,6 @@
    groups must never hurt, and helps stage-imbalanced coarse plans.
 """
 
-import pytest
-
 from repro.core.config import GroupConfig, PipelineConfig
 from repro.core.executor import FunctionalExecutor
 from repro.core.models import HybridModel, MegakernelModel

@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from repro.core.executor import Executor, FunctionalExecutor
 from repro.harness import TraceCache, run_workload_models
 from repro.harness.tables import render_figure11
 from repro.workloads.registry import all_workloads
@@ -118,15 +119,18 @@ def test_fig11_device_consistency(benchmark, k20c_cells, gtx1080_cells):
         assert vp_g >= 1.0, f"{name} regressed on GTX1080"
 
 
-def test_scalar_path_equals_batched_replay():
+def test_scalar_path_equals_batched_replay(monkeypatch):
     """Batched kernels and trace replay are schedule-preserving: at paper
     scale on K20c, every workload's three Table-2 columns simulate the
-    same cells on the scalar reference path (one item per
-    ``execute_batch`` call, every model re-running the stage code) as on
-    the default path (unlimited batches, one recording replayed)."""
+    same cells on the scalar reference path (``FunctionalExecutor.run_batch``
+    swapped for the base ``Executor.run_batch``, which runs every item
+    through ``run_task``, and every model re-running the stage code) as
+    on the default path (whole-drain batches, one recording replayed)."""
     for name in sorted(all_workloads()):
-        scalar = run_workload_models(name, batch_size=1, cache=None)
         batched = run_workload_models(name, cache=TraceCache())
+        with monkeypatch.context() as patch:
+            patch.setattr(FunctionalExecutor, "run_batch", Executor.run_batch)
+            scalar = run_workload_models(name, cache=None)
         for column, old in scalar.items():
             new = batched[column]
             assert old.time_ms == new.time_ms, (name, column)

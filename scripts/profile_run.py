@@ -24,7 +24,13 @@ does not; they compare two versions of the simulator's host code.
 synthesises the paper-scale inputs, records one trace as the harness
 does, and prints the CPU seconds of each and, per stage, the CPU seconds
 and tasks of the recording's ``FunctionalExecutor.run_batch`` calls.
-The largest row is the next kernel hotspot.
+The largest row is the next kernel hotspot.  It then records again with
+every stage's ``execute_batch`` override swapped for the scalar loop,
+and once per override with only that one swapped, checks that each
+recording is the same, and prints each overriding stage's CPU seconds
+with the scalar loop, how much longer the whole recording took without
+its override, and its drain sizes (drains, and drains of one item,
+which skip ``execute_batch``), so it says whether each override pays.
 
 Usage::
 
@@ -45,11 +51,18 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
+import hashlib
 import pstats
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from types import MethodType
+from typing import Optional
 from unittest import mock
+
+import numpy as np
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -153,49 +166,155 @@ def replay_counts(workload: str, device_name: str, n: int) -> dict[str, int]:
     return counts
 
 
+@dataclass
+class StageTimes:
+    """One stage's share of a recording."""
+
+    cpu_s: float = 0.0
+    tasks: int = 0
+    #: ``FunctionalExecutor.run_batch`` calls (same-stage drains of the
+    #: breadth-first frontier), and how many of them held one item.
+    drains: int = 0
+    one_item: int = 0
+    #: For a stage that overrides ``execute_batch`` (``None`` for the
+    #: rest): its CPU seconds in the recording with every override
+    #: swapped for ``Stage.execute_batch``'s scalar loop, and how much
+    #: longer the whole recording took with only this override swapped.
+    #: The two differ when an override's payloads speed up later stages.
+    scalar_s: Optional[float] = None
+    saved_s: Optional[float] = None
+
+
+def _feed(hasher, value) -> None:
+    """Hash one output payload exactly (arrays by dtype, shape, bytes)."""
+    if isinstance(value, np.ndarray):
+        hasher.update(f"ndarray|{value.dtype.str}|{value.shape}|".encode())
+        hasher.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        hasher.update(f"{type(value).__name__}(".encode())
+        for field in dataclasses.fields(value):
+            hasher.update(f"{field.name}=".encode())
+            _feed(hasher, getattr(value, field.name))
+        hasher.update(b")")
+    else:
+        hasher.update(f"{type(value).__name__}:{value!r}".encode())
+    hasher.update(b"\n")
+
+
+def recording_digest(trace) -> str:
+    """sha256 of a recording: its task graph and every output payload."""
+    from repro.core.tuner.cache import trace_fingerprint
+
+    hasher = hashlib.sha256(trace_fingerprint(trace).encode())
+    for node_id in sorted(trace.recorded_outputs):
+        hasher.update(f"outputs of {node_id}\n".encode())
+        for payload in trace.recorded_outputs[node_id]:
+            _feed(hasher, payload)
+    return hasher.hexdigest()
+
+
 def record_times(workload: str, device_name: str, quick: bool = False) -> dict:
-    """Time input synthesis and one recording of ``workload``.
+    """Time input synthesis and one recording of ``workload``, then say
+    what each stage's ``execute_batch`` override is worth.
 
     The recording is the harness's (``profile_pipeline`` keeping the
     outputs): a breadth-first walk that drains each stage through
     ``FunctionalExecutor.run_batch``.  Each of those calls is timed and
-    its items counted.  Returns CPU seconds ``inputs_s`` and ``record_s``
-    and ``stages``, mapping each stage to ``[cpu_s, tasks]``.
+    its items counted.  The workload is then recorded again with every
+    overriding stage's ``execute_batch`` swapped for the scalar loop of
+    ``Stage.execute_batch``, and once more per overriding stage with
+    only that one swapped.  Each must produce the same recording digest
+    (task graph and output payloads), or this raises ``SystemExit``.
+    Returns CPU seconds ``inputs_s``, ``record_s`` and ``scalar_s`` (the
+    all-scalar recording), and ``stages``, mapping each stage to its
+    :class:`StageTimes`.  Single runs on a shared host are noisy: repeat
+    before trusting a saving.
     """
+    from repro.core.stage import Stage
     from repro.core.tuner.profiler import profile_pipeline
     from repro.workloads.registry import get_workload
 
     wspec = get_workload(workload)
     params = wspec.quick_params() if quick else wspec.default_params()
-    pipeline = wspec.build_pipeline(params)
     start = time.process_time()
     initial = wspec.initial_items(params)
     inputs_s = time.process_time() - start
-    stages = {name: [0.0, 0] for name in pipeline.stage_names}
     run_batch = FunctionalExecutor.run_batch
+    overriding = [
+        name
+        for name, stage in wspec.build_pipeline(params).stages.items()
+        if type(stage).execute_batch is not Stage.execute_batch
+    ]
 
-    def timed_run_batch(self, stage, items):
-        begin = time.process_time()
-        results = run_batch(self, stage, items)
-        stages[stage][0] += time.process_time() - begin
-        stages[stage][1] += len(items)
-        return results
+    def record(scalar: list[str]) -> tuple[float, dict[str, StageTimes], str]:
+        """One timed recording with the ``scalar`` stages' overrides
+        swapped for the scalar loop; returns its CPU seconds, its
+        per-stage split and its digest."""
+        pipeline = wspec.build_pipeline(params)
+        stages = {name: StageTimes() for name in pipeline.stage_names}
+        for name in scalar:
+            stage = pipeline.stage(name)
+            stage.execute_batch = MethodType(  # type: ignore[method-assign]
+                Stage.execute_batch, stage
+            )
 
-    with mock.patch.object(FunctionalExecutor, "run_batch", timed_run_batch):
-        start = time.process_time()
-        profile_pipeline(pipeline, _DEVICES[device_name], initial,
-                         record_outputs=True)
-        record_s = time.process_time() - start
-    return {"inputs_s": inputs_s, "record_s": record_s, "stages": stages}
+        def timed_run_batch(self, stage, items):
+            begin = time.process_time()
+            results = run_batch(self, stage, items)
+            row = stages[stage]
+            row.cpu_s += time.process_time() - begin
+            row.tasks += len(items)
+            row.drains += 1
+            row.one_item += len(items) == 1
+            return results
+
+        with mock.patch.object(FunctionalExecutor, "run_batch", timed_run_batch):
+            begin = time.process_time()
+            _profile, trace = profile_pipeline(
+                pipeline, _DEVICES[device_name], initial, record_outputs=True
+            )
+            record_s = time.process_time() - begin
+        return record_s, stages, recording_digest(trace)
+
+    record([])  # warm-up: first-call costs would land on one side only
+    record_s, stages, digest = record([])
+    scalar_s, scalar_stages, scalar_digest = record(overriding)
+    digests = {", ".join(overriding): scalar_digest}
+    for name in overriding:
+        alone_s, _stages, digests[name] = record([name])
+        stages[name].scalar_s = scalar_stages[name].cpu_s
+        stages[name].saved_s = alone_s - record_s
+    for swapped, other in digests.items():
+        if other != digest:
+            raise SystemExit(
+                f"{workload}: the scalar loop of {swapped} recorded a "
+                f"different trace ({other[:12]} vs {digest[:12]})"
+            )
+    return {
+        "inputs_s": inputs_s,
+        "record_s": record_s,
+        "scalar_s": scalar_s,
+        "stages": stages,
+    }
 
 
 def print_record_times(workload: str, times: dict) -> None:
     print(f"== record {workload} ==")
     print(f"inputs         : {times['inputs_s']:10.3f} s CPU")
     print(f"recording      : {times['record_s']:10.3f} s CPU")
-    print(f"{'stage':<15}  {'cpu s':>9}  {'tasks':>8}")
-    for name, (cpu_s, tasks) in times["stages"].items():
-        print(f"{name:<15}  {cpu_s:9.3f}  {tasks:8d}")
+    print(f"scalar loops   : {times['scalar_s']:10.3f} s CPU "
+          "(every execute_batch override off; same recording)")
+    print("scalar s: the stage with every override off; saved s: the "
+          "whole recording with only its override off, minus the first")
+    print(f"{'stage':<15}  {'cpu s':>9}  {'tasks':>8}  {'drains':>7}  "
+          f"{'1-item':>7}  {'scalar s':>9}  {'saved s':>8}")
+    for name, row in times["stages"].items():
+        if row.scalar_s is None or row.saved_s is None:
+            override = f"{'-':>9}  {'-':>8}"
+        else:
+            override = f"{row.scalar_s:9.3f}  {row.saved_s:8.3f}"
+        print(f"{name:<15}  {row.cpu_s:9.3f}  {row.tasks:8d}  "
+              f"{row.drains:7d}  {row.one_item:7d}  {override}")
 
 
 def write_callgrind(stats: pstats.Stats, path: str) -> None:

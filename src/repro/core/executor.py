@@ -130,17 +130,15 @@ class Executor:
 class FunctionalExecutor(Executor):
     """Runs the real stage code on raw payloads.
 
-    ``batch_size`` caps how many items one :meth:`run_batch` call hands to
-    ``Stage.execute_batch`` at a time: ``None`` (the default) means
-    unlimited, ``1`` disables batching entirely and forces the scalar
-    :meth:`run_task` path (useful for equivalence testing).
+    :meth:`run_batch` hands a whole same-stage drain to
+    ``Stage.execute_batch`` in one call, and a one-item drain to
+    :meth:`run_task`.  Tests that want the scalar reference path swap
+    :meth:`run_batch` for the base :meth:`Executor.run_batch`, the
+    per-item :meth:`run_task` loop.
     """
 
-    def __init__(self, pipeline: Pipeline, batch_size: int | None = None) -> None:
+    def __init__(self, pipeline: Pipeline) -> None:
         super().__init__(pipeline)
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1 (or None for unlimited)")
-        self.batch_size = batch_size
         # run_task is called once per simulated task: pre-resolve the
         # stage objects and their emit sets so the hot path does no
         # pipeline lookups and builds no frozensets.
@@ -166,39 +164,30 @@ class FunctionalExecutor(Executor):
         return ExecResult(cost=cost, children=ctx.children, outputs=ctx.outputs)
 
     def run_batch(self, stage: str, items: Sequence[object]) -> list[ExecResult]:
-        if self.batch_size == 1 or len(items) == 1:
-            return [self.run_task(stage, item) for item in items]
-        stage_obj = self._stages[stage]
+        if len(items) == 1:
+            return [self.run_task(stage, items[0])]
         emit_set = self._emit_sets[stage]
+        ctxs = [EmitContext(emit_set) for _ in items]
+        costs = self._stages[stage].execute_batch(items, ctxs)
+        if len(costs) != len(items):
+            raise ExecutionError(
+                f"stage {stage!r} returned {len(costs)} costs from "
+                f"execute_batch() for a batch of {len(items)}"
+            )
         results: list[ExecResult] = []
         append = results.append
-        cap = self.batch_size or len(items)
-        for start in range(0, len(items), cap):
-            chunk = items if cap >= len(items) else items[start : start + cap]
-            ctxs = [EmitContext(emit_set) for _ in chunk]
-            costs = stage_obj.execute_batch(chunk, ctxs)
-            if len(costs) != len(chunk):
-                raise ExecutionError(
-                    f"stage {stage!r} returned {len(costs)} costs from "
-                    f"execute_batch() for a batch of {len(chunk)}"
-                )
-            # Batched stages commonly return one shared frozen TaskCost
-            # for every item; validate each distinct object once.
-            last_cost = None
-            for cost, ctx in zip(costs, ctxs):
-                if cost is not last_cost:
-                    if not isinstance(cost, TaskCost):
-                        raise ExecutionError(
-                            f"stage {stage!r} returned "
-                            f"{type(cost).__name__} from execute_batch(); "
-                            "expected TaskCost"
-                        )
-                    last_cost = cost
-                append(
-                    ExecResult(
-                        cost=cost, children=ctx.children, outputs=ctx.outputs
+        # Batched stages commonly return one shared frozen TaskCost for
+        # every item; validate each distinct object once.
+        last_cost = None
+        for cost, ctx in zip(costs, ctxs):
+            if cost is not last_cost:
+                if not isinstance(cost, TaskCost):
+                    raise ExecutionError(
+                        f"stage {stage!r} returned {type(cost).__name__} "
+                        "from execute_batch(); expected TaskCost"
                     )
-                )
+                last_cost = cost
+            append(ExecResult(cost=cost, children=ctx.children, outputs=ctx.outputs))
         return results
 
 
@@ -209,14 +198,9 @@ class RecordingExecutor(Executor):
     as :attr:`trace` once the run completes.
     """
 
-    def __init__(
-        self,
-        pipeline: Pipeline,
-        batch_size: int | None = None,
-        record_outputs: bool = False,
-    ) -> None:
+    def __init__(self, pipeline: Pipeline, record_outputs: bool = False) -> None:
         super().__init__(pipeline)
-        self._functional = FunctionalExecutor(pipeline, batch_size=batch_size)
+        self._functional = FunctionalExecutor(pipeline)
         self._record_outputs = record_outputs
         self.trace = Trace()
 

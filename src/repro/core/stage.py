@@ -154,7 +154,9 @@ class Stage:
         path: emissions land on ``ctxs[i]`` in the same order ``execute``
         would produce, and ``result[i]`` is bit-identical to
         ``self.cost(items[i])``.  ``tests/test_batch_equivalence.py`` pins
-        this contract for the built-in workloads.
+        this contract for the built-in workloads.  Override only where it
+        pays: ``scripts/profile_run.py --record WORKLOAD`` times each
+        override of a workload against this loop.
         """
         costs: list[TaskCost] = []
         for item, ctx in zip(items, ctxs):

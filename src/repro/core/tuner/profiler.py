@@ -79,7 +79,6 @@ def profile_pipeline(
     pipeline: Pipeline,
     spec: GPUSpec,
     initial_items: dict[str, Sequence[object]],
-    batch_size: int | None = None,
     record_outputs: bool = False,
 ) -> tuple[PipelineProfile, Trace]:
     """Record a trace of the full task graph and summarise it per stage.
@@ -94,9 +93,7 @@ def profile_pipeline(
     With ``record_outputs=True`` the trace also keeps the real output
     payloads, making it reusable by the harness's replay cache.
     """
-    executor = RecordingExecutor(
-        pipeline, batch_size=batch_size, record_outputs=record_outputs
-    )
+    executor = RecordingExecutor(pipeline, record_outputs=record_outputs)
     frontier: deque[tuple[str, object]] = deque()
     for stage_name, payloads in initial_items.items():
         pipeline.stage(stage_name)  # validates the name

@@ -52,22 +52,21 @@ def execute_model(
     model: ExecutionModel,
     device: GPUDevice,
     params: object,
-    batch_size: Optional[int] = None,
     cache: Optional[Store] = None,
 ) -> tuple[RunResult, bool, Optional[Trace]]:
     """Run ``model`` with the cheapest executor that preserves the result.
 
-    Without a ``cache`` the stages execute functionally (``batch_size``
-    caps how many same-stage items each queue drain hands to
-    ``Stage.execute_batch``).  With a cache, the first run of a
-    (workload, params) cell records the full task trace — costs, children
-    *and* output payloads — with the tuner's breadth-first walk
-    (:func:`profile_pipeline`), and every run of the cell, the recording
-    one included, replays it with no stage code at all.  Sharing the
-    tuner's recorder keeps one node order per cache key, so a tuner
-    report never depends on whether the harness filled the cache first.
-    Both the batched and the replayed paths are schedule-preserving, so
-    the returned :class:`RunResult` is identical either way.
+    Without a ``cache`` the stages execute functionally, each queue
+    drain handed whole to ``Stage.execute_batch``.  With a cache, the
+    first run of a (workload, params) cell records the full task trace —
+    costs, children *and* output payloads — with the tuner's
+    breadth-first walk (:func:`profile_pipeline`), and every run of the
+    cell, the recording one included, replays it with no stage code at
+    all.  Sharing the tuner's recorder keeps one node order per cache
+    key, so a tuner report never depends on whether the harness filled
+    the cache first.  Both the functional and the replayed paths are
+    schedule-preserving, so the returned :class:`RunResult` is identical
+    either way.
 
     Returns ``(result, replayed, trace)``: ``replayed`` is True when the
     trace came from the cache rather than from this call, and ``trace``
@@ -83,7 +82,6 @@ def execute_model(
                 pipeline,
                 device.spec,
                 spec.initial_items(params),
-                batch_size=batch_size,
                 record_outputs=True,
             )
             cache.put(key, trace)
@@ -92,7 +90,7 @@ def execute_model(
             pipeline, device, executor, replay_placeholders(trace)
         )
         return result, replayed, trace
-    executor = FunctionalExecutor(pipeline, batch_size=batch_size)
+    executor = FunctionalExecutor(pipeline)
     result = model.run(pipeline, device, executor, spec.initial_items(params))
     return result, False, None
 
@@ -138,7 +136,6 @@ def run_cell(
     check: bool = True,
     label: Optional[str] = None,
     observe: bool = False,
-    batch_size: Optional[int] = None,
     cache: Optional[Store] = None,
 ) -> ExperimentCell:
     """Run one workload under one model on one simulated device.
@@ -157,8 +154,7 @@ def run_cell(
     device = GPUDevice(gpu)
     observer = Observer().attach(device) if observe else None
     result, replayed, trace = execute_model(
-        spec, pipeline, model, device, params, batch_size=batch_size,
-        cache=cache,
+        spec, pipeline, model, device, params, cache=cache
     )
     if check:
         check_cell(spec, params, result, trace, label or result.model)
@@ -216,7 +212,6 @@ def run_versapipe(
     params: Optional[object] = None,
     check: bool = True,
     observe: bool = False,
-    batch_size: Optional[int] = None,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
 ) -> ExperimentCell:
     """Run the workload as VersaPipe would: pick the fastest hybrid plan.
@@ -261,7 +256,6 @@ def run_versapipe(
             check=check,
             label="versapipe",
             observe=observe,
-            batch_size=batch_size,
             cache=cache,
         )
         if best is None or cell.time_ms < best.time_ms:
@@ -276,7 +270,6 @@ def run_workload_models(
     params: Optional[object] = None,
     check: bool = True,
     observe: bool = False,
-    batch_size: Optional[int] = None,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
     workers: Optional[int] = None,
 ) -> dict[str, ExperimentCell]:
@@ -285,8 +278,7 @@ def run_workload_models(
 
     By default the baseline run records the workload's task trace and the
     remaining columns replay it (compute once, simulate many); at
-    ``workers=1``, pass ``cache=None`` to run every column functionally,
-    with ``batch_size`` capping each ``Stage.execute_batch`` call.
+    ``workers=1``, pass ``cache=None`` to run every column functionally.
     ``workers`` > 1 fans the three columns across worker processes, which
     always record and replay (sharing functional work through the
     cache's directory, if it has one), with byte-identical simulated
@@ -299,10 +291,9 @@ def run_workload_models(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > 1:
-        if cache is None or batch_size is not None:
+        if cache is None:
             raise ValueError(
-                "workers > 1 always records and replays traces: pass a "
-                "cache and no batch_size"
+                "workers > 1 always records and replays traces: pass a cache"
             )
         from .pool import CellTask, run_cells  # lazy: pool imports us
 
@@ -330,7 +321,6 @@ def run_workload_models(
             check=check,
             label=spec.baseline_name,
             observe=observe,
-            batch_size=batch_size,
             cache=cache,
         ),
         "megakernel": run_cell(
@@ -340,7 +330,6 @@ def run_workload_models(
             params,
             check=check,
             observe=observe,
-            batch_size=batch_size,
             cache=cache,
         ),
         "versapipe": run_versapipe(
@@ -349,7 +338,6 @@ def run_workload_models(
             params,
             check=check,
             observe=observe,
-            batch_size=batch_size,
             cache=cache,
         ),
     }

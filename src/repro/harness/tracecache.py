@@ -92,6 +92,7 @@ class TraceCache(Store):
 
 
 #: Process-wide cache used by the harness entry points by default; the
-#: serial entry points take ``cache=None`` to force functional runs (the
-#: reference path the batch-equivalence tests compare against).
+#: serial entry points take ``cache=None`` to run every model's stage
+#: code instead (the functional reference that the batch-equivalence
+#: tests compare replay against).
 DEFAULT_TRACE_CACHE = TraceCache()

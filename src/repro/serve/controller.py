@@ -33,7 +33,7 @@ for the driver.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 #: Admission policy families accepted by ``--admission``.
 ADMISSION_KINDS = ("none", "drop-tail", "slo-ewma")
@@ -326,7 +326,3 @@ class ServeController:
             self.shed += 1
             return True
         return False
-
-
-#: Signature of :attr:`RunContext.batch_governor` hooks.
-BatchGovernor = Callable[[str, int], int]

@@ -1,4 +1,4 @@
-"""Shared helpers for the workloads' vectorised ``execute_batch`` paths.
+"""Shared helper for the workloads' vectorised ``execute_batch`` paths.
 
 Batched stage implementations must stay bit-identical to their scalar
 ``execute`` (see ``docs/batching.md``), so the only generic machinery they
@@ -13,14 +13,6 @@ from __future__ import annotations
 from typing import Callable, Hashable, Sequence, TypeVar
 
 T = TypeVar("T")
-
-#: Per-item element-count ceiling for stacked batch execution.  Items
-#: beyond this are already large enough to amortise numpy dispatch on
-#: their own, and stacking them only adds copies and cache pressure
-#: (measured slower on HD frames); groups of larger items should run the
-#: scalar path item by item.  Both paths are bit-identical, so this is a
-#: pure performance heuristic.
-STACK_ELEMENT_LIMIT = 1 << 17
 
 
 def group_indices(

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from ..core.pipeline import Pipeline
 from ..core.stage import OUTPUT, Stage, TaskCost
 from ..gpu.specs import GPUSpec
 from . import images
-from .batching import STACK_ELEMENT_LIMIT, group_indices
 from .registry import PaperNumbers, WorkloadSpec, register_workload
 
 WINDOW = 24
@@ -200,22 +198,6 @@ class FDGrayscale(Stage):
             _ImageItem(item.image_id, 0, images.to_grayscale(item.pixels)),
         )
 
-    def execute_batch(self, items, ctxs):
-        for indices in group_indices(items, lambda it: it.pixels.shape).values():
-            first = items[indices[0]].pixels
-            grays: Iterable[np.ndarray]
-            if first.ndim == 2:
-                grays = [items[i].pixels for i in indices]
-            elif first[..., 0].size > STACK_ELEMENT_LIMIT:
-                grays = [images.to_grayscale(items[i].pixels) for i in indices]
-            else:
-                grays = images.to_grayscale_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, gray in zip(indices, grays):
-                ctxs[i].emit("histeq", _ImageItem(items[i].image_id, 0, gray))
-        return [self.cost(item) for item in items]
-
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]
         return TaskCost(pixels * GRAY_CYCLES_PER_PIXEL / 256, mem_fraction=0.55)
@@ -236,21 +218,6 @@ class FDHistEq(Stage):
                 item.image_id, 0, images.equalize_histogram(item.pixels)
             ),
         )
-
-    def execute_batch(self, items, ctxs):
-        for indices in group_indices(items, lambda it: it.pixels.shape).values():
-            equalized: Iterable[np.ndarray]
-            if items[indices[0]].pixels.size > STACK_ELEMENT_LIMIT:
-                equalized = [
-                    images.equalize_histogram(items[i].pixels) for i in indices
-                ]
-            else:
-                equalized = images.equalize_histogram_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, eq in zip(indices, equalized):
-                ctxs[i].emit("resize", _ImageItem(items[i].image_id, 0, eq))
-        return [self.cost(item) for item in items]
 
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]
@@ -286,31 +253,6 @@ class FDResize(Stage):
                 ),
             )
 
-    def execute_batch(self, items, ctxs):
-        recurse: list[int] = []
-        for index, (item, ctx) in enumerate(zip(items, ctxs)):
-            ctx.emit("feature", item)
-            if item.pixels.shape[0] // 2 >= self.min_height:
-                recurse.append(index)
-        groups = group_indices(
-            [items[i] for i in recurse], lambda it: it.pixels.shape
-        )
-        for local_indices in groups.values():
-            indices = [recurse[j] for j in local_indices]
-            smaller: Iterable[np.ndarray]
-            if items[indices[0]].pixels.size > STACK_ELEMENT_LIMIT:
-                smaller = [images.downsample2x(items[i].pixels) for i in indices]
-            else:
-                smaller = images.downsample2x_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, small in zip(indices, smaller):
-                ctxs[i].emit(
-                    "resize",
-                    _ImageItem(items[i].image_id, items[i].level + 1, small),
-                )
-        return [self.cost(item) for item in items]
-
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]
         return TaskCost(pixels * RESIZE_CYCLES_PER_PIXEL / 256, mem_fraction=0.6)
@@ -332,9 +274,6 @@ class FDFeature(Stage):
 
     def execute(self, item: _ImageItem, ctx) -> None:
         codes = images.lbp_codes(item.pixels)
-        self._emit_bands(item, codes, ctx)
-
-    def _emit_bands(self, item: _ImageItem, codes: np.ndarray, ctx) -> None:
         window_rows = (codes.shape[0] - WINDOW) // STRIDE + 1
         if window_rows <= 0:
             return
@@ -350,19 +289,6 @@ class FDFeature(Stage):
                     pixels=item.pixels,
                 ),
             )
-
-    def execute_batch(self, items, ctxs):
-        for indices in group_indices(items, lambda it: it.pixels.shape).values():
-            codes: Iterable[np.ndarray]
-            if items[indices[0]].pixels.size > STACK_ELEMENT_LIMIT:
-                codes = [images.lbp_codes(items[i].pixels) for i in indices]
-            else:
-                codes = images.lbp_codes_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, code_map in zip(indices, codes):
-                self._emit_bands(items[i], code_map, ctxs[i])
-        return [self.cost(item) for item in items]
 
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]

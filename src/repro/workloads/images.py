@@ -74,10 +74,7 @@ def plant_faces(
             int(0.70 * size) : int(0.70 * size) + eye,
             int(0.35 * size) : int(0.65 * size),
         ] = 60.0
-        if patch.ndim == 3:
-            out[y : y + size, x : x + size] = patch.astype(np.uint8)
-        else:
-            out[y : y + size, x : x + size] = patch.astype(np.uint8)
+        out[y : y + size, x : x + size] = patch.astype(np.uint8)
     return out
 
 
@@ -86,17 +83,6 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
     if image.ndim == 2:
         return image
     gray = image.astype(np.float32) @ _LUMA
-    return np.clip(gray + 0.5, 0, 255).astype(np.uint8)
-
-
-def to_grayscale_batch(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`to_grayscale`: (B, H, W, 3) -> (B, H, W).
-
-    Bit-identical per item to the scalar routine — the luma matmul is a
-    gufunc over the last axis, so leading batch dimensions do not change
-    the per-pixel float reduction.
-    """
-    gray = stack.astype(np.float32) @ _LUMA
     return np.clip(gray + 0.5, 0, 255).astype(np.uint8)
 
 
@@ -114,33 +100,6 @@ def equalize_histogram(gray: np.ndarray) -> np.ndarray:
         np.round((cdf - cdf_min) * 255.0 / denom), 0, 255
     ).astype(np.uint8)
     return lut[gray]
-
-
-def equalize_histogram_batch(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`equalize_histogram`: (B, H, W) -> (B, H, W).
-
-    Histograms for the whole batch come from one offset ``bincount``; all
-    arithmetic (integer cumsum, the float LUT expression) matches the
-    scalar routine element for element.
-    """
-    batch = stack.shape[0]
-    flat = stack.reshape(batch, -1).astype(np.int64)
-    offsets = 256 * np.arange(batch, dtype=np.int64)[:, None]
-    hist = np.bincount(
-        (flat + offsets).ravel(), minlength=batch * 256
-    ).reshape(batch, 256)
-    cdf = np.cumsum(hist, axis=1)
-    total = cdf[:, -1]
-    if not total.all():
-        # Degenerate zero-pixel images: keep the scalar early-return path.
-        return np.stack([equalize_histogram(gray) for gray in stack])
-    first_nonzero = np.argmax(cdf > 0, axis=1)
-    cdf_min = np.take_along_axis(cdf, first_nonzero[:, None], axis=1)[:, 0]
-    denom = np.maximum(1, total - cdf_min)
-    lut = np.clip(
-        np.round((cdf - cdf_min[:, None]) * 255.0 / denom[:, None]), 0, 255
-    ).astype(np.uint8)
-    return np.take_along_axis(lut, flat, axis=1).reshape(stack.shape)
 
 
 def downsample2x(gray: np.ndarray) -> np.ndarray:
@@ -178,39 +137,6 @@ def lbp_codes(gray: np.ndarray) -> np.ndarray:
     height, width = center.shape
     for bit, (dy, dx) in enumerate(_LBP_OFFSETS):
         neighbour = gray[dy : dy + height, dx : dx + width]
-        codes |= ((neighbour >= center).astype(np.uint8)) << bit
-    return codes
-
-
-def downsample2x_batch(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`downsample2x`: (B, H, W) -> (B, H//2, W//2).
-
-    Pure integer arithmetic, so batching is trivially exact.
-    """
-    height, width = stack.shape[1:]
-    height -= height % 2
-    width -= width % 2
-    cropped = stack[:, :height, :width].astype(np.uint16)
-    pooled = (
-        cropped[:, 0::2, 0::2]
-        + cropped[:, 0::2, 1::2]
-        + cropped[:, 1::2, 0::2]
-        + cropped[:, 1::2, 1::2]
-        + 2
-    ) // 4
-    return pooled.astype(np.uint8)
-
-
-def lbp_codes_batch(stack: np.ndarray) -> np.ndarray:
-    """Batched :func:`lbp_codes`: (B, H, W) -> (B, H-2, W-2).
-
-    Integer comparisons and shifts — trivially exact under batching.
-    """
-    center = stack[:, 1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    height, width = center.shape[1:]
-    for bit, (dy, dx) in enumerate(_LBP_OFFSETS):
-        neighbour = stack[:, dy : dy + height, dx : dx + width]
         codes |= ((neighbour >= center).astype(np.uint8)) << bit
     return codes
 

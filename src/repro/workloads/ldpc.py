@@ -154,26 +154,6 @@ def _min_sum_update(v2c: np.ndarray) -> np.ndarray:
     return MINSUM_ALPHA * sign_prod * out
 
 
-def _stacked_totals(
-    llr: np.ndarray, c2v: np.ndarray, idx: np.ndarray, n_bits: int
-) -> np.ndarray:
-    """Batched variable-node totals: (B, n_bits) from stacked messages.
-
-    One offset ``bincount`` accumulates every frame's per-bit sums; bins
-    of different frames are disjoint and within a frame the weights appear
-    in the scalar input order, so each sum is bit-identical to the scalar
-    ``np.bincount(idx.ravel(), weights=frame.c2v.ravel())``.
-    """
-    batch = c2v.shape[0]
-    offsets = (n_bits * np.arange(batch))[:, None, None]
-    counts = np.bincount(
-        (idx[None, :, :] + offsets).ravel(),
-        weights=c2v.ravel(),
-        minlength=batch * n_bits,
-    ).reshape(batch, n_bits)
-    return llr + counts
-
-
 class InitializeStage(Stage):
     name = "initialize"
     emits_to = ("c2v",)
@@ -202,28 +182,6 @@ class InitializeStage(Stage):
                 iteration=0,
             ),
         )
-
-    def execute_batch(self, items, ctxs):
-        sigma = float(10 ** (-self.params.snr_db / 20.0))
-        idx = self.code.check_to_var
-        for indices in group_indices(
-            items, lambda it: it[1].shape
-        ).values():
-            samples = np.stack([items[i][1] for i in indices])
-            llr = 2.0 * samples / (sigma * sigma)
-            v2c = llr[:, idx]
-            for row, i in enumerate(indices):
-                ctxs[i].emit(
-                    "c2v",
-                    _Frame(
-                        frame_id=items[i][0],
-                        llr=llr[row],
-                        c2v=np.zeros(idx.shape),
-                        v2c=v2c[row],
-                        iteration=0,
-                    ),
-                )
-        return [self.cost(item) for item in items]
 
     def cost(self, item) -> TaskCost:
         return TaskCost(
@@ -312,30 +270,6 @@ class V2CStage(Stage):
         else:
             ctx.emit("c2v", nxt)
 
-    def execute_batch(self, items, ctxs):
-        idx = self.code.check_to_var
-        for indices in group_indices(
-            items, lambda it: it.c2v.shape
-        ).values():
-            llr = np.stack([items[i].llr for i in indices])
-            c2v = np.stack([items[i].c2v for i in indices])
-            totals = _stacked_totals(llr, c2v, idx, self.code.n_bits)
-            v2c = totals[:, idx] - c2v
-            for row, i in enumerate(indices):
-                frame = items[i]
-                nxt = _Frame(
-                    frame.frame_id,
-                    frame.llr,
-                    frame.c2v,
-                    v2c[row],
-                    frame.iteration + 1,
-                )
-                if nxt.iteration >= self.params.iterations:
-                    ctxs[i].emit("probvar", nxt)
-                else:
-                    ctxs[i].emit("c2v", nxt)
-        return [self.cost(item) for item in items]
-
     def cost(self, frame: _Frame) -> TaskCost:
         return TaskCost(
             self.params.modelled_edges * V2C_CYCLES_PER_EDGE / 256,
@@ -372,27 +306,6 @@ class ProbVarStage(Stage):
                 syndrome_ok=self.code.syndrome_ok(hard),
             )
         )
-
-    def execute_batch(self, items, ctxs):
-        idx = self.code.check_to_var
-        for indices in group_indices(
-            items, lambda it: it.c2v.shape
-        ).values():
-            llr = np.stack([items[i].llr for i in indices])
-            c2v = np.stack([items[i].c2v for i in indices])
-            totals = _stacked_totals(llr, c2v, idx, self.code.n_bits)
-            hard = (totals < 0).astype(np.uint8)
-            for row, i in enumerate(indices):
-                frame = items[i]
-                ctxs[i].emit_output(
-                    DecodedFrame(
-                        frame_id=frame.frame_id,
-                        bits=hard[row],
-                        iterations=frame.iteration,
-                        syndrome_ok=self.code.syndrome_ok(hard[row]),
-                    )
-                )
-        return [self.cost(item) for item in items]
 
     def cost(self, frame: _Frame) -> TaskCost:
         return TaskCost(

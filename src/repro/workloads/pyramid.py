@@ -23,7 +23,6 @@ feasible to execute 4 blocks (2 each)".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from ..core.pipeline import Pipeline
 from ..core.stage import OUTPUT, Stage, TaskCost
 from ..gpu.specs import GPUSpec
 from . import images
-from .batching import STACK_ELEMENT_LIMIT, group_indices
 from .registry import PaperNumbers, WorkloadSpec, register_workload
 
 #: Cost-model constants (cycles), calibrated against Table 2 on K20c.
@@ -96,23 +94,6 @@ class GrayscaleStage(Stage):
         gray = images.to_grayscale(item.pixels)
         ctx.emit("histeq", _ImageItem(item.image_id, 0, gray))
 
-    def execute_batch(self, items, ctxs):
-        for indices in group_indices(items, lambda it: it.pixels.shape).values():
-            first = items[indices[0]].pixels
-            grays: Iterable[np.ndarray]
-            if first.ndim == 2:
-                # Already grayscale: the scalar path passes pixels through.
-                grays = [items[i].pixels for i in indices]
-            elif first[..., 0].size > STACK_ELEMENT_LIMIT:
-                grays = [images.to_grayscale(items[i].pixels) for i in indices]
-            else:
-                grays = images.to_grayscale_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, gray in zip(indices, grays):
-                ctxs[i].emit("histeq", _ImageItem(items[i].image_id, 0, gray))
-        return [self.cost(item) for item in items]
-
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]
         return TaskCost(
@@ -133,21 +114,6 @@ class HistEqStage(Stage):
     def execute(self, item: _ImageItem, ctx) -> None:
         equalized = images.equalize_histogram(item.pixels)
         ctx.emit("resize", _ImageItem(item.image_id, 0, equalized))
-
-    def execute_batch(self, items, ctxs):
-        for indices in group_indices(items, lambda it: it.pixels.shape).values():
-            equalized: Iterable[np.ndarray]
-            if items[indices[0]].pixels.size > STACK_ELEMENT_LIMIT:
-                equalized = [
-                    images.equalize_histogram(items[i].pixels) for i in indices
-                ]
-            else:
-                equalized = images.equalize_histogram_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, eq in zip(indices, equalized):
-                ctxs[i].emit("resize", _ImageItem(items[i].image_id, 0, eq))
-        return [self.cost(item) for item in items]
 
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]
@@ -179,33 +145,6 @@ class ResizeStage(Stage):
             ctx.emit(
                 "resize", _ImageItem(item.image_id, item.level + 1, smaller)
             )
-
-    def execute_batch(self, items, ctxs):
-        recurse: list[int] = []
-        for index, (item, ctx) in enumerate(zip(items, ctxs)):
-            ctx.emit_output(
-                PyramidLevel(item.image_id, item.level, item.pixels)
-            )
-            if item.pixels.shape[0] // 2 >= self.min_height:
-                recurse.append(index)
-        groups = group_indices(
-            [items[i] for i in recurse], lambda it: it.pixels.shape
-        )
-        for local_indices in groups.values():
-            indices = [recurse[j] for j in local_indices]
-            smaller: Iterable[np.ndarray]
-            if items[indices[0]].pixels.size > STACK_ELEMENT_LIMIT:
-                smaller = [images.downsample2x(items[i].pixels) for i in indices]
-            else:
-                smaller = images.downsample2x_batch(
-                    np.stack([items[i].pixels for i in indices])
-                )
-            for i, small in zip(indices, smaller):
-                ctxs[i].emit(
-                    "resize",
-                    _ImageItem(items[i].image_id, items[i].level + 1, small),
-                )
-        return [self.cost(item) for item in items]
 
     def cost(self, item: _ImageItem) -> TaskCost:
         pixels = item.pixels.shape[0] * item.pixels.shape[1]

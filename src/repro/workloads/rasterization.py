@@ -128,8 +128,8 @@ def scene_objects(params: RasterParams) -> list[_ObjectItem]:
 
 
 def _project(points: np.ndarray, params: RasterParams) -> np.ndarray:
-    """Perspective projection of (..., 3) points; elementwise, so a stacked
-    (B, 8, 3) batch projects bit-identically to per-object calls."""
+    """Perspective projection of (..., 3) points to (..., 2) pixel
+    coordinates."""
     focal = 0.9 * params.height
     z = np.maximum(points[..., 2], 0.1)
     x = points[..., 0] / z * focal + params.width / 2
@@ -151,19 +151,6 @@ class ClipStage(Stage):
 
     def execute(self, item: _ObjectItem, ctx) -> None:
         screen = _project(item.vertices, self.params)
-        self._clip_faces(item, screen, ctx)
-
-    def execute_batch(self, items, ctxs):
-        screens = _project(
-            np.stack([item.vertices for item in items]), self.params
-        )
-        for item, screen, ctx in zip(items, screens, ctxs):
-            self._clip_faces(item, screen, ctx)
-        return [self.cost(item) for item in items]
-
-    def _clip_faces(
-        self, item: _ObjectItem, screen: np.ndarray, ctx
-    ) -> None:
         depths = item.vertices[:, 2]
         for tri_index, face in enumerate(_CUBE_FACES):
             tri_screen = screen[list(face)]

@@ -9,7 +9,7 @@ paper's reference numbers for shape comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..core.config import PipelineConfig

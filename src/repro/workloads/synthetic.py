@@ -15,8 +15,8 @@ satisfy the framework's purity requirement and replay correctly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from ..core.pipeline import Pipeline
 from ..core.stage import OUTPUT, Stage, TaskCost

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.core import (
+    OUTPUT,
     ExecutionError,
     FunctionalExecutor,
+    Pipeline,
     RecordingExecutor,
     ReplayExecutor,
+    Stage,
+    TaskCost,
 )
 from repro.core.tuner.profiler import profile_pipeline, replay_placeholders
 
@@ -40,6 +44,85 @@ class TestFunctionalExecutor:
     ):
         outputs = expand_fully(FunctionalExecutor(pipeline), initial_items)
         assert sorted(outputs) == expected_outputs
+
+
+_COST = TaskCost(100.0)
+
+
+class _ScriptedStage(Stage):
+    """Outputs every item; its batch costs and its cost() are scripted."""
+
+    name = "scripted"
+    emits_to = (OUTPUT,)
+
+    def __init__(self, batch_costs=None, cost=_COST):
+        super().__init__()
+        self._batch_costs = batch_costs
+        self._cost = cost
+        #: The items of each execute_batch call, in call order.
+        self.batches = []
+
+    def execute(self, item, ctx):
+        ctx.emit_output(item)
+
+    def cost(self, item):
+        return self._cost
+
+    def execute_batch(self, items, ctxs):
+        self.batches.append(list(items))
+        for item, ctx in zip(items, ctxs):
+            self.execute(item, ctx)
+        if self._batch_costs is None:
+            return [self.cost(item) for item in items]
+        return self._batch_costs(items)
+
+
+class TestRunBatchContract:
+    """What FunctionalExecutor.run_batch promises about execute_batch."""
+
+    def _run(self, stage, items):
+        executor = FunctionalExecutor(Pipeline([stage], name="scripted"))
+        return executor.run_batch("scripted", items)
+
+    def test_drain_reaches_execute_batch_in_one_call(self):
+        stage = _ScriptedStage()
+        results = self._run(stage, list(range(7)))
+        assert stage.batches == [list(range(7))]
+        assert [result.outputs for result in results] == [
+            [item] for item in range(7)
+        ]
+        assert all(result.cost is _COST for result in results)
+
+    def test_one_item_drain_skips_execute_batch(self):
+        stage = _ScriptedStage()
+        [result] = self._run(stage, [7])
+        assert stage.batches == []
+        assert result.outputs == [7]
+
+    def test_too_few_costs_raise(self):
+        stage = _ScriptedStage(
+            batch_costs=lambda items: [TaskCost(1.0)] * (len(items) - 1)
+        )
+        with pytest.raises(
+            ExecutionError,
+            match=r"2 costs from execute_batch\(\) for a batch of 3",
+        ):
+            self._run(stage, [1, 2, 3])
+
+    def test_non_taskcost_from_execute_batch_raises(self):
+        shared = TaskCost(1.0)
+        stage = _ScriptedStage(batch_costs=lambda items: [shared, shared, 5.0])
+        with pytest.raises(
+            ExecutionError, match=r"float from execute_batch\(\); expected"
+        ):
+            self._run(stage, [1, 2, 3])
+
+    def test_non_taskcost_from_cost_raises_on_one_item(self):
+        stage = _ScriptedStage(cost=100.0)
+        with pytest.raises(
+            ExecutionError, match=r"float from cost\(\); expected"
+        ):
+            self._run(stage, [1])
 
 
 class TestRecordingExecutor:

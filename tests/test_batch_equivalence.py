@@ -2,13 +2,14 @@
 
 Three layers of guarantees, each checked for all six workloads:
 
-* **Trace level** — expanding the task graph with unlimited batching
+* **Trace level** — expanding the task graph with whole-drain batches
   produces byte-identical TaskCost streams, emit orders, child id
   assignments and output payloads (dtype, shape and every element) as a
-  ``batch_size=1`` scalar walk.
+  scalar walk that runs every item through ``run_task``.
 * **Schedule level** — end-to-end simulated runs (baseline, megakernel
   and the tuned VersaPipe plan) report identical cycles, times and
-  per-stage statistics whatever the batch size.
+  per-stage statistics with ``FunctionalExecutor.run_batch`` swapped for
+  the base ``Executor.run_batch``, the per-item ``run_task`` loop.
 * **Replay level** — the harness's compute-once/simulate-many trace
   cache returns the same :class:`RunResult` as a cold functional run for
   every model, and its content fingerprint invalidates whenever a
@@ -21,7 +22,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.core.executor import RecordingExecutor
+from repro.core.executor import Executor, FunctionalExecutor, RecordingExecutor
 from repro.harness import (
     TraceCache,
     run_workload_models,
@@ -56,14 +57,29 @@ def _payload_equal(a, b) -> bool:
     return a == b
 
 
-def _record_trace(name: str, batch_size):
-    """Breadth-first task-graph expansion at the given batch size."""
+def _batched(executor, stage, items):
+    return executor.run_batch(stage, items)
+
+
+def _scalar(executor, stage, items):
+    return [executor.run_task(stage, item) for item in items]
+
+
+def _chunked(executor, stage, items):
+    return [
+        result
+        for start in range(0, len(items), 3)
+        for result in executor.run_batch(stage, items[start : start + 3])
+    ]
+
+
+def _record_trace(name: str, drain):
+    """Breadth-first task-graph expansion; ``drain(executor, stage,
+    items)`` runs each same-stage prefix of the frontier."""
     spec = get_workload(name)
     params = spec.quick_params()
     pipeline = spec.build_pipeline(params)
-    executor = RecordingExecutor(
-        pipeline, batch_size=batch_size, record_outputs=True
-    )
+    executor = RecordingExecutor(pipeline, record_outputs=True)
     frontier = deque()
     for stage, payloads in spec.initial_items(params).items():
         for payload in payloads:
@@ -73,15 +89,15 @@ def _record_trace(name: str, batch_size):
         batch = [item]
         while frontier and frontier[0][0] == stage:
             batch.append(frontier.popleft()[1])
-        for result in executor.run_batch(stage, batch):
+        for result in drain(executor, stage, batch):
             frontier.extend(result.children)
     return executor.trace
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_batched_trace_bit_identical(name):
-    scalar = _record_trace(name, batch_size=1)
-    batched = _record_trace(name, batch_size=None)
+    scalar = _record_trace(name, _scalar)
+    batched = _record_trace(name, _batched)
     assert len(scalar.nodes) == len(batched.nodes)
     for a, b in zip(scalar.nodes, batched.nodes):
         assert a.stage == b.stage, a.node_id
@@ -98,10 +114,10 @@ def test_batched_trace_bit_identical(name):
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_batched_chunking_matches_scalar(name):
-    """A small batch-size cap chunks differently but must not change
-    anything: grouping is order-preserving at every cap."""
-    scalar = _record_trace(name, batch_size=1)
-    capped = _record_trace(name, batch_size=3)
+    """Draining in 3-item slices chunks differently but must not change
+    anything: grouping is order-preserving at every batch size."""
+    scalar = _record_trace(name, _scalar)
+    capped = _record_trace(name, _chunked)
     assert [n.cost for n in scalar.nodes] == [n.cost for n in capped.nodes]
     assert [n.children for n in scalar.nodes] == [
         n.children for n in capped.nodes
@@ -119,14 +135,13 @@ def _results_identical(a, b):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_models_schedule_preserving(name):
-    """End to end: simulated results are independent of the batch size
-    for every execution model of the Table 2 columns."""
+def test_models_schedule_preserving(name, monkeypatch):
+    """End to end: simulated results are independent of batching for
+    every execution model of the Table 2 columns."""
     params = get_workload(name).quick_params()
-    scalar = run_workload_models(name, params=params, batch_size=1, cache=None)
-    batched = run_workload_models(
-        name, params=params, batch_size=None, cache=None
-    )
+    batched = run_workload_models(name, params=params, cache=None)
+    monkeypatch.setattr(FunctionalExecutor, "run_batch", Executor.run_batch)
+    scalar = run_workload_models(name, params=params, cache=None)
     for column in ("baseline", "megakernel", "versapipe"):
         _results_identical(scalar[column].result, batched[column].result)
 

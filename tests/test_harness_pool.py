@@ -225,8 +225,6 @@ class TestDeterminism:
         functional reference path is an error, not a silent no-op."""
         with pytest.raises(ValueError):
             run_workload_models("ldpc", workers=2, cache=None)
-        with pytest.raises(ValueError):
-            run_workload_models("ldpc", workers=2, batch_size=1)
 
 
 def _k20c():
