@@ -7,7 +7,8 @@ with one round) and attach the simulated results as ``extra_info``; the
 printed tables are the reproduction artifact.
 
 Cells are cached per (workload, model, device) so Table 2 and Figure 11
-don't re-simulate the same runs.
+don't re-simulate the same runs, and the VersaPipe cell reuses its row's
+Megakernel cell as its megakernel candidate.
 """
 
 import os
@@ -45,7 +46,8 @@ def cached_cell(workload: str, model: str, device: str):
     if model == "megakernel":
         return run_cell(spec, MegakernelModel(), gpu, params)
     if model == "versapipe":
-        return run_versapipe(spec, gpu, params)
+        megakernel = cached_cell(workload, "megakernel", device)
+        return run_versapipe(spec, gpu, params, megakernel=megakernel)
     raise ValueError(f"unknown model column {model!r}")
 
 

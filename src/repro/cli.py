@@ -43,13 +43,14 @@ The simulated results are bit-identical to running every model's stage
 code item by item.
 
 Two knobs scale the multi-cell commands (see ``docs/harness.md``):
-``--workers N`` (``compare``, ``bench``, ``tune`` and ``serve``) fans
-independent experiment cells across a **persistent worker pool** —
-spawned once per CLI process, reused across dispatches (byte-identical
-results for any count) — and ``--trace-cache-dir [PATH]`` layers a
-persistent on-disk store under the replay cache so workers — and later
-invocations — share recorded traces instead of re-running stage code;
-reused workers keep those traces decoded in memory between dispatches.
+``--workers N`` (``bench``, ``tune`` and ``serve``) fans independent
+shards — one workload's cells, tuner candidates, serving cells — across
+a **persistent worker pool**, spawned once per CLI process and reused
+across dispatches (byte-identical results for any count), and
+``--trace-cache-dir [PATH]`` layers a persistent on-disk store under the
+replay cache so workers — and later invocations — share recorded traces
+instead of re-running stage code; reused workers keep those traces
+decoded in memory between dispatches.
 """
 
 from __future__ import annotations
@@ -304,12 +305,7 @@ def cmd_compare(args) -> int:
     if args.trace_out:
         return _compare_with_traces(args, spec, gpu, params, cache)
     cells = run_workload_models(
-        spec.name,
-        gpu,
-        params,
-        observe=observe,
-        cache=cache,
-        workers=args.workers,
+        spec.name, gpu, params, observe=observe, cache=cache
     )
     rows = [(name, cell.time_ms) for name, cell in cells.items()]
     for name, time_ms in rows:
@@ -317,12 +313,8 @@ def cmd_compare(args) -> int:
     base = rows[0][1]
     for name, time_ms in rows[1:]:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
-    parallel = args.workers is not None and args.workers > 1
-    if cache.last_run is not None and (parallel or cache.root is not None):
-        print(
-            f"  (workers={args.workers or 1}; trace cache: "
-            f"{cache.last_run.describe()})"
-        )
+    if cache.root is not None:
+        print(f"  (trace cache: {cache.last_run.describe()})")
     if args.report_json:
         reports = {
             name: cell.result.report
@@ -564,17 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"stage code (default PATH: {DEFAULT_TRACE_CACHE_DIR})",
         )
 
-    def add_workers(p, default):
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=None,
-            metavar="N",
-            help="worker processes: cells fan across a persistent pool "
-            "reused between dispatches; results are byte-identical for "
-            f"any count (default {default})",
-        )
-
     def add_common(p):
         p.add_argument("workload", help="workload name (see `list`)")
         p.add_argument(
@@ -614,7 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(compare)
     add_obs(compare)
-    add_workers(compare, "1")
 
     tune = sub.add_parser("tune", help="run the offline auto-tuner")
     add_common(tune)
@@ -682,7 +662,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="use paper-scale parameters instead of quick ones",
     )
     add_trace_cache_dir(bench)
-    add_workers(bench, "one per core")
+    bench.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="worker processes: each workload's cells run as one shard "
+        "on a persistent pool reused between dispatches; results are "
+        "byte-identical for any count (default one per core)",
+    )
     bench.add_argument(
         "--bench-json",
         metavar="PATH",

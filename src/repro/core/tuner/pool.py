@@ -1,12 +1,14 @@
 """Persistent process-pool plumbing shared by the tuner, harness and
 serving shards.
 
-The tuner, the experiment harness and the serving harness all split
-their work into deterministic *stride shards* (shard ``i`` holds items
-``i, i+W, i+2W, ...``) and evaluate each shard sequentially inside one
-worker process.  Sharding is pure arithmetic, so the decomposition — and
-therefore the merged result — is reproducible for any worker count; with
-one worker the single shard is exactly the classic sequential loop.
+The tuner and the serving harness split their work into deterministic
+*stride shards* (shard ``i`` holds items ``i, i+W, i+2W, ...``); the
+experiment harness gives each workload one shard
+(:func:`repro.harness.pool.run_cells`).  Each shard is evaluated
+sequentially inside one worker process.  Sharding is pure arithmetic,
+so the decomposition — and therefore the merged result — is
+reproducible for any worker count; with one worker the shards run one
+after another in-process, exactly the classic sequential loop.
 
 Workers live in one **persistent, process-wide pool**: the first
 parallel ``map_shards`` call spawns it lazily and every later call —

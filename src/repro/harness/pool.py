@@ -1,16 +1,19 @@
 """Sharded process-pool experiment harness.
 
 VersaPipe's evaluation is a grid — workloads × execution models ×
-devices (Fig. 11, Fig. 13, Table 2) — and every cell of that grid is
-independent: each run builds its own pipeline, its own simulated device
-and its own executor.  This module fans the cells across worker
-processes exactly the way the offline tuner fans its candidate
-configurations (:mod:`repro.core.tuner.pool`): the canonical task list
-is split into deterministic *stride shards* (shard ``i`` holds tasks
-``i, i+W, i+2W, ...``), each worker runs its shard sequentially with the
-ordinary :func:`~repro.harness.runner.run_cell` /
-:func:`~repro.harness.runner.run_versapipe` entry points, and the shard
-results are merged back by the same stride arithmetic.
+devices (Fig. 11, Fig. 13, Table 2) — and every cell of that grid
+simulates on its own private device.  The fixed costs sit with the
+workload, though: its inputs, its recorded trace, and the Megakernel
+cell that its VersaPipe cell reuses
+(:func:`~repro.harness.runner.run_versapipe`).  So this module gives
+the pool (:mod:`repro.core.tuner.pool`) one shard per workload, holding
+that workload's cells in plan order.  An idle worker takes the next
+shard and runs it sequentially with the ordinary
+:func:`~repro.harness.runner.run_cell` /
+:func:`~repro.harness.runner.run_versapipe` entry points, and the
+cells are merged back by their positions in the plan.  Each trace and
+each input set is thus built in exactly one process at any worker
+count.
 
 Determinism contract (pinned by ``tests/test_harness_pool.py``):
 
@@ -23,11 +26,11 @@ Determinism contract (pinned by ``tests/test_harness_pool.py``):
   .replayed` — cache *provenance*, not a simulated result — which is why
   :func:`suite_bench_payload` excludes it.
 
-Workers share functional work through a directory of the ``traces``
-store (``cache_dir=``, :mod:`repro.store`): each worker keeps a private
-in-memory LRU over the shared directory, so a warm cache lets every
-worker replay traces straight into its models without executing any
-stage code.
+Workers share functional work across dispatches through a directory of
+the ``traces`` store (``cache_dir=``, :mod:`repro.store`): each worker
+keeps a private in-memory LRU over the shared directory, so a warm
+cache lets every worker replay traces straight into its models without
+executing any stage code.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ from ..core.models import (
     MegakernelModel,
     RTCModel,
 )
-from ..core.tuner.pool import default_workers, map_shards, stride_shards
+from ..core.tuner.pool import default_workers, map_shards
 from ..gpu.specs import get_spec
-from ..store import Store, StoreStats
+from ..store import Store, StoreStats, open_store
 from ..workloads.registry import all_workloads, get_workload
-from .runner import ExperimentCell, run_cell, run_shard_cells, run_versapipe
+from .runner import ExperimentCell, run_cell, run_versapipe
+from .tracecache import TraceCache
 
 #: The Table 2 columns; the default suite runs one cell per column.
 COLUMNS = ("baseline", "megakernel", "versapipe")
@@ -114,14 +118,17 @@ class _SuitePayload:
 
 @dataclass
 class _ShardCells:
-    """One worker's results: its cells plus its cache counter totals."""
+    """One shard's results: its cells plus its cache counter delta."""
 
     cells: list[ExperimentCell]
     cache_stats: StoreStats
 
 
 def _run_task(
-    task: CellTask, payload: _SuitePayload, cache: Store
+    task: CellTask,
+    payload: _SuitePayload,
+    cache: Store,
+    megakernel: Optional[ExperimentCell],
 ) -> ExperimentCell:
     spec = get_workload(task.workload)
     gpu = get_spec(task.device)
@@ -134,6 +141,7 @@ def _run_task(
             check=payload.check,
             observe=payload.observe,
             cache=cache,
+            megakernel=megakernel,
         )
     if task.column == "baseline":
         model = spec.baseline_model(params)
@@ -158,14 +166,33 @@ def _run_task(
 def _run_cell_shard(
     payload: _SuitePayload, shard: list[CellTask]
 ) -> _ShardCells:
-    """Worker entry point: run one shard sequentially (the cache and
-    the per-dispatch counter delta come from
-    :func:`~repro.harness.runner.run_shard_cells`)."""
-    cells, stats = run_shard_cells(
-        payload.cache_dir,
-        lambda cache: [_run_task(task, payload, cache) for task in shard],
-    )
-    return _ShardCells(cells=cells, cache_stats=stats)
+    """Worker entry point: run one workload's cells in plan order.
+
+    Each VersaPipe cell gets the Megakernel cell of its row, if the
+    shard ran one before it.  With a ``cache_dir`` the shard uses the
+    process-wide store for that directory
+    (:func:`repro.store.open_store`): the persistent pool keeps workers
+    alive across dispatches, so traces loaded or recorded once stay
+    decoded in the worker's memory and later dispatches replay them with
+    no disk or pickle work at all.  Without one the cache is private to
+    the shard.  The returned counters are the *shard's* delta — never
+    the store's lifetime totals, which under worker reuse span every
+    dispatch the process ever served.
+    """
+    if payload.cache_dir:
+        cache = open_store("traces", payload.cache_dir)
+    else:
+        cache = TraceCache()
+    before = cache.stats()
+    megakernels: dict[tuple[str, str], ExperimentCell] = {}
+    cells = []
+    for task in shard:
+        row = (task.workload, task.device)
+        cell = _run_task(task, payload, cache, megakernels.get(row))
+        if task.column == "megakernel":
+            megakernels[row] = cell
+        cells.append(cell)
+    return _ShardCells(cells=cells, cache_stats=cache.stats() - before)
 
 
 def run_cells(
@@ -177,12 +204,16 @@ def run_cells(
     full: bool = False,
     params: Optional[dict] = None,
 ) -> tuple[list[ExperimentCell], StoreStats]:
-    """Run every task, fanned across ``workers`` processes.
+    """Run every task, one shard per workload, across ``workers``
+    processes.
 
-    Returns ``(cells, cache_stats)`` with ``cells`` in task order and
-    ``cache_stats`` the sum of every worker's cache counters.  With
-    ``workers=1`` (or one task) everything runs in-process — the classic
-    serial loop; any other count produces byte-identical cells.
+    Each shard holds one workload's tasks in plan order; an idle worker
+    takes the next shard, and the cells are merged back by plan
+    position.  Returns ``(cells, cache_stats)`` with ``cells`` in task
+    order and ``cache_stats`` the sum of every shard's cache counters.
+    With ``workers=1`` (or one workload) everything runs in-process —
+    the classic serial loop; any other count produces byte-identical
+    cells.
     """
     tasks = list(tasks)
     if workers is None:
@@ -196,13 +227,16 @@ def run_cells(
         full=full,
         params=dict(params or {}),
     )
-    shards = stride_shards(tasks, workers)
+    positions: dict[str, list[int]] = {}
+    for index, task in enumerate(tasks):
+        positions.setdefault(task.workload, []).append(index)
+    shards = [[tasks[i] for i in shard] for shard in positions.values()]
     shard_results = map_shards(_run_cell_shard, payload, shards, workers)
-    count = len(shards)
     merged: list[ExperimentCell] = [None] * len(tasks)  # type: ignore[list-item]
     stats = StoreStats()
-    for offset, shard_result in enumerate(shard_results):
-        merged[offset::count] = shard_result.cells
+    for shard, shard_result in zip(positions.values(), shard_results):
+        for index, cell in zip(shard, shard_result.cells):
+            merged[index] = cell
         stats = stats + shard_result.cache_stats
     return merged, stats
 

@@ -7,8 +7,8 @@ renderers and the tests can consume them uniformly.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Optional
 
 from ..core.executor import FunctionalExecutor, ReplayExecutor
 from ..core.models import HybridModel, MegakernelModel
@@ -26,7 +26,7 @@ from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, K20C
 from ..obs import Observer, RunReport, TunerStats
 from ..obs.events import EventBus
-from ..store import Store, StoreStats, open_store
+from ..store import Store, StoreStats
 from ..workloads.registry import WorkloadSpec, get_workload
 from .tracecache import DEFAULT_TRACE_CACHE, TraceCache, workload_fingerprint
 
@@ -175,27 +175,6 @@ def run_cell(
     )
 
 
-def run_shard_cells(
-    cache_dir: Optional[str],
-    run: Callable[[Store], list[ExperimentCell]],
-) -> tuple[list[ExperimentCell], StoreStats]:
-    """Run one pool shard's cells against its trace store.
-
-    With a ``cache_dir`` the shard uses the process-wide store for that
-    directory (:func:`repro.store.open_store`): the persistent pool keeps
-    workers alive across dispatches, so traces loaded or recorded once
-    stay decoded in the worker's memory and later dispatches replay them
-    with no disk or pickle work at all.  Without one the cache is
-    private to the dispatch.  Returns the cells and the *dispatch's*
-    counter delta — never the store's lifetime totals, which under
-    worker reuse span every dispatch the process ever served.
-    """
-    cache = open_store("traces", cache_dir) if cache_dir else TraceCache()
-    before = cache.stats()
-    cells = run(cache)
-    return cells, cache.stats() - before
-
-
 def _stats(cache: Optional[Store]) -> StoreStats:
     return cache.stats() if cache is not None else StoreStats()
 
@@ -213,55 +192,71 @@ def run_versapipe(
     check: bool = True,
     observe: bool = False,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
+    megakernel: Optional[ExperimentCell] = None,
 ) -> ExperimentCell:
-    """Run the workload as VersaPipe would: pick the fastest hybrid plan.
+    """Run the workload as VersaPipe would: the faster of two plans.
 
     The paper's VersaPipe numbers come from the auto-tuner's best
-    configuration; mirroring that, this evaluates the workload's
-    paper-described plan *and* the all-stage megakernel grouping (always in
-    the tuner's search space) — both with online adaptation — and reports
-    the faster.  ``cache.last_run`` is set to this call's cache-counter
-    delta so ``repro stats`` reports per-run numbers.
+    configuration.  Mirroring that, the cell is the faster of the
+    workload's paper-described plan, run with online adaptation, and the
+    all-stage megakernel grouping, which is always in the tuner's search
+    space; the described plan wins ties.  That grouping is the Megakernel
+    column itself: :class:`MegakernelModel` builds the same one-group,
+    all-SM plan with :class:`~repro.core.config.PipelineConfig`'s default
+    policy and queue mode, and online adaptation never relaunches a
+    one-group plan (when its group exits, no other group is left).  So
+    only the described plan is simulated here.  ``megakernel`` is the
+    Megakernel column's cell for the same spec, device, params, ``check``
+    and ``observe``; without one, this call runs it.  When it wins, the
+    result is a copy labelled ``versapipe`` (an observed report as
+    ``<workload>/versapipe/<device>``), and the given cell is left as it
+    was.  ``cache.last_run`` is set to this call's cache-counter delta so
+    ``repro stats`` reports per-run numbers.
     """
-    from ..core.config import GroupConfig, PipelineConfig
+    from ..core.config import PipelineConfig
 
     params = params if params is not None else spec.default_params()
     pipeline = spec.build_pipeline(params)
     described = spec.versapipe_config(pipeline, gpu, params)
-    candidates = [
-        PipelineConfig(
-            groups=described.groups,
-            policy=described.policy,
-            online_adaptation=True,
-        ),
-        PipelineConfig(
-            groups=(
-                GroupConfig(
-                    stages=tuple(pipeline.stage_names),
-                    model="megakernel",
-                    sm_ids=tuple(range(gpu.num_sms)),
-                ),
-            ),
-            online_adaptation=True,
-        ),
-    ]
     before = _stats(cache)
-    best = None
-    for config in candidates:
-        cell = run_cell(
+    cell = run_cell(
+        spec,
+        HybridModel(
+            PipelineConfig(
+                groups=described.groups,
+                policy=described.policy,
+                online_adaptation=True,
+            )
+        ),
+        gpu,
+        params,
+        check=check,
+        label="versapipe",
+        observe=observe,
+        cache=cache,
+    )
+    if megakernel is None:
+        megakernel = run_cell(
             spec,
-            HybridModel(config),
+            MegakernelModel(),
             gpu,
             params,
             check=check,
-            label="versapipe",
             observe=observe,
             cache=cache,
         )
-        if best is None or cell.time_ms < best.time_ms:
-            best = cell
     _publish_run(cache, _stats(cache) - before)
-    return best
+    if megakernel.time_ms < cell.time_ms:
+        report = megakernel.result.report
+        if report is not None:
+            label = f"{spec.name}/versapipe/{gpu.name}"
+            report = replace(report, label=label)
+        cell = replace(
+            megakernel,
+            model="versapipe",
+            result=replace(megakernel.result, report=report),
+        )
+    return cell
 
 
 def run_workload_models(
@@ -271,67 +266,42 @@ def run_workload_models(
     check: bool = True,
     observe: bool = False,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
-    workers: Optional[int] = None,
 ) -> dict[str, ExperimentCell]:
     """The three Table 2 columns for one workload: baseline, megakernel,
     versapipe.
 
     By default the baseline run records the workload's task trace and the
-    remaining columns replay it (compute once, simulate many); at
-    ``workers=1``, pass ``cache=None`` to run every column functionally.
-    ``workers`` > 1 fans the three columns across worker processes, which
-    always record and replay (sharing functional work through the
-    cache's directory, if it has one), with byte-identical simulated
-    results; ``cache.last_run`` always carries this call's cache-counter
-    delta.
+    remaining columns replay it (compute once, simulate many); pass
+    ``cache=None`` to run every column functionally.  The VersaPipe
+    column takes the Megakernel cell as its second candidate
+    (:func:`run_versapipe`), so each column is one simulated run.
+    ``cache.last_run`` carries this call's cache-counter delta.
     """
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > 1:
-        if cache is None:
-            raise ValueError(
-                "workers > 1 always records and replays traces: pass a cache"
-            )
-        from .pool import CellTask, run_cells  # lazy: pool imports us
-
-        tasks = [
-            CellTask(workload=spec.name, column=column, device=gpu.name)
-            for column in ("baseline", "megakernel", "versapipe")
-        ]
-        cells, stats = run_cells(
-            tasks,
-            workers=workers,
-            check=check,
-            observe=observe,
-            cache_dir=cache.root,
-            params={spec.name: params},
-        )
-        _publish_run(cache, stats)
-        return dict(zip(("baseline", "megakernel", "versapipe"), cells))
     before = _stats(cache)
+    baseline = run_cell(
+        spec,
+        spec.baseline_model(params),
+        gpu,
+        params,
+        check=check,
+        label=spec.baseline_name,
+        observe=observe,
+        cache=cache,
+    )
+    megakernel = run_cell(
+        spec,
+        MegakernelModel(),
+        gpu,
+        params,
+        check=check,
+        observe=observe,
+        cache=cache,
+    )
     result = {
-        "baseline": run_cell(
-            spec,
-            spec.baseline_model(params),
-            gpu,
-            params,
-            check=check,
-            label=spec.baseline_name,
-            observe=observe,
-            cache=cache,
-        ),
-        "megakernel": run_cell(
-            spec,
-            MegakernelModel(),
-            gpu,
-            params,
-            check=check,
-            observe=observe,
-            cache=cache,
-        ),
+        "baseline": baseline,
+        "megakernel": megakernel,
         "versapipe": run_versapipe(
             spec,
             gpu,
@@ -339,6 +309,7 @@ def run_workload_models(
             check=check,
             observe=observe,
             cache=cache,
+            megakernel=megakernel,
         ),
     }
     _publish_run(cache, _stats(cache) - before)

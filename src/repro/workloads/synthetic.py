@@ -165,7 +165,8 @@ class _SyntheticStage(Stage):
         costs the shared flat :class:`TaskCost` — the per-item hash draws
         and the generic ``execute``/``cost`` dispatch can be skipped
         wholesale.  Emissions and costs are exactly what the scalar path
-        produces (pinned by ``tests/test_batch_equivalence.py``);
+        produces (pinned, branch by branch, by
+        ``tests/workloads/test_synthetic.py::TestBatchedDrain``);
         anything off the flat slice falls back to the generic loop.
         """
         spec = self._spec

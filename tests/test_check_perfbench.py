@@ -161,7 +161,7 @@ class TestRecord:
             for w in WORKLOADS
         }
         assert events == {
-            "fig11_cold": 467_368,
+            "fig11_cold": 324_920,
             "tune_race": 1_088_592,
             "serve_mix": 138_862,
         }

@@ -213,10 +213,10 @@ class TestArgValidation:
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     @pytest.mark.parametrize("flag", ["--workers"])
     def test_bad_values_rejected(self, capsys, flag, value):
-        # ``run`` has no --workers (it simulates one cell); ``compare``
-        # fans its three columns across workers.
+        # ``run`` and ``compare`` have no --workers (one workload is one
+        # shard); ``bench`` fans its workloads across workers.
         with pytest.raises(SystemExit) as excinfo:
-            main(["compare", "ldpc", flag, value])
+            main(["bench", "ldpc", flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive integer" in err
@@ -224,13 +224,17 @@ class TestArgValidation:
     def test_bench_and_compare_validate_too(self, capsys):
         for argv in (
             ["bench", "ldpc", "--workers", "0"],
-            ["compare", "ldpc", "--workers", "-1"],
+            ["bench", "ldpc", "--workers", "-1"],
             ["tune", "ldpc", "--workers", "0"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
             assert "positive integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "ldpc", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3", "banana"])
     def test_bad_tune_budget_rejected(self, capsys, value):
@@ -422,17 +426,17 @@ class TestServe:
             run_cli(capsys, "serve", "tetris")
 
 
-class TestCompareWorkers:
-    def test_compare_workers_matches_serial(self, capsys, tmp_path):
-        _, serial = run_cli(capsys, "compare", "ldpc")
-        _, parallel = run_cli(
-            capsys, "compare", "ldpc", "--workers", "4",
+class TestCompareTraceCache:
+    def test_compare_trace_cache_dir_matches_plain(self, capsys, tmp_path):
+        _, plain = run_cli(capsys, "compare", "ldpc")
+        _, cached = run_cli(
+            capsys, "compare", "ldpc",
             "--trace-cache-dir", str(tmp_path / "traces"),
         )
-        # The parallel run appends a cache/worker summary line; the
+        # The disk-backed run appends a cache summary line; the
         # simulated rows above it are byte-identical.
-        assert parallel.startswith(serial.rstrip("\n").rsplit("\n", 1)[0])
-        for line in serial.splitlines():
-            if "ms" in line or "speedup" in line:
-                assert line in parallel
-        assert "workers=4" in parallel
+        assert cached.startswith(plain)
+        assert cached[len(plain):] == (
+            "  (trace cache: 2 hits / 1 misses (memory: 2, disk: 0; "
+            "1 stores))\n"
+        )

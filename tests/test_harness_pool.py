@@ -1,4 +1,5 @@
-"""Parallel experiment harness: determinism, disk cache, per-run stats.
+"""Parallel experiment harness: determinism, one recording per workload
+and one simulated run per cell, disk cache, per-run stats.
 
 The contract under test (docs/harness.md): fanning the evaluation grid
 across any number of worker processes — cold or warm, with or without the
@@ -6,6 +7,7 @@ on-disk trace cache — produces byte-identical simulated results to the
 classic serial loop.
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -15,6 +17,7 @@ import pytest
 from repro.harness.pool import (
     COLUMNS,
     CellTask,
+    SuiteResult,
     plan_suite,
     run_cells,
     run_suite,
@@ -26,7 +29,7 @@ from repro.harness.runner import (
     run_workload_models,
 )
 from repro.harness.tracecache import TraceCache, workload_fingerprint
-from repro.store import FORMAT_VERSION, MAX_OPEN_STORES, open_store
+from repro.store import FORMAT_VERSION, MAX_OPEN_STORES, StoreStats, open_store
 from repro.workloads import (
     cfd,
     face_detection,
@@ -35,7 +38,7 @@ from repro.workloads import (
     rasterization,
     reyes,
 )
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import all_workloads, get_workload
 
 WORKLOADS = ["ldpc", "reyes"]
 
@@ -184,53 +187,139 @@ class TestDeterminism:
         assert first.cache_stats.total_hits == second.cache_stats.total_hits
         assert first.cache_stats.total_hits >= 1
 
-    def test_run_workload_models_parallel_matches_serial(self, tmp_path):
-        spec = get_workload("ldpc")
-        params = spec.quick_params()
-        serial = run_workload_models("ldpc", params=params, workers=1)
-        cache = TraceCache(disk_dir=str(tmp_path / "traces"))
-        parallel = run_workload_models(
-            "ldpc", params=params, workers=4, cache=cache
-        )
-        # The workers shared the caller's directory, and the caller's
-        # own cache carries this call's counter delta.
-        assert cache.entry_count() == 1
-        assert cache.last_run is not None
-        assert cache.last_run.misses >= 1
-        assert cache.last_run.stores == cache.last_run.misses
-        for column in COLUMNS:
-            a, b = serial[column], parallel[column]
-            assert a.model == b.model
-            assert a.time_ms == b.time_ms
-            assert a.result.cycles == b.result.cycles
-            assert a.result.device_metrics.kernel_launches == (
-                b.result.device_metrics.kernel_launches
-            )
-            assert {
-                name: (s.tasks, s.items_emitted, s.busy_cycles)
-                for name, s in a.result.stage_stats.items()
-            } == {
-                name: (s.tasks, s.items_emitted, s.busy_cycles)
-                for name, s in b.result.stage_stats.items()
-            }
-
     def test_workers_zero_rejected(self):
         with pytest.raises(ValueError):
             run_cells(plan_suite(WORKLOADS), workers=0)
-        with pytest.raises(ValueError):
-            run_workload_models("ldpc", workers=0)
-
-    def test_parallel_models_reject_functional_options(self):
-        """The pool always records and replays; asking it for the
-        functional reference path is an error, not a silent no-op."""
-        with pytest.raises(ValueError):
-            run_workload_models("ldpc", workers=2, cache=None)
 
 
 def _k20c():
     from repro.gpu.specs import K20C
 
     return K20C
+
+
+def _entry(cell, column):
+    """``cell``'s entry in :func:`suite_bench_payload`."""
+    suite = SuiteResult(
+        tasks=[CellTask(cell.workload, column, cell.device)],
+        cells=[cell],
+        workers=1,
+        cache_stats=StoreStats(),
+        wall_s=0.0,
+    )
+    return suite_bench_payload(suite)[cell.workload][cell.device][column]
+
+
+class TestOncePerSuite:
+    """Each plan is simulated once and each trace recorded once per suite:
+    the VersaPipe cell reuses its row's Megakernel cell, and the pool
+    runs one shard per workload."""
+
+    @pytest.mark.parametrize("name", sorted(all_workloads()))
+    @pytest.mark.parametrize("device", ["K20c", "GTX1080"])
+    def test_megakernel_candidate_is_the_megakernel_column(self, name, device):
+        """The premise of the reuse: the all-SM megakernel grouping with
+        online adaptation simulates exactly what ``MegakernelModel``
+        does, and the adapter never acts on its one group."""
+        from repro.core.config import GroupConfig, PipelineConfig
+        from repro.core.models import HybridModel, MegakernelModel
+        from repro.gpu.specs import get_spec
+        from repro.harness.runner import run_cell
+
+        spec = get_workload(name)
+        gpu = get_spec(device)
+        params = spec.quick_params()
+        config = PipelineConfig(
+            groups=(
+                GroupConfig(
+                    stages=tuple(spec.build_pipeline(params).stage_names),
+                    model="megakernel",
+                    sm_ids=tuple(range(gpu.num_sms)),
+                ),
+            ),
+            online_adaptation=True,
+        )
+        cache = TraceCache()
+        plain = run_cell(
+            spec, MegakernelModel(), gpu, params, observe=True, cache=cache
+        )
+        hybrid = run_cell(
+            spec, HybridModel(config), gpu, params, label="versapipe",
+            observe=True, cache=cache,
+        )
+        assert cache.stats().misses == 1  # both replayed one recording
+        assert hybrid.result.extras["online_adaptations"] == 0
+        assert dataclasses.replace(
+            hybrid.result.extras["config"], online_adaptation=False
+        ) == plain.result.extras["config"]
+        a, b = plain.result, hybrid.result
+        assert [id(o) for o in a.outputs] == [id(o) for o in b.outputs]
+        assert a.device_metrics == b.device_metrics
+        assert a.queue_stats == b.queue_stats
+        assert a.config_description == b.config_description
+        entry_a = _entry(plain, "megakernel")
+        entry_b = _entry(hybrid, "versapipe")
+        assert entry_a.pop("model") == "megakernel"
+        assert entry_b.pop("model") == "versapipe"
+        assert entry_a == entry_b
+        report_a, report_b = a.report.to_dict(), b.report.to_dict()
+        assert report_a.pop("label") == f"{name}/megakernel/{device}"
+        assert report_b.pop("label") == f"{name}/versapipe/{device}"
+        assert report_a == report_b
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_cold_suite_records_each_trace_once(self, workers):
+        suite = run_suite(
+            workloads=WORKLOADS, devices=("K20c", "GTX1080"), workers=workers
+        )
+        assert suite.cache_stats.misses == len(WORKLOADS)
+
+    def test_one_simulated_run_per_cell(self, monkeypatch):
+        from repro.harness import runner
+
+        runs = []
+        execute_model = runner.execute_model
+
+        def counted(spec, pipeline, model, *args, **kwargs):
+            runs.append((spec.name, type(model).__name__))
+            return execute_model(spec, pipeline, model, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "execute_model", counted)
+        suite = run_suite(
+            workloads=WORKLOADS, devices=("K20c", "GTX1080"), workers=1
+        )
+        assert len(suite.cells) == 12
+        assert len(runs) == 12, runs
+
+    @pytest.mark.parametrize(
+        "name, megakernel_wins", [("pyramid", True), ("reyes", False)]
+    )
+    def test_versapipe_reusing_megakernel_cell_is_exact(
+        self, name, megakernel_wins
+    ):
+        from repro.core.models import MegakernelModel
+        from repro.harness.runner import run_cell
+
+        spec = get_workload(name)
+        params = spec.quick_params()
+        cache = TraceCache()
+        own = run_versapipe(spec, _k20c(), params, observe=True, cache=cache)
+        megakernel = run_cell(
+            spec, MegakernelModel(), _k20c(), params, observe=True, cache=cache
+        )
+        untouched = (megakernel.model, megakernel.result.report.to_dict())
+        reused = run_versapipe(
+            spec, _k20c(), params, observe=True, cache=cache,
+            megakernel=megakernel,
+        )
+        assert (reused.time_ms == megakernel.time_ms) is megakernel_wins
+        assert reused.result is not megakernel.result
+        assert _entry(reused, "versapipe") == _entry(own, "versapipe")
+        assert reused.result.report.to_dict() == own.result.report.to_dict()
+        assert reused.result.report.label == f"{name}/versapipe/K20c"
+        assert (megakernel.model, megakernel.result.report.to_dict()) == (
+            untouched
+        )
 
 
 class TestDiskCache:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.executor import FunctionalExecutor, RecordingExecutor
 from repro.core.models import KBKModel, MegakernelModel, RTCModel
+from repro.core.stage import EmitContext
 from repro.gpu import GPUDevice, K20C
 from repro.workloads import synthetic
 
@@ -133,3 +134,41 @@ class TestCostModel:
             for item in synthetic.initial_items(params)["s0"]
         }
         assert len(costs) == 1
+
+
+class TestBatchedDrain:
+    """``_SyntheticStage.execute_batch`` against its scalar loop: each
+    flat-slice branch and the fallback off the slice must emit the same
+    children and outputs, in the same order, and return the same costs
+    as ``execute`` and ``cost`` item by item."""
+
+    @pytest.mark.parametrize(
+        "spec, sink",
+        [
+            (synthetic.SyntheticStageSpec(fan_out=2.0), True),
+            (synthetic.SyntheticStageSpec(fan_out=1.0), False),
+            (synthetic.SyntheticStageSpec(fan_out=3.0), False),
+            (
+                synthetic.SyntheticStageSpec(
+                    fan_out=1.5, imbalance=0.5, recursion_prob=0.3
+                ),
+                False,
+            ),
+        ],
+        ids=["sink", "fan-out-1", "fan-out-3", "off-slice"],
+    )
+    def test_batch_matches_scalar_loop(self, spec, sink):
+        stages = (spec,) if sink else (spec, synthetic.SyntheticStageSpec())
+        params = synthetic.SyntheticParams(stages=stages, num_items=9)
+        stage = synthetic.build_pipeline(params).stage("s0")
+        items = synthetic.initial_items(params)["s0"]
+        batched = [EmitContext(stage.emits_to) for _ in items]
+        costs = stage.execute_batch(items, batched)
+        scalar = [EmitContext(stage.emits_to) for _ in items]
+        for item, ctx in zip(items, scalar):
+            stage.execute(item, ctx)
+        assert costs == [stage.cost(item) for item in items]
+        assert [c.children for c in batched] == [c.children for c in scalar]
+        assert [c.outputs for c in batched] == [c.outputs for c in scalar]
+        assert all(c.outputs for c in scalar) is sink
+        assert any(c.children for c in scalar) is not sink
