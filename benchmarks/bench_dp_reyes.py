@@ -3,12 +3,14 @@
 The paper measures DP at 110.6 ms on K20c vs 7.7 ms for VersaPipe — "over
 10 times longer ... due to the large launching overhead of DP".  We run
 the same comparison: every emitted patch/grid spawns a device-side child
-kernel.
+kernel.  VersaPipe is the Table 2 column (:func:`~repro.harness.runner
+.run_versapipe`); both runs replay one recording and check its outputs.
 """
 
-from repro.core.executor import FunctionalExecutor
-from repro.core.models import DynamicParallelismModel, HybridModel
-from repro.gpu import GPUDevice, K20C
+from repro.core.models import DynamicParallelismModel
+from repro.gpu import K20C
+from repro.harness.runner import run_cell, run_versapipe
+from repro.harness.tracecache import TraceCache
 from repro.workloads import reyes
 from repro.workloads.registry import get_workload
 
@@ -16,20 +18,10 @@ from repro.workloads.registry import get_workload
 def compare():
     spec = get_workload("reyes")
     params = reyes.ReyesParams()
-
-    pipe = spec.build_pipeline(params)
-    device = GPUDevice(K20C)
-    dp = DynamicParallelismModel().run(
-        pipe, device, FunctionalExecutor(pipe), spec.initial_items(params)
-    )
-    spec.check_outputs(params, dp.outputs)
-
-    pipe = spec.build_pipeline(params)
-    device = GPUDevice(K20C)
-    vp = HybridModel(spec.versapipe_config(pipe, K20C, params)).run(
-        pipe, device, FunctionalExecutor(pipe), spec.initial_items(params)
-    )
-    return dp, vp
+    cache = TraceCache()
+    dp = run_cell(spec, DynamicParallelismModel(), K20C, params, cache=cache)
+    vp = run_versapipe(spec, K20C, params, cache=cache)
+    return dp.result, vp.result
 
 
 def test_dynamic_parallelism_reyes(benchmark):

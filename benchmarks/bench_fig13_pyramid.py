@@ -6,42 +6,44 @@ Stream" (4 concurrent lanes), Megakernel, and VersaPipe, swept over
 streams help by a bounded factor, and the persistent models stay flat and
 far below both — with the gap widening as images are added ("when the
 input size is small ... the performance difference is less prominent").
+
+VersaPipe is the Table 2 column (:func:`~repro.harness.runner
+.run_versapipe`): the faster of the paper-described plan and the
+Megakernel cell.  Each image count records its inputs once, every cell
+replays that recording, and every cell's outputs are checked.
 """
 
-from repro.core.executor import FunctionalExecutor
-from repro.core.models import HybridModel, KBKModel, MegakernelModel
-from repro.gpu import GPUDevice, K20C
+from repro.core.models import KBKModel, MegakernelModel
+from repro.gpu import K20C
+from repro.harness.runner import run_cell, run_versapipe
 from repro.harness.tables import format_table
+from repro.harness.tracecache import TraceCache
 from repro.workloads import pyramid
+from repro.workloads.registry import get_workload
 
 IMAGE_COUNTS = (1, 2, 4, 8, 16, 32)
 
 
-def _run(model_factory, params):
-    pipe = pyramid.build_pipeline(params)
-    device = GPUDevice(K20C)
-    result = model_factory(pipe).run(
-        pipe, device, FunctionalExecutor(pipe), pyramid.initial_items(params)
-    )
-    return result.time_ms
-
-
 def sweep():
+    spec = get_workload("pyramid")
     series = {"KBK": [], "KBK+Stream": [], "Megakernel": [], "VersaPipe": []}
     for count in IMAGE_COUNTS:
         params = pyramid.PyramidParams(num_images=count)
-        series["KBK"].append(_run(lambda p: KBKModel(sequential=True), params))
+        cache = TraceCache()
+
+        def cell(model):
+            return run_cell(spec, model, K20C, params, cache=cache)
+
+        series["KBK"].append(cell(KBKModel(sequential=True)).time_ms)
         series["KBK+Stream"].append(
-            _run(lambda p: KBKModel(sequential=True, lanes=4), params)
+            cell(KBKModel(sequential=True, lanes=4)).time_ms
         )
-        series["Megakernel"].append(_run(lambda p: MegakernelModel(), params))
+        megakernel = cell(MegakernelModel())
+        series["Megakernel"].append(megakernel.time_ms)
         series["VersaPipe"].append(
-            _run(
-                lambda p: HybridModel(
-                    pyramid.versapipe_config(p, K20C, params)
-                ),
-                params,
-            )
+            run_versapipe(
+                spec, K20C, params, cache=cache, megakernel=megakernel
+            ).time_ms
         )
     return series
 

@@ -90,7 +90,7 @@ def test_tuner_beats_alternatives(benchmark, name, params):
     print(f"  {report.summary()}")
     print(f"  tuned plan run : {tuned_ms:8.3f} ms")
     print(f"  megakernel     : {mega_ms:8.3f} ms")
-    print(f"  paper config   : {paper_cfg_ms:8.3f} ms")
+    print(f"  described plan : {paper_cfg_ms:8.3f} ms")
 
     assert math.isfinite(report.best_time_ms)
     # The search space contains the all-stage megakernel plan, so a correct

@@ -7,8 +7,9 @@ with one round) and attach the simulated results as ``extra_info``; the
 printed tables are the reproduction artifact.
 
 Cells are cached per (workload, model, device) so Table 2 and Figure 11
-don't re-simulate the same runs, and the VersaPipe cell reuses its row's
-Megakernel cell as its megakernel candidate.
+don't re-simulate the same runs; every cell replays the workload's one
+recording from the shared trace cache, and the VersaPipe cell reuses its
+row's Megakernel cell as its megakernel candidate.
 """
 
 import os
@@ -22,8 +23,8 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.gpu.specs import GTX1080, K20C  # noqa: E402
-from repro.harness.runner import run_versapipe, run_cell  # noqa: E402
-from repro.core.models import MegakernelModel  # noqa: E402
+from repro.harness.runner import COLUMNS, run_column  # noqa: E402
+from repro.harness.tracecache import DEFAULT_TRACE_CACHE  # noqa: E402
 from repro.workloads.registry import all_workloads, get_workload  # noqa: E402
 
 _DEVICES = {"K20c": K20C, "GTX1080": GTX1080}
@@ -33,22 +34,17 @@ _DEVICES = {"K20c": K20C, "GTX1080": GTX1080}
 def cached_cell(workload: str, model: str, device: str):
     """Run one experiment cell once per session."""
     spec = get_workload(workload)
-    gpu = _DEVICES[device]
-    params = spec.default_params()
-    if model == "baseline":
-        return run_cell(
-            spec,
-            spec.baseline_model(params),
-            gpu,
-            params,
-            label=spec.baseline_name,
-        )
-    if model == "megakernel":
-        return run_cell(spec, MegakernelModel(), gpu, params)
+    megakernel = None
     if model == "versapipe":
         megakernel = cached_cell(workload, "megakernel", device)
-        return run_versapipe(spec, gpu, params, megakernel=megakernel)
-    raise ValueError(f"unknown model column {model!r}")
+    return run_column(
+        spec,
+        model,
+        _DEVICES[device],
+        spec.default_params(),
+        cache=DEFAULT_TRACE_CACHE,
+        megakernel=megakernel,
+    )
 
 
 def workload_cells(device: str):
@@ -56,7 +52,7 @@ def workload_cells(device: str):
     return {
         name: {
             column: cached_cell(name, column, device)
-            for column in ("baseline", "megakernel", "versapipe")
+            for column in COLUMNS
         }
         for name in sorted(all_workloads())
     }

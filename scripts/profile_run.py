@@ -44,7 +44,9 @@ Usage::
 ``synthetic`` is the deep-pipeline stress case ``synthetic_deep`` of
 :mod:`repro.harness.simspeed` at bench scale (10 stages, 256 items;
 2383 events, 0.082 simulated ms); every registry workload name
-(``reyes``, ``face_detection``, ...) works too.
+(``reyes``, ``face_detection``, ...) works too.  ``--model versapipe``
+profiles the workload's paper-described plan alone, not the faster-of-two
+VersaPipe column of ``repro run``, so one profile is one simulated run.
 """
 
 from __future__ import annotations
@@ -360,7 +362,8 @@ def main(argv=None) -> int:
                              "recording of WORKLOAD, split by stage, "
                              "instead of profiling")
     parser.add_argument("--model", default="megakernel",
-                        choices=("megakernel", "versapipe", "kbk"))
+                        choices=("megakernel", "versapipe", "kbk"),
+                        help="versapipe = the paper-described plan")
     parser.add_argument("--device", default="K20c", choices=sorted(_DEVICES))
     parser.add_argument("-n", "--top", type=int, default=None,
                         help="rows per ranking table (default 25); with "

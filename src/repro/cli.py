@@ -26,7 +26,11 @@ Commands:
 ``run``, ``compare``, ``timeline`` and ``stats`` accept ``--trace-out``
 (write a Chrome/Perfetto ``trace.json``) and ``--report-json`` (write the
 structured :class:`~repro.obs.RunReport`); either flag attaches the
-observer for the run.
+observer for the run and changes nothing else.  Each of them runs its
+cells through :func:`~repro.harness.runner.run_column`, the one map from
+a model name to a cell, so ``versapipe`` is always the harness's
+VersaPipe column (:func:`~repro.harness.runner.run_versapipe`) and
+``compare --trace-out`` exports the traces of the cells it prints.
 
 All commands use the workloads' quick parameters by default; pass
 ``--full`` for the paper-scale defaults.
@@ -60,36 +64,15 @@ import json
 import os
 import sys
 
-from .core.models import (
-    CoarsePipelineModel,
-    DynamicParallelismModel,
-    FinePipelineModel,
-    HybridModel,
-    KBKModel,
-    MegakernelModel,
-    RTCModel,
-)
 from .core.tuner.cache import DEFAULT_CACHE_DIR as _DEFAULT_TUNER_CACHE
 from .core.tuner.offline import TunerOptions
-from .gpu.device import GPUDevice
 from .gpu.specs import PRESETS, get_spec
 from .gpu.tracing import render_timeline
-from .harness.runner import check_cell, execute_model, run_workload_models
+from .harness.runner import MODEL_NAMES, run_column, run_workload_models
 from .harness.tracecache import DEFAULT_TRACE_CACHE_DIR, TraceCache
 from .obs import Observer, RunReport, write_report_json
 from .obs.events import ComputeSegment
 from .workloads.registry import all_workloads, get_workload
-
-_MODEL_CHOICES = (
-    "rtc",
-    "kbk",
-    "megakernel",
-    "coarse",
-    "fine",
-    "versapipe",
-    "dynamic_parallelism",
-    "baseline",
-)
 
 
 def _positive_int(text):
@@ -148,66 +131,26 @@ def _params(spec, args):
     return spec.default_params() if args.full else spec.quick_params()
 
 
-def _build_model(name, spec, pipeline, gpu, params):
-    if name == "rtc":
-        return RTCModel()
-    if name == "kbk":
-        return KBKModel()
-    if name == "baseline":
-        return spec.baseline_model(params)
-    if name == "megakernel":
-        return MegakernelModel()
-    if name == "coarse":
-        return CoarsePipelineModel()
-    if name == "fine":
-        return FinePipelineModel()
-    if name == "dynamic_parallelism":
-        return DynamicParallelismModel()
-    if name == "versapipe":
-        return HybridModel(spec.versapipe_config(pipeline, gpu, params))
-    raise ValueError(name)
-
-
 def _trace_cache(args) -> TraceCache:
     """The invocation's replay cache: in memory, over the
     ``--trace-cache-dir`` store when one is given."""
     return TraceCache(disk_dir=args.trace_cache_dir)
 
 
-def _run_once(spec, model_name, gpu, params, cache, observe=False):
-    pipeline = spec.build_pipeline(params)
-    model = _build_model(model_name, spec, pipeline, gpu, params)
-    device = GPUDevice(gpu)
-    observer = Observer().attach(device) if observe else None
-    before = cache.stats()
-    result, _replayed, trace = execute_model(
-        spec, pipeline, model, device, params, cache=cache
-    )
-    cache.last_run = cache.stats() - before
-    check_cell(spec, params, result, trace, model_name)
-    if observer is not None:
-        observer.finalize(
-            result, label=f"{spec.name}/{model_name}/{gpu.name}"
-        )
-    return result, observer
-
-
 def _wants_observer(args) -> bool:
-    return bool(
-        getattr(args, "trace_out", None) or getattr(args, "report_json", None)
-    )
+    return bool(args.trace_out or args.report_json)
 
 
-def _write_outputs(args, observer, result) -> None:
+def _write_outputs(args, cell) -> None:
     """Honour ``--trace-out`` / ``--report-json`` for a single run."""
-    if observer is None:
+    if cell.observer is None:
         return
-    label = result.report.label if result.report is not None else ""
-    if getattr(args, "trace_out", None):
-        observer.write_trace(args.trace_out, label=label)
+    report = cell.result.report
+    if args.trace_out:
+        cell.observer.write_trace(args.trace_out, label=report.label)
         print(f"wrote trace: {args.trace_out}")
-    if getattr(args, "report_json", None):
-        write_report_json(args.report_json, result.report)
+    if args.report_json:
+        write_report_json(args.report_json, report)
         print(f"wrote report: {args.report_json}")
 
 
@@ -220,18 +163,22 @@ def cmd_list(args) -> int:
             f"{spec.workload_pattern:>8s}  {spec.description}"
         )
     print(f"\ndevices: {', '.join(sorted(PRESETS))}")
-    print(f"models: {', '.join(_MODEL_CHOICES)}")
+    print(f"models: {', '.join(MODEL_NAMES)}")
     return 0
 
 
 def cmd_run(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
-    params = _params(spec, args)
-    result, observer = _run_once(
-        spec, args.model, gpu, params, _trace_cache(args),
+    cell = run_column(
+        spec,
+        args.model,
+        gpu,
+        _params(spec, args),
         observe=_wants_observer(args),
+        cache=_trace_cache(args),
     )
+    result = cell.result
     print(
         f"{args.workload} / {args.model} on {gpu.name}: "
         f"{result.time_ms:.3f} ms simulated"
@@ -243,7 +190,7 @@ def cmd_run(args) -> int:
     )
     if result.config_description:
         print(f"  config: {result.config_description}")
-    _write_outputs(args, observer, result)
+    _write_outputs(args, cell)
     return 0
 
 
@@ -253,59 +200,18 @@ def _sibling_path(path: str, tag: str) -> str:
     return f"{root}.{tag}{ext or '.json'}"
 
 
-def _write_compare_report(args, gpu, reports) -> None:
-    payload = {
-        "workload": args.workload,
-        "device": gpu.name,
-        "models": {
-            name: report.to_dict() for name, report in reports.items()
-        },
-        "aggregate": RunReport.aggregate(
-            reports.values(),
-            label=f"{args.workload}/{gpu.name}",
-        ).to_dict(),
-    }
-    with open(args.report_json, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    print(f"wrote report: {args.report_json}")
-
-
-def _compare_with_traces(args, spec, gpu, params, cache) -> int:
-    """The per-model serial path kept for ``--trace-out`` (one observer —
-    and so one exported trace — per model)."""
-    rows = []
-    reports = {}
-    for model_name in ("baseline", "megakernel", "versapipe"):
-        result, observer = _run_once(
-            spec, model_name, gpu, params, cache, observe=True
-        )
-        rows.append((model_name, result.time_ms))
-        print(f"  {model_name:12s} {result.time_ms:10.3f} ms")
-        reports[model_name] = result.report
-        path = _sibling_path(args.trace_out, model_name)
-        observer.write_trace(path, label=result.report.label)
-        print(f"  wrote trace: {path}")
-    base = rows[0][1]
-    for model_name, time_ms in rows[1:]:
-        print(f"  -> {model_name} speedup over baseline: "
-              f"{base / time_ms:.2f}x")
-    if args.report_json:
-        _write_compare_report(args, gpu, reports)
-    return 0
-
-
 def cmd_compare(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
-    params = _params(spec, args)
-    observe = _wants_observer(args)
     cache = _trace_cache(args)
     print(f"{args.workload} on {gpu.name} "
           f"({'paper-scale' if args.full else 'quick'} parameters):")
-    if args.trace_out:
-        return _compare_with_traces(args, spec, gpu, params, cache)
     cells = run_workload_models(
-        spec.name, gpu, params, observe=observe, cache=cache
+        spec.name,
+        gpu,
+        _params(spec, args),
+        observe=_wants_observer(args),
+        cache=cache,
     )
     rows = [(name, cell.time_ms) for name, cell in cells.items()]
     for name, time_ms in rows:
@@ -315,13 +221,27 @@ def cmd_compare(args) -> int:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
     if cache.root is not None:
         print(f"  (trace cache: {cache.last_run.describe()})")
+    if args.trace_out:
+        for name, cell in cells.items():
+            path = _sibling_path(args.trace_out, name)
+            cell.observer.write_trace(path, label=cell.result.report.label)
+            print(f"wrote trace: {path}")
     if args.report_json:
-        reports = {
-            name: cell.result.report
-            for name, cell in cells.items()
-            if cell.result is not None and cell.result.report is not None
+        reports = {name: cell.result.report for name, cell in cells.items()}
+        payload = {
+            "workload": args.workload,
+            "device": gpu.name,
+            "models": {
+                name: report.to_dict() for name, report in reports.items()
+            },
+            "aggregate": RunReport.aggregate(
+                reports.values(),
+                label=f"{args.workload}/{gpu.name}",
+            ).to_dict(),
         }
-        _write_compare_report(args, gpu, reports)
+        with open(args.report_json, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+        print(f"wrote report: {args.report_json}")
     return 0
 
 
@@ -330,13 +250,13 @@ def cmd_stats(args) -> int:
     gpu = get_spec(args.device)
     params = _params(spec, args)
     cache = _trace_cache(args)
-    result, observer = _run_once(
-        spec, args.model, gpu, params, cache, observe=True
+    cell = run_column(
+        spec, args.model, gpu, params, observe=True, cache=cache
     )
-    print(result.report.summary_text())
+    print(cell.result.report.summary_text())
     print(
-        "batching: batch-size=unlimited; replay cache: on "
-        f"({len(cache)} trace(s), last run: {cache.last_run.describe()})"
+        f"replay cache: on ({len(cache)} trace(s), "
+        f"last run: {cache.last_run.describe()})"
     )
     if getattr(args, "cache_dir", None):
         from .harness.runner import tune_workload
@@ -357,7 +277,7 @@ def cmd_stats(args) -> int:
             f"{report.best_config.describe()}; "
             f"cache: {report.cache_stats.describe()} ({cache_dir})"
         )
-    _write_outputs(args, observer, result)
+    _write_outputs(args, cell)
     return 0
 
 
@@ -520,17 +440,21 @@ def cmd_serve(args) -> int:
 def cmd_timeline(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
-    params = _params(spec, args)
-    result, observer = _run_once(
-        spec, args.model, gpu, params, _trace_cache(args), observe=True
+    cell = run_column(
+        spec,
+        args.model,
+        gpu,
+        _params(spec, args),
+        observe=True,
+        cache=_trace_cache(args),
     )
     print(
         f"{args.workload} / {args.model} on {gpu.name}: "
-        f"{result.time_ms:.3f} ms"
+        f"{cell.time_ms:.3f} ms"
     )
-    segments = observer.recorder.of_type(ComputeSegment)
+    segments = cell.observer.recorder.of_type(ComputeSegment)
     print(render_timeline(segments, gpu.num_sms, clock_ghz=gpu.clock_ghz))
-    _write_outputs(args, observer, result)
+    _write_outputs(args, cell)
     return 0
 
 
@@ -587,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(run)
     add_obs(run)
     run.add_argument(
-        "--model", default="versapipe", choices=_MODEL_CHOICES
+        "--model", default="versapipe", choices=MODEL_NAMES
     )
 
     compare = sub.add_parser(
@@ -791,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(timeline)
     add_obs(timeline)
     timeline.add_argument(
-        "--model", default="versapipe", choices=_MODEL_CHOICES
+        "--model", default="versapipe", choices=MODEL_NAMES
     )
 
     stats = sub.add_parser(
@@ -801,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(stats)
     add_obs(stats)
     stats.add_argument(
-        "--model", default="versapipe", choices=_MODEL_CHOICES
+        "--model", default="versapipe", choices=MODEL_NAMES
     )
     stats.add_argument(
         "--cache-dir",

@@ -4,7 +4,6 @@ figures as text, and compares measured shapes against the paper's
 reported numbers."""
 
 from .pool import (
-    COLUMNS,
     CellTask,
     SuiteResult,
     plan_suite,
@@ -13,11 +12,14 @@ from .pool import (
     suite_bench_payload,
 )
 from .runner import (
+    COLUMNS,
+    MODEL_NAMES,
     ExperimentCell,
     TunedWorkload,
     aggregate_reports,
     execute_model,
     run_cell,
+    run_column,
     run_versapipe,
     run_workload_models,
     tune_workload,
@@ -36,6 +38,7 @@ __all__ = [
     "DEFAULT_TRACE_CACHE",
     "DEFAULT_TRACE_CACHE_DIR",
     "ExperimentCell",
+    "MODEL_NAMES",
     "SuiteResult",
     "TraceCache",
     "TunedWorkload",
@@ -48,6 +51,7 @@ __all__ = [
     "render_table2",
     "run_cell",
     "run_cells",
+    "run_column",
     "run_suite",
     "run_versapipe",
     "run_workload_models",

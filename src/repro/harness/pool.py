@@ -8,12 +8,10 @@ cell that its VersaPipe cell reuses
 (:func:`~repro.harness.runner.run_versapipe`).  So this module gives
 the pool (:mod:`repro.core.tuner.pool`) one shard per workload, holding
 that workload's cells in plan order.  An idle worker takes the next
-shard and runs it sequentially with the ordinary
-:func:`~repro.harness.runner.run_cell` /
-:func:`~repro.harness.runner.run_versapipe` entry points, and the
-cells are merged back by their positions in the plan.  Each trace and
-each input set is thus built in exactly one process at any worker
-count.
+shard and runs it sequentially through
+:func:`~repro.harness.runner.run_column`, and the cells are merged
+back by their positions in the plan.  Each trace and each input set is
+thus built in exactly one process at any worker count.
 
 Determinism contract (pinned by ``tests/test_harness_pool.py``):
 
@@ -36,37 +34,15 @@ executing any stage code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from ..core.models import (
-    CoarsePipelineModel,
-    DynamicParallelismModel,
-    FinePipelineModel,
-    KBKModel,
-    MegakernelModel,
-    RTCModel,
-)
 from ..core.tuner.pool import default_workers, map_shards
 from ..gpu.specs import get_spec
-from ..store import Store, StoreStats, open_store
+from ..store import StoreStats, open_store
 from ..workloads.registry import all_workloads, get_workload
-from .runner import ExperimentCell, run_cell, run_versapipe
+from .runner import COLUMNS, ExperimentCell, run_column
 from .tracecache import TraceCache
-
-#: The Table 2 columns; the default suite runs one cell per column.
-COLUMNS = ("baseline", "megakernel", "versapipe")
-
-#: Columns naming a single execution model (the remaining two —
-#: ``baseline`` and ``versapipe`` — need the workload spec to resolve).
-_SINGLE_MODELS = {
-    "rtc": RTCModel,
-    "kbk": KBKModel,
-    "megakernel": MegakernelModel,
-    "coarse": CoarsePipelineModel,
-    "fine": FinePipelineModel,
-    "dynamic_parallelism": DynamicParallelismModel,
-}
 
 
 @dataclass(frozen=True)
@@ -124,52 +100,16 @@ class _ShardCells:
     cache_stats: StoreStats
 
 
-def _run_task(
-    task: CellTask,
-    payload: _SuitePayload,
-    cache: Store,
-    megakernel: Optional[ExperimentCell],
-) -> ExperimentCell:
-    spec = get_workload(task.workload)
-    gpu = get_spec(task.device)
-    params = payload.resolve_params(spec)
-    if task.column == "versapipe":
-        return run_versapipe(
-            spec,
-            gpu,
-            params,
-            check=payload.check,
-            observe=payload.observe,
-            cache=cache,
-            megakernel=megakernel,
-        )
-    if task.column == "baseline":
-        model = spec.baseline_model(params)
-        label = spec.baseline_name
-    elif task.column in _SINGLE_MODELS:
-        model = _SINGLE_MODELS[task.column]()
-        label = None
-    else:
-        raise ValueError(f"unknown suite column: {task.column!r}")
-    return run_cell(
-        spec,
-        model,
-        gpu,
-        params,
-        check=payload.check,
-        label=label,
-        observe=payload.observe,
-        cache=cache,
-    )
-
-
 def _run_cell_shard(
     payload: _SuitePayload, shard: list[CellTask]
 ) -> _ShardCells:
     """Worker entry point: run one workload's cells in plan order.
 
     Each VersaPipe cell gets the Megakernel cell of its row, if the
-    shard ran one before it.  With a ``cache_dir`` the shard uses the
+    shard ran one before it.  The cells leave their observers behind:
+    an :class:`~repro.obs.Observer` does not pickle, and a cell that
+    cannot cross the process boundary would send the whole dispatch
+    back in-process.  With a ``cache_dir`` the shard uses the
     process-wide store for that directory
     (:func:`repro.store.open_store`): the persistent pool keeps workers
     alive across dispatches, so traces loaded or recorded once stay
@@ -187,12 +127,25 @@ def _run_cell_shard(
     megakernels: dict[tuple[str, str], ExperimentCell] = {}
     cells = []
     for task in shard:
+        spec = get_workload(task.workload)
         row = (task.workload, task.device)
-        cell = _run_task(task, payload, cache, megakernels.get(row))
+        cell = run_column(
+            spec,
+            task.column,
+            get_spec(task.device),
+            payload.resolve_params(spec),
+            check=payload.check,
+            observe=payload.observe,
+            cache=cache,
+            megakernel=megakernels.get(row),
+        )
         if task.column == "megakernel":
             megakernels[row] = cell
         cells.append(cell)
-    return _ShardCells(cells=cells, cache_stats=cache.stats() - before)
+    return _ShardCells(
+        cells=[replace(cell, observer=None) for cell in cells],
+        cache_stats=cache.stats() - before,
+    )
 
 
 def run_cells(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from ..core.executor import FunctionalExecutor, ReplayExecutor
-from ..core.models import HybridModel, MegakernelModel
+from ..core.models import HybridModel, MegakernelModel, get_model
 from ..core.models.base import ExecutionModel
 from ..core.result import RunResult
 from ..core.trace import Trace
@@ -44,6 +44,12 @@ class ExperimentCell:
     result: RunResult = field(repr=False, default=None)
     #: True when the functional work was replayed from a cached trace.
     replayed: bool = False
+    #: The observer attached for an observed run (``None`` otherwise); it
+    #: holds the run's events for the trace export.  It does not pickle,
+    #: so cells sent between processes leave it behind.
+    observer: Optional[Observer] = field(
+        repr=False, default=None, compare=False
+    )
 
 
 def execute_model(
@@ -141,8 +147,9 @@ def run_cell(
     """Run one workload under one model on one simulated device.
 
     With ``observe=True`` an :class:`~repro.obs.Observer` is attached for
-    the run and the derived :class:`~repro.obs.RunReport` lands on
-    ``cell.result.report``, labelled ``workload/model/device``.  Pass a
+    the run and kept on ``cell.observer``, and the derived
+    :class:`~repro.obs.RunReport` lands on ``cell.result.report``,
+    labelled ``workload/model/device``.  Pass a
     :class:`TraceCache` to enable compute-once/simulate-many trace reuse
     across models (see :func:`execute_model`).  ``check`` grades the
     outputs with :func:`check_cell`: every functional run in full, and a
@@ -172,6 +179,7 @@ def run_cell(
         scaled_ms=result.time_ms * scale,
         result=result,
         replayed=replayed,
+        observer=observer,
     )
 
 
@@ -208,26 +216,18 @@ def run_versapipe(
     only the described plan is simulated here.  ``megakernel`` is the
     Megakernel column's cell for the same spec, device, params, ``check``
     and ``observe``; without one, this call runs it.  When it wins, the
-    result is a copy labelled ``versapipe`` (an observed report as
+    result is a copy labelled ``versapipe`` that carries the Megakernel
+    run's observer (an observed report as
     ``<workload>/versapipe/<device>``), and the given cell is left as it
-    was.  ``cache.last_run`` is set to this call's cache-counter delta so
-    ``repro stats`` reports per-run numbers.
+    was.  ``cache.last_run`` is set to this call's cache-counter delta.
     """
-    from ..core.config import PipelineConfig
-
     params = params if params is not None else spec.default_params()
     pipeline = spec.build_pipeline(params)
     described = spec.versapipe_config(pipeline, gpu, params)
     before = _stats(cache)
     cell = run_cell(
         spec,
-        HybridModel(
-            PipelineConfig(
-                groups=described.groups,
-                policy=described.policy,
-                online_adaptation=True,
-            )
-        ),
+        HybridModel(replace(described, online_adaptation=True)),
         gpu,
         params,
         check=check,
@@ -259,6 +259,79 @@ def run_versapipe(
     return cell
 
 
+#: Every column name :func:`run_column` accepts, in ``repro list`` order.
+#: ``versapipe`` and ``baseline`` depend on the workload; every other
+#: name is a registered execution model
+#: (:func:`~repro.core.models.get_model`).
+MODEL_NAMES = (
+    "rtc",
+    "kbk",
+    "megakernel",
+    "coarse",
+    "fine",
+    "versapipe",
+    "dynamic_parallelism",
+    "baseline",
+)
+
+#: The Table 2 columns, in the order a row runs them: the VersaPipe
+#: cell reuses the Megakernel cell before it.
+COLUMNS = ("baseline", "megakernel", "versapipe")
+
+
+def run_column(
+    spec: WorkloadSpec,
+    column: str,
+    gpu: GPUSpec,
+    params: Optional[object] = None,
+    check: bool = True,
+    observe: bool = False,
+    cache: Optional[Store] = DEFAULT_TRACE_CACHE,
+    megakernel: Optional[ExperimentCell] = None,
+) -> ExperimentCell:
+    """Run one cell by column name; the only map from a name to a model.
+
+    ``baseline`` is the workload's baseline model, labelled with its
+    name; ``versapipe`` is :func:`run_versapipe`, which takes
+    ``megakernel`` as its second candidate; every other name in
+    :data:`MODEL_NAMES` is that registered model with its defaults.
+    ``cache.last_run`` is set to this call's cache-counter delta, so
+    ``repro stats`` reports per-run numbers.
+    """
+    if column not in MODEL_NAMES:
+        raise ValueError(f"unknown column: {column!r}")
+    params = params if params is not None else spec.default_params()
+    before = _stats(cache)
+    if column == "versapipe":
+        cell = run_versapipe(
+            spec,
+            gpu,
+            params,
+            check=check,
+            observe=observe,
+            cache=cache,
+            megakernel=megakernel,
+        )
+    else:
+        label: Optional[str] = None
+        if column == "baseline":
+            model, label = spec.baseline_model(params), spec.baseline_name
+        else:
+            model = get_model(column)()
+        cell = run_cell(
+            spec,
+            model,
+            gpu,
+            params,
+            check=check,
+            label=label,
+            observe=observe,
+            cache=cache,
+        )
+    _publish_run(cache, _stats(cache) - before)
+    return cell
+
+
 def run_workload_models(
     name: str,
     gpu: GPUSpec = K20C,
@@ -280,40 +353,20 @@ def run_workload_models(
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
     before = _stats(cache)
-    baseline = run_cell(
-        spec,
-        spec.baseline_model(params),
-        gpu,
-        params,
-        check=check,
-        label=spec.baseline_name,
-        observe=observe,
-        cache=cache,
-    )
-    megakernel = run_cell(
-        spec,
-        MegakernelModel(),
-        gpu,
-        params,
-        check=check,
-        observe=observe,
-        cache=cache,
-    )
-    result = {
-        "baseline": baseline,
-        "megakernel": megakernel,
-        "versapipe": run_versapipe(
+    cells: dict[str, ExperimentCell] = {}
+    for column in COLUMNS:
+        cells[column] = run_column(
             spec,
+            column,
             gpu,
             params,
             check=check,
             observe=observe,
             cache=cache,
-            megakernel=megakernel,
-        ),
-    }
+            megakernel=cells.get("megakernel"),
+        )
     _publish_run(cache, _stats(cache) - before)
-    return result
+    return cells
 
 
 @dataclass

@@ -11,6 +11,11 @@ Three fixed runs that pin the simulator's event schedule:
 * ``reyes`` — the paper's flagship split-bound pipeline under its
   described hybrid plan.
 
+The two workload cases run the paper-described plan as it is, not the
+harness's VersaPipe column (:func:`~repro.harness.runner.run_versapipe`,
+the faster of that plan and the megakernel), so each case pins one
+plan's schedule.
+
 Two scales exist per case; only ``synthetic_deep`` differs between
 them (256 against 64 items).  ``test`` scale is the golden schedule of
 ``tests/gpu/test_determinism_golden.py``.  ``bench`` scale is the

@@ -84,10 +84,11 @@ class TraceCache(Store):
     ) -> None:
         super().__init__("traces", root=disk_dir, max_entries=max_entries)
         #: Per-run counter delta of the most recent harness entry-point
-        #: call (``run_workload_models`` / ``run_versapipe``) that used
-        #: this cache; ``None`` until one completes.  Kept so ``repro
-        #: stats`` reports per-run numbers even on the process-wide
-        #: default cache, whose raw counters span the process lifetime.
+        #: call (``run_column`` / ``run_versapipe`` /
+        #: ``run_workload_models``) that used this cache; ``None`` until
+        #: one completes.  Kept so ``repro stats`` reports per-run numbers
+        #: even on the process-wide default cache, whose raw counters span
+        #: the process lifetime.
         self.last_run: Optional[StoreStats] = None
 
 

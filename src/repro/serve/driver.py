@@ -162,16 +162,15 @@ class ServeConfig:
 def build_serve_plan(
     spec: WorkloadSpec, pipeline, gpu: GPUSpec, params: object, model: str
 ) -> PipelineConfig:
-    """The resident :class:`PipelineConfig` for one serve model name."""
+    """The resident :class:`PipelineConfig` for one serve model name.
+
+    ``versapipe`` serves the workload's paper-described plan as it is,
+    with online adaptation off (docs/serving.md says why).
+    """
     all_sms = tuple(range(gpu.num_sms))
     stages = tuple(pipeline.stage_names)
     if model == "versapipe":
-        described = spec.versapipe_config(pipeline, gpu, params)
-        return PipelineConfig(
-            groups=described.groups,
-            policy=described.policy,
-            online_adaptation=False,
-        )
+        return spec.versapipe_config(pipeline, gpu, params)
     if model == "megakernel":
         groups = (
             GroupConfig(stages=stages, model="megakernel", sm_ids=all_sms),

@@ -4,7 +4,11 @@
 timeline`` output (quick parameters, K20c) for reyes under four
 execution models and for ldpc and pyramid under VersaPipe.  The chart
 is drawn from the run's ``ComputeSegment`` events, so these files pin
-both the SMs' record of their compute activity and the renderer.
+both the SMs' record of their compute activity and the renderer.  The
+VersaPipe column is the faster of the paper-described plan and the
+megakernel: on ldpc and pyramid that is the megakernel plan, so the
+hybrid-plan charts pinned here are reyes' (``versapipe`` and
+``coarse``).
 
 Regenerate (only after an intentional model change) from the repo
 root::

@@ -1,6 +1,7 @@
 """CLI smoke tests (direct main() invocation, captured stdout)."""
 
 import json
+import re
 
 import pytest
 
@@ -110,6 +111,45 @@ class TestCompare:
             assert json.loads(sibling.read_text())["traceEvents"]
 
 
+class TestOneVersaPipeNumber:
+    """Every command that prints a VersaPipe time prints the VersaPipe
+    column's time, and no output flag changes it."""
+
+    @pytest.mark.parametrize("workload", ["pyramid", "rasterization", "ldpc"])
+    def test_output_flags_do_not_move_versapipe(
+        self, capsys, tmp_path, workload
+    ):
+        def versapipe_ms(*argv):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            found = re.findall(
+                rf"^(?:{workload} / versapipe on K20c:|  versapipe) +"
+                r"([0-9.]+) ms",
+                out,
+                re.MULTILINE,
+            )
+            assert len(found) == 1, out
+            return found[0]
+
+        run_trace = tmp_path / "run.json"
+        compare_trace = tmp_path / "cmp.json"
+        times = {
+            "run": versapipe_ms("run", workload),
+            "run --trace-out": versapipe_ms(
+                "run", workload, "--trace-out", str(run_trace)
+            ),
+            "compare": versapipe_ms("compare", workload),
+            "compare --trace-out": versapipe_ms(
+                "compare", workload, "--trace-out", str(compare_trace)
+            ),
+            "timeline": versapipe_ms("timeline", workload),
+        }
+        assert len(set(times.values())) == 1, times
+        label = f"{workload}/versapipe/K20c"
+        for path in (run_trace, tmp_path / "cmp.versapipe.json"):
+            assert json.loads(path.read_text())["otherData"]["label"] == label
+
+
 class TestStats:
     def test_stats_prints_report_sections(self, capsys):
         code, out = run_cli(capsys, "stats", "reyes")
@@ -197,14 +237,15 @@ class TestBatchingFlags:
     def test_stats_reports_batching_line(self, capsys):
         code, out = run_cli(capsys, "stats", "ldpc")
         assert code == 0
-        assert "batching: batch-size=unlimited" in out
-        assert "replay cache: on" in out
+        assert "batch-size" not in out
+        assert "replay cache: on (1 trace(s), last run: " in out
 
     def test_stats_reports_per_run_cache_numbers(self, capsys):
         code, out = run_cli(capsys, "stats", "ldpc")
         assert code == 0
-        # A fresh run records once and replays nothing.
-        assert "last run: 0 hits / 1 misses" in out
+        # The described plan records once; the Megakernel candidate of
+        # the VersaPipe column replays that recording.
+        assert "last run: 1 hits / 1 misses" in out
 
 
 class TestArgValidation:

@@ -291,6 +291,21 @@ class TestOncePerSuite:
         assert len(suite.cells) == 12
         assert len(runs) == 12, runs
 
+    def test_observed_shard_cells_pickle(self):
+        """An observer does not pickle, and ``map_shards`` runs a
+        dispatch whose results cannot cross the process boundary
+        in-process, silently.  So the shard runner leaves every cell's
+        observer behind, the VersaPipe copy of a winning Megakernel cell
+        (Pyramid) included, and keeps the reports."""
+        from repro.harness.pool import _run_cell_shard, _SuitePayload
+
+        shard = _run_cell_shard(
+            _SuitePayload(observe=True), plan_suite(["pyramid"])
+        )
+        assert [cell.observer for cell in shard.cells] == [None] * 3
+        assert all(cell.result.report for cell in shard.cells)
+        pickle.dumps(shard)
+
     @pytest.mark.parametrize(
         "name, megakernel_wins", [("pyramid", True), ("reyes", False)]
     )
