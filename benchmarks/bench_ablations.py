@@ -9,12 +9,17 @@
    growth.
 3. Online adaptation (Section 7): refilling freed SMs from backlogged
    groups must never hurt, and helps stage-imbalanced coarse plans.
+
+The policy and adaptation sweeps record Reyes once and replay that
+recording for every plan, outputs checked.
 """
 
 from repro.core.config import GroupConfig, PipelineConfig
 from repro.core.executor import FunctionalExecutor
 from repro.core.models import HybridModel, MegakernelModel
 from repro.gpu import GPUDevice, K20C
+from repro.harness.runner import run_cell
+from repro.harness.tracecache import TraceCache
 from repro.workloads import cfd, reyes
 from repro.workloads.registry import get_workload
 
@@ -62,16 +67,13 @@ def test_ablation_scheduler_policy(benchmark):
     params = reyes.ReyesParams(num_base_patches=16, split_threshold=48.0)
 
     def sweep():
+        cache = TraceCache()
         results = {}
         for policy in ("deepest_first", "fifo", "round_robin"):
-            pipe = spec.build_pipeline(params)
-            device = GPUDevice(K20C)
-            result = MegakernelModel(policy=policy).run(
-                pipe,
-                device,
-                FunctionalExecutor(pipe),
-                spec.initial_items(params),
-            )
+            result = run_cell(
+                spec, MegakernelModel(policy=policy), K20C, params,
+                cache=cache,
+            ).result
             peak = max(q.peak_length for q in result.queue_stats.values())
             results[policy] = (result.time_ms, peak)
         return results
@@ -115,14 +117,12 @@ def test_ablation_online_adaptation(benchmark):
             online_adaptation=adapt,
         )
 
+    cache = TraceCache()
+
     def run(adapt):
-        pipe = spec.build_pipeline(params)
-        device = GPUDevice(K20C)
-        result = HybridModel(plan(adapt)).run(
-            pipe, device, FunctionalExecutor(pipe), spec.initial_items(params)
-        )
-        spec.check_outputs(params, result.outputs)
-        return result
+        return run_cell(
+            spec, HybridModel(plan(adapt)), K20C, params, cache=cache
+        ).result
 
     def sweep():
         return run(False), run(True)

@@ -11,12 +11,16 @@ The hybrid column is Reyes' paper-described plan as it is (``described``),
 not the VersaPipe column: that column takes the faster of this plan and
 the megakernel, so it could never lose to the megakernel column it is
 compared with here.
+
+The recording does not depend on the device, so the sweep records Reyes
+once and every cell replays that recording, outputs checked.
 """
 
-from repro.core.executor import FunctionalExecutor
 from repro.core.models import HybridModel, KBKModel, MegakernelModel
-from repro.gpu import GPUDevice, K20C
+from repro.gpu import K20C
+from repro.harness.runner import run_cell
 from repro.harness.tables import format_table
+from repro.harness.tracecache import TraceCache
 from repro.workloads import reyes
 from repro.workloads.registry import get_workload
 
@@ -26,27 +30,22 @@ SM_COUNTS = (4, 8, 13, 20, 32)
 def sweep():
     spec = get_workload("reyes")
     params = reyes.ReyesParams()
+    pipeline = spec.build_pipeline(params)
+    cache = TraceCache()
     rows = {}
     for num_sms in SM_COUNTS:
         gpu = K20C.with_overrides(num_sms=num_sms)
-        cells = {}
-        for label, factory in (
-            ("kbk", lambda pipe: KBKModel(
-                host_bytes_per_wave=reyes.KBK_HOST_BYTES_PER_WAVE)),
-            ("megakernel", lambda pipe: MegakernelModel()),
-            ("described", lambda pipe: HybridModel(
-                spec.versapipe_config(pipe, gpu, params))),
-        ):
-            pipe = spec.build_pipeline(params)
-            device = GPUDevice(gpu)
-            result = factory(pipe).run(
-                pipe,
-                device,
-                FunctionalExecutor(pipe),
-                spec.initial_items(params),
-            )
-            cells[label] = result.time_ms
-        rows[num_sms] = cells
+        models = {
+            "kbk": KBKModel(host_bytes_per_wave=reyes.KBK_HOST_BYTES_PER_WAVE),
+            "megakernel": MegakernelModel(),
+            "described": HybridModel(
+                spec.versapipe_config(pipeline, gpu, params)
+            ),
+        }
+        rows[num_sms] = {
+            label: run_cell(spec, model, gpu, params, cache=cache).time_ms
+            for label, model in models.items()
+        }
     return rows
 
 

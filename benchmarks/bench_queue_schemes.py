@@ -5,12 +5,14 @@ most visibly on Reyes, whose 272-byte items make every queue operation
 expensive — and suggests distributed queues as the remedy.  This benchmark
 compares the shared single-queue-per-stage organisation against per-SM
 shards with work stealing, under the megakernel model (whose every task
-touches a queue).
+touches a queue).  Each parameter set is recorded once and every run
+replays that recording, outputs checked.
 """
 
-from repro.core.executor import FunctionalExecutor
 from repro.core.models import MegakernelModel
-from repro.gpu import GPUDevice, K20C
+from repro.gpu import K20C
+from repro.harness.runner import run_cell
+from repro.harness.tracecache import TraceCache
 from repro.workloads import reyes
 from repro.workloads.registry import get_workload
 
@@ -18,19 +20,13 @@ from repro.workloads.registry import get_workload
 def compare():
     spec = get_workload("reyes")
     params = reyes.ReyesParams()
-    results = {}
-    for mode in ("shared", "distributed"):
-        pipe = spec.build_pipeline(params)
-        device = GPUDevice(K20C)
-        result = MegakernelModel(queue_mode=mode).run(
-            pipe,
-            device,
-            FunctionalExecutor(pipe),
-            spec.initial_items(params),
-        )
-        spec.check_outputs(params, result.outputs)
-        results[mode] = result
-    return results
+    cache = TraceCache()
+    return {
+        mode: run_cell(
+            spec, MegakernelModel(queue_mode=mode), K20C, params, cache=cache
+        ).result
+        for mode in ("shared", "distributed")
+    }
 
 
 def test_queue_scheme_ablation(benchmark):
@@ -59,16 +55,10 @@ def compare_item_sizes():
     results = {}
     for compact in (False, True):
         params = reyes.ReyesParams(compact_items=compact)
-        pipe = spec.build_pipeline(params)
-        device = GPUDevice(K20C)
-        result = MegakernelModel().run(
-            pipe,
-            device,
-            FunctionalExecutor(pipe),
-            spec.initial_items(params),
+        cell = run_cell(
+            spec, MegakernelModel(), K20C, params, cache=TraceCache()
         )
-        spec.check_outputs(params, result.outputs)
-        results["48B handle" if compact else "272B patch"] = result
+        results["48B handle" if compact else "272B patch"] = cell.result
     return results
 
 

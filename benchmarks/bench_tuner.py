@@ -6,7 +6,7 @@ configure it to achieve the best performance."  We verify the offline
 tuner, run on the Reyes and LDPC pipelines, finds a plan at least as fast
 as both the single-model alternatives and the hand-written
 (paper-described) configuration; that its canonical report does not
-depend on the worker count or the profile cache; and that the dominance
+depend on the worker count or the search cache; and that the dominance
 bound holds on every candidate of the paper-scale search spaces.
 """
 
@@ -16,13 +16,12 @@ import os
 
 import pytest
 
-from repro.core.executor import FunctionalExecutor
 from repro.core.models import HybridModel, MegakernelModel
 from repro.core.tuner.offline import OfflineTuner, TunerOptions, _replay_config
 from repro.core.tuner.profiler import profile_pipeline
 from repro.core.tuner.space import throughput_bound_cycles
-from repro.gpu import GPUDevice, K20C
-from repro.harness.runner import tune_workload
+from repro.gpu import K20C
+from repro.harness.runner import run_cell, tune_workload
 from repro.harness.tracecache import TraceCache
 from repro.workloads import ldpc, reyes
 from repro.workloads.registry import get_workload
@@ -44,30 +43,27 @@ _SEARCH_OPTS = dict(max_configs=80, include_kbk_groups=False)
 
 
 def tune_and_compare(name, params):
+    """Tune on the workload's one recording, then replay it (outputs
+    checked) under the tuned plan, the megakernel and the described plan."""
     spec = get_workload(name)
-    pipeline = spec.build_pipeline(params)
-    initial = spec.initial_items(params)
-    profile, trace = profile_pipeline(pipeline, K20C, initial)
-    tuner = OfflineTuner(
-        pipeline,
+    cache = TraceCache()
+    report = tune_workload(
+        name,
         K20C,
-        trace,
-        profile=profile,
+        params,
         options=TunerOptions(max_configs=80, include_kbk_groups=False),
-    )
-    report = tuner.tune()
+        cache=cache,
+    ).report
 
     def run(model):
-        pipe = spec.build_pipeline(params)
-        device = GPUDevice(K20C)
-        return model.run(
-            pipe, device, FunctionalExecutor(pipe), spec.initial_items(params)
-        ).time_ms
+        return run_cell(spec, model, K20C, params, cache=cache).time_ms
 
     tuned_ms = run(HybridModel(report.best_config))
     mega_ms = run(MegakernelModel())
     paper_cfg_ms = run(
-        HybridModel(spec.versapipe_config(pipeline, K20C, params))
+        HybridModel(
+            spec.versapipe_config(spec.build_pipeline(params), K20C, params)
+        )
     )
     return report, tuned_ms, mega_ms, paper_cfg_ms
 
@@ -141,11 +137,11 @@ def _payload_bytes(report):
 
 def test_parallel_tuner_cache_invariance(benchmark, tmp_path):
     """The race-to-deadline search in four legs per workload: cold at
-    ``workers=1`` without a profile cache, cold at ``workers=4`` into a
+    ``workers=1`` without a search cache, cold at ``workers=4`` into a
     fresh cache, then warm at ``workers=1`` and at ``workers=4`` on it.
 
     The canonical report must be byte-identical across all four legs,
-    and the warm legs must replay nothing.  The ``workers=1`` cold
+    and the warm legs must hit the one stored search.  The ``workers=1`` cold
     leg's winner time and prune counts land in ``BENCH_tuner.json``;
     every leaf there is deterministic, so CI requires it to equal the
     committed baseline.  The search's host time is measured by
@@ -174,13 +170,11 @@ def test_parallel_tuner_cache_invariance(benchmark, tmp_path):
         reference = _payload_bytes(cold)
         for leg in others:
             assert _payload_bytes(leg) == reference
-        # Warm legs replay nothing: the cold-parallel run stored every
-        # cell under the loosest deadlines any schedule will ask for.
+        # The cold-parallel leg stores the search once; the warm legs
+        # read it back instead of racing.
+        assert (others[0].cache_hits, others[0].cache_misses) == (0, 1)
         for warm in others[1:]:
-            assert warm.cache_misses == 0
-            assert all(
-                e.cached for e in warm.evaluated if e.outcome == "completed"
-            )
+            assert (warm.cache_hits, warm.cache_misses) == (1, 0)
         bench_json["workloads"][name] = {
             "best_time_ms": cold.best_time_ms,
             "num_evaluated": cold.num_evaluated,
@@ -215,7 +209,7 @@ def test_dominance_sound_at_paper_scale():
                 continue
             cycles = e.cycles
             if e.outcome == "dominated":
-                ms, cycles, _ = _replay_config(
+                ms, cycles = _replay_config(
                     pipeline, K20C, tuned.trace, e.config
                 )
                 assert ms >= report.best_time_ms, (name, e.config.describe())

@@ -16,7 +16,8 @@ Commands:
   service breakdowns, throughput/goodput windows and SLO attainment;
 * ``tune`` — profile a workload and run the offline auto-tuner: every
   candidate races once, on the full recorded trace, against the best
-  time so far (see ``docs/tuning.md``);
+  time so far; ``--cache-dir`` memoizes the whole search, so a repeated
+  search replays nothing (see ``docs/tuning.md``);
 * ``timeline`` — run with the observer attached and print the SM Gantt
   chart drawn from its compute segments;
 * ``stats`` — run with the observer attached and print the derived
@@ -33,7 +34,9 @@ VersaPipe column (:func:`~repro.harness.runner.run_versapipe`) and
 ``compare --trace-out`` exports the traces of the cells it prints.
 
 All commands use the workloads' quick parameters by default; pass
-``--full`` for the paper-scale defaults.
+``--full`` for the paper-scale defaults.  A plan that cannot be placed
+on the device (say ``--model fine`` on a workload whose stages cannot
+co-reside) ends the command with a one-line error and exit status 2.
 
 Every simulated device runs on the one event engine,
 :class:`~repro.gpu.engine.Engine`.
@@ -64,6 +67,7 @@ import json
 import os
 import sys
 
+from .core.errors import ConfigurationError
 from .core.tuner.cache import DEFAULT_CACHE_DIR as _DEFAULT_TUNER_CACHE
 from .core.tuner.offline import TunerOptions
 from .gpu.specs import PRESETS, get_spec
@@ -248,35 +252,15 @@ def cmd_compare(args) -> int:
 def cmd_stats(args) -> int:
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
-    params = _params(spec, args)
     cache = _trace_cache(args)
     cell = run_column(
-        spec, args.model, gpu, params, observe=True, cache=cache
+        spec, args.model, gpu, _params(spec, args), observe=True, cache=cache
     )
     print(cell.result.report.summary_text())
     print(
         f"replay cache: on ({len(cache)} trace(s), "
         f"last run: {cache.last_run.describe()})"
     )
-    if getattr(args, "cache_dir", None):
-        from .harness.runner import tune_workload
-
-        cache_dir = os.path.expanduser(args.cache_dir)
-        tuned = tune_workload(
-            spec.name,
-            gpu,
-            params,
-            options=TunerOptions(
-                max_configs=args.tune_budget, cache_dir=cache_dir
-            ),
-            cache=cache,
-        )
-        report = tuned.report
-        print(
-            f"tuner: best {report.best_time_ms:.3f} ms with "
-            f"{report.best_config.describe()}; "
-            f"cache: {report.cache_stats.describe()} ({cache_dir})"
-        )
     _write_outputs(args, cell)
     return 0
 
@@ -307,7 +291,10 @@ def cmd_tune(args) -> int:
     print(f"profiled {tuned.profiled_tasks} tasks")
     print(report.summary())
     if cache_dir is not None:
-        print(f"cache: {report.cache_stats.describe()} ({cache_dir})")
+        print(
+            f"cache: {report.cache_hits} hits / {report.cache_misses} "
+            f"misses ({cache_dir})"
+        )
     stats = TunerStats.from_report(report, label=f"{spec.name}/{gpu.name}")
     if args.explain:
         provenance = stats.provenance()
@@ -542,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=_DEFAULT_TUNER_CACHE,
         default=None,
-        help="persistent profile cache directory; repeated runs skip "
-        f"already-simulated configs (default PATH: {_DEFAULT_TUNER_CACHE})",
+        help="persistent search cache directory; a repeated search "
+        f"replays nothing (default PATH: {_DEFAULT_TUNER_CACHE})",
     )
     tune.add_argument(
         "--no-dominance",
@@ -727,24 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--model", default="versapipe", choices=MODEL_NAMES
     )
-    stats.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        nargs="?",
-        const=_DEFAULT_TUNER_CACHE,
-        default=None,
-        help="also run the offline auto-tuner against this persistent "
-        "profile cache and report its per-run cache deltas "
-        f"(default PATH: {_DEFAULT_TUNER_CACHE})",
-    )
-    stats.add_argument(
-        "--tune-budget",
-        type=_positive_int,
-        default=40,
-        metavar="N",
-        help="max configurations for the --cache-dir tuner pass "
-        "(default 40)",
-    )
     return parser
 
 
@@ -762,7 +731,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

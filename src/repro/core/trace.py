@@ -43,8 +43,9 @@ class Trace:
     #: Entry node ids per entry stage, in insertion order.
     initial: dict[str, list[int]] = field(default_factory=dict)
     #: Sink payloads per producing node id.  Only populated when the
-    #: recording executor is asked to keep outputs (harness replay cache);
-    #: the tuner records without them to keep traces light.
+    #: recording executor is asked to keep outputs (the harness replay
+    #: cache, whose traces ``tune_workload`` shares); tuner searches
+    #: drop them before shipping a trace to pool workers.
     recorded_outputs: dict[int, list[object]] = field(default_factory=dict)
     #: Lazily built replay index (see :meth:`replay_children`).  Derived
     #: data: never pickled, never compared, rebuilt on demand.

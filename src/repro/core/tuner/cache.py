@@ -1,48 +1,40 @@
-"""Memoized tuner evaluations: keys, entries and the deadline rule.
+"""Memoized tuner searches: the key of one whole search.
 
-Replaying a candidate configuration is deterministic: the same pipeline
-topology, device spec, recorded trace and configuration always produce
-the same simulated time.  That makes every evaluated cell memoizable —
-repeated ``tune``/``compare`` invocations (and CI reruns) can skip
-already-simulated cells entirely.
+Replaying a candidate configuration is deterministic, and so is the
+canonical report of a whole search (docs/tuning.md): the same pipeline
+topology, device spec, recorded trace, profile, search options and
+candidate list always produce the same records, whatever the worker
+count.  That makes a search memoizable as a unit: repeated ``repro
+tune`` invocations (and CI reruns) replay nothing.
 
-Cells live in the ``evals`` namespace of :mod:`repro.store` (JSON on
-disk; docs/harness.md describes the layout).  :func:`space_key`
-fingerprints everything shared by a search — the namespace schema, the
-pipeline topology (stage names, edges and kernel resources), the device
-spec, and the recorded trace (the workload seed: every task's stage,
-cost and children) — and :func:`eval_key` adds the candidate
-configuration.  Any change to pipeline, device, workload or schema
-therefore lands on a different key and misses cleanly.
-
-Entries record one of three outcomes:
-
-* ``completed`` — the replayed time in ms, the elapsed engine cycles
-  (exact, for the tuner's canonical deadline normalization) and the
-  queue-pressure summary;
-* ``invalid`` — the configuration failed validation (deadline
-  independent, always reusable);
-* ``timeout`` — the replay ran past ``exceeded_cycles``.  A timeout
-  entry is only a hit when the *current* deadline is no larger than the
-  recorded one (the run would provably time out again); otherwise the
-  cell is re-evaluated and the entry overwritten (:func:`lookup`).
+Searches live in the ``evals`` namespace of :mod:`repro.store` (JSON on
+disk; docs/harness.md describes the layout), one entry per search.
+:func:`search_key` fingerprints everything the records depend on — the
+namespace schema, the pipeline topology (stage names, edges and kernel
+resources), the device spec, the recorded trace (the workload seed:
+every task's stage, cost and children), the profile, the search options
+other than ``workers`` and ``cache_dir``, and every candidate
+configuration.  Any change to them lands on a different key and misses
+cleanly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import astuple, fields
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ...gpu.specs import GPUSpec
-from ...store import NAMESPACES, Store, digest
+from ...store import NAMESPACES, digest
 from ..config import PipelineConfig
 from ..pipeline import Pipeline
 from ..trace import Trace
-from .profiler import QueuePressure
+from .profiler import PipelineProfile
+
+if TYPE_CHECKING:
+    from .offline import TunerOptions
 
 #: Default location honoured by ``repro tune --cache-dir`` with no value.
 DEFAULT_CACHE_DIR = os.path.join("~", ".cache", "repro-tuner")
@@ -108,105 +100,34 @@ def config_fingerprint(config: PipelineConfig) -> str:
     return digest(payload)
 
 
-def space_key(pipeline: Pipeline, spec: GPUSpec, trace: Trace) -> str:
-    """Key of one search space: schema, pipeline, device and trace."""
+def profile_fingerprint(profile: Optional[PipelineProfile]) -> str:
+    """Stable hash of the per-stage profile (``"none"`` without one)."""
+    if profile is None:
+        return "none"
+    rows = [astuple(stage) for stage in profile.stages.values()]
+    return digest(json.dumps([rows, profile.total_tasks]))
+
+
+def search_key(
+    pipeline: Pipeline,
+    spec: GPUSpec,
+    trace: Trace,
+    profile: Optional[PipelineProfile],
+    options: TunerOptions,
+    candidates: Sequence[PipelineConfig],
+) -> str:
+    """Store key of one whole search; the worker count is not part of it."""
+    settings = {
+        f.name: getattr(options, f.name)
+        for f in fields(options)
+        if f.name not in ("workers", "cache_dir")
+    }
     return digest(
         f"schema={NAMESPACES['evals'].schema}",
         pipeline_fingerprint(pipeline),
         spec_fingerprint(spec),
         trace_fingerprint(trace),
+        profile_fingerprint(profile),
+        json.dumps(settings, sort_keys=True),
+        *(config_fingerprint(config) for config in candidates),
     )
-
-
-def eval_key(space: str, config: PipelineConfig) -> str:
-    """Store key of one candidate within a search space."""
-    return digest(space, config_fingerprint(config))
-
-
-@dataclass(frozen=True)
-class CachedEvaluation:
-    """One memoized cell, as read from (or about to be written to) disk."""
-
-    status: str  # "completed" | "invalid" | "timeout"
-    time_ms: float = math.inf
-    note: str = ""
-    exceeded_cycles: float = 0.0
-    pressure: Optional[QueuePressure] = None
-    #: Exact elapsed engine cycles of a completed replay.  The tuner's
-    #: canonical post-pass compares these against the final deadline in
-    #: the cycle domain, so they must round-trip losslessly.
-    cycles: float = 0.0
-
-    def to_payload(self) -> dict:
-        payload: dict = {"status": self.status, "note": self.note}
-        if self.status == "completed":
-            payload["time_ms"] = self.time_ms
-            payload["cycles"] = self.cycles
-            if self.pressure is not None:
-                payload["pressure"] = {
-                    "peak": dict(self.pressure.peak_per_stage),
-                    "residual": dict(self.pressure.residual_per_stage),
-                }
-        if self.status == "timeout":
-            payload["exceeded_cycles"] = self.exceeded_cycles
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> Optional["CachedEvaluation"]:
-        if not isinstance(payload, dict):
-            return None
-        status = payload.get("status")
-        if status == "completed":
-            time_ms = payload.get("time_ms")
-            cycles = payload.get("cycles")
-            if not isinstance(time_ms, (int, float)):
-                return None
-            if not isinstance(cycles, (int, float)):
-                return None
-            pressure = None
-            raw = payload.get("pressure")
-            if isinstance(raw, dict):
-                pressure = QueuePressure(
-                    peak_per_stage=dict(raw.get("peak", {})),
-                    residual_per_stage=dict(raw.get("residual", {})),
-                )
-            return cls(
-                status="completed",
-                time_ms=float(time_ms),
-                note=str(payload.get("note", "")),
-                pressure=pressure,
-                cycles=float(cycles),
-            )
-        if status == "invalid":
-            return cls(status="invalid", note=str(payload.get("note", "")))
-        if status == "timeout":
-            exceeded = payload.get("exceeded_cycles")
-            if not isinstance(exceeded, (int, float)):
-                return None
-            return cls(status="timeout", exceeded_cycles=float(exceeded))
-        return None
-
-
-def lookup(
-    store: Store, key: str, deadline_cycles: float = math.inf
-) -> Optional[CachedEvaluation]:
-    """The memoized outcome, or None when the cell must be replayed.
-
-    A ``timeout`` entry only satisfies deadlines at least as strict as
-    the one it was recorded under.  An unusable memory entry falls
-    through to disk — a concurrent worker may have overwritten the cell
-    with a completed or longer-deadline outcome.
-    """
-
-    def usable(payload: dict) -> bool:
-        entry = CachedEvaluation.from_payload(payload)
-        if entry is None:
-            return False
-        # A longer deadline might let a timed-out cell finish.
-        return not (
-            entry.status == "timeout"
-            and entry.exceeded_cycles < deadline_cycles
-        )
-
-    payload = store.get(key, accept=usable)
-    return None if payload is None else CachedEvaluation.from_payload(payload)

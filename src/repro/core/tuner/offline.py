@@ -33,14 +33,13 @@ top of the paper's loop, none of which change the chosen plan:
   deadline, the replay stops early with the same
   :class:`DeadlineExceeded` (note ``"timeout"``) it would have reached
   at the deadline.
-* **Profile cache** — with :attr:`TunerOptions.cache_dir` set, every
-  replay outcome is memoized in memory and on disk keyed by pipeline
-  topology, device spec, trace and configuration (the ``evals``
-  namespace of :mod:`repro.store`, keyed by
-  :mod:`~repro.core.tuner.cache`); repeated searches replay nothing.
-  Cached searches pin their deadlines to the deterministic shard-local
-  schedule (the shared bound is not consulted), so a warm rerun looks
-  up exactly the cells a cold run stored and misses nothing.
+* **Search cache** — with :attr:`TunerOptions.cache_dir` set, the
+  canonical result of the whole search is memoized on disk as one entry
+  of the ``evals`` namespace of :mod:`repro.store`, keyed by pipeline
+  topology, device spec, trace, profile, search options and candidate
+  list (:func:`~repro.core.tuner.cache.search_key`), but not the worker
+  count.  A repeated search replays nothing; a first one races exactly
+  as it would without a cache, shared bound included.
 
 **Canonical normalization.**  Racing makes *runtime* outcomes timing
 dependent: whether a slow candidate times out, completes under a loose
@@ -53,11 +52,11 @@ function of deterministic quantities (the final best, each completed
 replay's exact elapsed cycles, each candidate's dominance bound): a
 record is ``completed`` iff its cycles fit the final deadline, else
 ``dominated`` iff its bound exceeds it, else ``timeout``.  Reports are
-byte-identical across worker counts.
+byte-identical across worker counts and cache states.
 
 Candidates are always evaluated with ``online_adaptation`` off (the
 dominance bound relies on each group's work staying on its own SMs);
-the winning plan re-enables it per :attr:`TunerOptions.online_adaptation`.
+the winning plan re-enables it.
 """
 
 from __future__ import annotations
@@ -71,22 +70,17 @@ from ...gpu.device import GPUDevice
 from ...gpu.engine import Engine
 from ...gpu.specs import GPUSpec
 from ...obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
-from ...store import StoreStats, open_store
+from ...store import Store, open_store
 from ..config import PipelineConfig
 from ..errors import ConfigurationError, ExecutionError, VersaPipeError
 from ..executor import ReplayExecutor
 from ..pipeline import Pipeline
 from ..stage import TaskCost
 from ..trace import Trace
-from .cache import CachedEvaluation, eval_key, lookup, space_key
+from .cache import search_key
 from .handoff import SharedBest
 from .pool import default_workers, map_shards, stride_shards
-from .profiler import (
-    PipelineProfile,
-    QueuePressure,
-    queue_pressure,
-    replay_placeholders,
-)
+from .profiler import PipelineProfile, replay_placeholders
 from .space import (
     BOUND_SAFETY,
     enumerate_configs,
@@ -127,20 +121,14 @@ class TunerOptions:
 
     #: Maximum number of candidate configurations to evaluate.
     max_configs: int = 160
-    #: SM-mapping variants per grouping (proportional + transfers).
-    max_sm_variants: int = 6
-    #: Block maps per fine group.
-    max_block_maps: int = 6
     #: Allow KBK groups inside hybrid plans.
     include_kbk_groups: bool = True
     #: Headroom multiplier on the timeout (1.0 = strict better-than-best).
     timeout_slack: float = 1.05
-    #: Enable online adaptation in the final configuration.
-    online_adaptation: bool = True
     #: Worker processes for the search; ``None`` means one per core.
     #: ``workers=1`` runs the classic in-process sequential loop.
     workers: Optional[int] = None
-    #: Directory of the persistent profile cache; ``None`` disables it.
+    #: Directory of the persistent search cache; ``None`` disables it.
     cache_dir: Optional[str] = None
     #: The dominance cut, both halves: skip candidates whose throughput
     #: lower bound already exceeds the running deadline, and stop a
@@ -177,12 +165,8 @@ class EvaluatedConfig:
     config: PipelineConfig
     time_ms: float  # math.inf when timed out, dominated or invalid
     note: str = ""
-    #: Backlog summary of the replay; None when the run never finished.
-    pressure: Optional[QueuePressure] = None
     #: Position in the canonical enumeration order.
     index: int = -1
-    #: True when the outcome came from the profile cache, not a replay.
-    cached: bool = False
     #: Exact elapsed engine cycles of a completed replay (0.0 when the
     #: run never finished).  The canonical post-pass compares these
     #: against the final deadline in the cycle domain.
@@ -203,13 +187,12 @@ class TunerReport:
     best_config: PipelineConfig
     best_time_ms: float
     evaluated: list[EvaluatedConfig] = field(default_factory=list)
-    #: Profile-cache traffic (both zero when the cache is disabled).
+    #: Search-cache traffic: one lookup per search, so one of the two
+    #: is 1 with a cache and both are 0 without one.
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Worker processes the search actually used.
+    #: Worker processes the search used, or would have used on a hit.
     workers: int = 1
-    #: Per-dispatch profile-cache counter deltas (zeros when disabled).
-    cache_stats: StoreStats = field(default_factory=StoreStats)
 
     @property
     def num_evaluated(self) -> int:
@@ -253,8 +236,8 @@ class TunerReport:
         Contains exactly the quantities the canonical post-pass pins
         for any worker count: the winner, and each candidate's index,
         outcome and (for completed candidates) exact time.  Runtime
-        artifacts — cache traffic, ``cached`` flags, worker count — are
-        deliberately excluded.
+        artifacts — cache traffic, worker count — are deliberately
+        excluded.
         """
         return {
             "best_time_ms": self.best_time_ms,
@@ -285,12 +268,6 @@ class TunerReport:
 
 
 @dataclass
-class _ShardResult:
-    records: list[EvaluatedConfig]
-    cache_stats: StoreStats = field(default_factory=StoreStats)
-
-
-@dataclass
 class _SearchPayload:
     """Everything a worker needs to evaluate a shard of the search."""
 
@@ -307,9 +284,16 @@ class _SearchPayload:
     #: Cross-worker shared best bound (pickles by segment name);
     #: ``None`` in sequential mode.
     shared_best: Optional[SharedBest] = None
-    #: Space key of the profile cache for the trace, computed once in
-    #: the parent; ``None`` when the cache is disabled.
-    cache_space_key: Optional[str] = None
+
+    def __getstate__(self) -> dict:
+        # Replays read only costs and children: a node without recorded
+        # outputs hands out ``[None] * n_outputs``, and outputs never
+        # reach simulated time.  So pool workers get the trace without
+        # its sink payloads, while in-process shards keep replaying the
+        # caller's trace object and the indexes built on it.
+        state = self.__dict__.copy()
+        state["trace"] = replace(self.trace, recorded_outputs={})
+        return state
 
 
 class _DrainCut:
@@ -407,8 +391,8 @@ def _replay_config(
     config: PipelineConfig,
     deadline_cycles: float = math.inf,
     profile: Optional[PipelineProfile] = None,
-) -> tuple[float, float, QueuePressure]:
-    """Replay one configuration; returns (ms, elapsed cycles, pressure).
+) -> tuple[float, float]:
+    """Replay one configuration; returns (ms, elapsed cycles).
 
     Raises :class:`DeadlineExceeded` when the run's elapsed cycles pass
     the deadline and :class:`ConfigurationError` for infeasible plans.
@@ -448,39 +432,26 @@ def _replay_config(
         raise DeadlineExceeded(deadline_cycles, now)
     if not engine._complete():
         raise ExecutionError("replay deadlocked (internal error)")
-    return (
-        device.elapsed_ms,
-        now,
-        queue_pressure(engine.ctx.depth_series),
-    )
+    return device.elapsed_ms, now
 
 
 def _evaluate_shard(
     payload: _SearchPayload, shard: list[tuple[int, PipelineConfig]]
-) -> _ShardResult:
+) -> list[EvaluatedConfig]:
     """Race-to-deadline loop over one shard of the candidate list.
 
-    The deadline shrinks with the shard-local best *and* — when no
-    profile cache is configured — the global :class:`SharedBest` bound
-    published by every worker.  Runtime outcomes therefore depend on
-    cross-worker timing; the caller's canonical post-pass rewrites them
-    into a pure function of deterministic quantities.  With a cache the
-    shared bound is ignored so lookups and stores follow the
-    deterministic shard-local schedule: a warm rerun reads exactly the
-    cells a cold run wrote and misses nothing.
+    The deadline shrinks with the shard-local best and the global
+    :class:`SharedBest` bound published by every worker.  Runtime
+    outcomes therefore depend on cross-worker timing; the caller's
+    canonical post-pass rewrites them into a pure function of
+    deterministic quantities.
     """
     pipeline = payload.pipeline
     spec = payload.spec
     options = payload.options
-    space = payload.cache_space_key or ""
-    cache = (
-        open_store("evals", options.cache_dir)
-        if options.cache_dir and space
-        else None
-    )
-    stats_before = cache.stats() if cache is not None else StoreStats()
-    shared = payload.shared_best if cache is None else None
-    result = _ShardResult(records=[])
+    shared = payload.shared_best
+    profile = payload.profile if options.dominance_pruning else None
+    records: list[EvaluatedConfig] = []
     best_ms = payload.seed_best_ms
     for index, config in shard:
         best_known = best_ms
@@ -492,113 +463,44 @@ def _evaluate_shard(
             else math.inf
         )
         if (
-            options.dominance_pruning
-            and payload.profile is not None
+            profile is not None
             and math.isfinite(deadline)
+            and throughput_bound_cycles(pipeline, spec, profile, config)
+            > deadline
         ):
-            bound = throughput_bound_cycles(
-                pipeline, spec, payload.profile, config
+            records.append(
+                EvaluatedConfig(config, math.inf, note="dominated", index=index)
             )
-            if bound > deadline:
-                result.records.append(
-                    EvaluatedConfig(
-                        config, math.inf, note="dominated", index=index
-                    )
-                )
-                continue
-        if cache is not None:
-            key = eval_key(space, config)
-            entry = lookup(cache, key, deadline_cycles=deadline)
-            if entry is not None:
-                record = _record_from_cache(config, index, entry)
-                result.records.append(record)
-                if record.time_ms < best_ms:
-                    best_ms = record.time_ms
-                continue
+            continue
         try:
-            time_ms, cycles, pressure = _replay_config(
+            time_ms, cycles = _replay_config(
                 pipeline,
                 spec,
                 payload.trace,
                 config,
                 deadline_cycles=deadline,
-                profile=(
-                    payload.profile if options.dominance_pruning else None
-                ),
+                profile=profile,
             )
         except DeadlineExceeded:
-            result.records.append(
+            records.append(
                 EvaluatedConfig(config, math.inf, note="timeout", index=index)
             )
-            if cache is not None:
-                cache.put(
-                    key,
-                    CachedEvaluation(
-                        status="timeout", exceeded_cycles=deadline
-                    ).to_payload(),
-                )
             continue
         except ConfigurationError as exc:
-            result.records.append(
+            records.append(
                 EvaluatedConfig(
                     config, math.inf, note=f"invalid: {exc}", index=index
                 )
             )
-            if cache is not None:
-                cache.put(
-                    key,
-                    CachedEvaluation(
-                        status="invalid", note=f"invalid: {exc}"
-                    ).to_payload(),
-                )
             continue
-        result.records.append(
-            EvaluatedConfig(
-                config, time_ms, pressure=pressure, index=index, cycles=cycles
-            )
+        records.append(
+            EvaluatedConfig(config, time_ms, index=index, cycles=cycles)
         )
-        if cache is not None:
-            cache.put(
-                key,
-                CachedEvaluation(
-                    status="completed",
-                    time_ms=time_ms,
-                    pressure=pressure,
-                    cycles=cycles,
-                ).to_payload(),
-            )
         if time_ms < best_ms:
             best_ms = time_ms
             if shared is not None:
                 shared.publish(time_ms)
-    if cache is not None:
-        result.cache_stats = cache.stats() - stats_before
-    return result
-
-
-def _record_from_cache(
-    config: PipelineConfig, index: int, entry: CachedEvaluation
-) -> EvaluatedConfig:
-    if entry.status == "completed":
-        return EvaluatedConfig(
-            config,
-            entry.time_ms,
-            pressure=entry.pressure,
-            index=index,
-            cached=True,
-            cycles=entry.cycles,
-        )
-    if entry.status == "timeout":
-        return EvaluatedConfig(
-            config, math.inf, note="timeout", index=index, cached=True
-        )
-    return EvaluatedConfig(
-        config,
-        math.inf,
-        note=entry.note or "invalid: cached",
-        index=index,
-        cached=True,
-    )
+    return records
 
 
 class OfflineTuner:
@@ -619,8 +521,6 @@ class OfflineTuner:
         self.profile = profile
         self.options = options or TunerOptions()
         self.bus = bus
-        #: Queue-pressure summary of the most recent completed replay.
-        self.last_pressure: Optional[QueuePressure] = None
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -631,14 +531,13 @@ class OfflineTuner:
         Raises :class:`DeadlineExceeded` when the run passes the deadline
         and :class:`ConfigurationError` for infeasible plans.
         """
-        time_ms, _cycles, pressure = _replay_config(
+        time_ms, _cycles = _replay_config(
             self.pipeline,
             self.spec,
             self.trace,
             config,
             deadline_cycles=deadline_cycles,
         )
-        self.last_pressure = pressure
         return time_ms
 
     # ------------------------------------------------------------------
@@ -651,8 +550,6 @@ class OfflineTuner:
                     self.pipeline,
                     self.spec,
                     profile=self.profile,
-                    max_sm_variants=options.max_sm_variants,
-                    max_block_maps=options.max_block_maps,
                     include_kbk_groups=options.include_kbk_groups,
                 ),
                 options.max_configs,
@@ -660,61 +557,80 @@ class OfflineTuner:
         )
 
     def tune(self) -> TunerReport:
-        """Run the race-to-deadline search and return the best plan."""
+        """Run the race-to-deadline search and return the best plan.
+
+        With :attr:`TunerOptions.cache_dir` set, the canonical records
+        of the whole search are read from (or, after a race, written to)
+        one ``evals`` entry, so a repeated search replays nothing.
+        """
         options = self.options
         candidates = self.candidates()
         workers = min(options.resolved_workers(), max(1, len(candidates)))
-        results = self._race(list(enumerate(candidates)), workers)
-        records = sorted(
-            (r for shard in results for r in shard.records),
-            key=lambda record: record.index,
-        )
-        cache_stats = StoreStats()
-        for shard in results:
-            cache_stats = cache_stats + shard.cache_stats
+        store: Optional[Store] = None
+        key = ""
+        evaluated: Optional[list[EvaluatedConfig]] = None
+        if options.cache_dir:
+            store = open_store("evals", options.cache_dir)
+            key = search_key(
+                self.pipeline,
+                self.spec,
+                self.trace,
+                self.profile,
+                options,
+                candidates,
+            )
+            evaluated = _from_entry(store.get(key), candidates)
+        hit = evaluated is not None
+        if evaluated is None:
+            records = sorted(
+                (
+                    record
+                    for shard in self._race(list(enumerate(candidates)), workers)
+                    for record in shard
+                ),
+                key=lambda record: record.index,
+            )
+            evaluated = self._normalize(records)
+            if store is not None:
+                store.put(key, _to_entry(evaluated))
+        cache_hits = int(hit)
+        cache_misses = int(store is not None and not hit)
 
-        evaluated, best, best_ms = self._normalize(records)
+        best = _best(evaluated)
+        best_ms = best.time_ms if best is not None else math.inf
         self._emit_events(
-            evaluated, best_ms, cache_stats.total_hits, cache_stats.misses,
-            workers,
+            evaluated, best_ms, cache_hits, cache_misses, workers
         )
         if best is None:
             raise ConfigurationError(
                 "the tuner found no feasible configuration"
             )
-        final = replace(best, online_adaptation=options.online_adaptation)
         return TunerReport(
-            best_config=final,
+            best_config=replace(best.config, online_adaptation=True),
             best_time_ms=best_ms,
             evaluated=evaluated,
-            cache_hits=cache_stats.total_hits,
-            cache_misses=cache_stats.misses,
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
             workers=workers,
-            cache_stats=cache_stats,
         )
 
     # ------------------------------------------------------------------
     def _race(
         self, items: list[tuple[int, PipelineConfig]], workers: int
-    ) -> list[_ShardResult]:
+    ) -> list[list[EvaluatedConfig]]:
         """Race every candidate on the full trace over the persistent
         pool (chunked shards)."""
-        options = self.options
-        space = None
-        if options.cache_dir:
-            space = space_key(self.pipeline, self.spec, self.trace)
         shared = SharedBest.create() if workers > 1 else None
         payload = _SearchPayload(
             pipeline=self.pipeline,
             spec=self.spec,
             trace=self.trace,
             profile=self.profile,
-            options=options,
+            options=self.options,
             shared_best=shared,
-            cache_space_key=space,
         )
         try:
-            seed_results: list[_ShardResult] = []
+            seed_results: list[list[EvaluatedConfig]] = []
             if workers > 1 and items:
                 # Evaluate the first candidate (the coarsest grouping)
                 # once, in-process, and seed every shard's deadline with
@@ -723,11 +639,7 @@ class OfflineTuner:
                 # published.
                 seed = _evaluate_shard(payload, items[:1])
                 seed_results.append(seed)
-                seed_times = [
-                    r.time_ms
-                    for r in seed.records
-                    if math.isfinite(r.time_ms)
-                ]
+                seed_times = [r.time_ms for r in seed if math.isfinite(r.time_ms)]
                 if seed_times:
                     payload.seed_best_ms = min(seed_times)
                     if shared is not None:
@@ -748,7 +660,7 @@ class OfflineTuner:
 
     def _normalize(
         self, records: list[EvaluatedConfig]
-    ) -> tuple[list[EvaluatedConfig], Optional[PipelineConfig], float]:
+    ) -> list[EvaluatedConfig]:
         """Rewrite runtime records as the canonical deterministic report.
 
         The winner is exact for any racing schedule (every runtime
@@ -759,14 +671,8 @@ class OfflineTuner:
         exceeds it, else timeout.
         """
         options = self.options
-        best: Optional[PipelineConfig] = None
-        best_index = -1
-        best_ms = math.inf
-        for record in records:  # canonical order: ties go to the
-            if record.time_ms < best_ms:  # earliest candidate, as in
-                best = record.config  # the sequential search
-                best_ms = record.time_ms
-                best_index = record.index
+        best = _best(records)
+        best_ms = best.time_ms if best is not None else math.inf
         final_deadline = (
             best_ms * options.timeout_slack * self.spec.clock_ghz * 1e6
         )
@@ -778,11 +684,9 @@ class OfflineTuner:
                 evaluated.append(record)
                 continue
             if math.isfinite(record.time_ms) and (
-                record.cycles <= final_deadline or record.index == best_index
+                record.cycles <= final_deadline or record is best
             ):
                 evaluated.append(record)
-                if record.pressure is not None:
-                    self.last_pressure = record.pressure
                 continue
             note = "timeout"
             if profile is not None:
@@ -793,14 +697,10 @@ class OfflineTuner:
                     note = "dominated"
             evaluated.append(
                 EvaluatedConfig(
-                    record.config,
-                    math.inf,
-                    note=note,
-                    index=record.index,
-                    cached=record.cached,
+                    record.config, math.inf, note=note, index=record.index
                 )
             )
-        return evaluated, best, best_ms
+        return evaluated
 
     # ------------------------------------------------------------------
     def _emit_events(
@@ -821,7 +721,6 @@ class OfflineTuner:
                     config=record.config.describe(),
                     time_ms=record.time_ms,
                     outcome=record.outcome,
-                    cached=record.cached,
                 )
             )
         self.bus.emit(
@@ -840,3 +739,54 @@ class OfflineTuner:
                 best_time_ms=best_ms,
             )
         )
+
+
+def _best(records: list[EvaluatedConfig]) -> Optional[EvaluatedConfig]:
+    """The fastest of ``records`` (in canonical order); ties go to the
+    earliest candidate, as in the sequential search.  ``None`` when
+    nothing completed."""
+    return min(
+        (record for record in records if math.isfinite(record.time_ms)),
+        key=lambda record: record.time_ms,
+        default=None,
+    )
+
+
+def _to_entry(evaluated: list[EvaluatedConfig]) -> list[list]:
+    """The ``evals`` entry of a normalised search: one JSON row per
+    candidate, ``[index, note, time_ms or None, cycles]``."""
+    return [
+        [
+            e.index,
+            e.note,
+            e.time_ms if math.isfinite(e.time_ms) else None,
+            e.cycles,
+        ]
+        for e in evaluated
+    ]
+
+
+def _from_entry(
+    entry: object, candidates: list[PipelineConfig]
+) -> Optional[list[EvaluatedConfig]]:
+    """The normalised records of a memoized search, rebuilt against
+    ``candidates``; ``None`` (a miss) when the entry does not fit them."""
+    if not isinstance(entry, list) or len(entry) != len(candidates):
+        return None
+    evaluated = []
+    for index, (config, row) in enumerate(zip(candidates, entry)):
+        try:
+            position, note, time_ms, cycles = row
+            record = EvaluatedConfig(
+                config,
+                math.inf if time_ms is None else float(time_ms),
+                note=note,
+                index=position,
+                cycles=float(cycles),
+            )
+        except (TypeError, ValueError):
+            return None
+        if position != index or not isinstance(note, str):
+            return None
+        evaluated.append(record)
+    return evaluated

@@ -16,8 +16,8 @@ from any subsystem — reuses the same worker processes.  Replacing the
 old spawn-per-invocation ``ctx.Pool`` matters twice over:
 
 * the fixed fork/teardown cost is paid once per *process*, not once per
-  dispatch, so replay-only dispatches (a warm trace cache, a memoized
-  tuner search) are no longer dominated by pool start-up;
+  dispatch, so replay-only dispatches (a warm trace cache) are no
+  longer dominated by pool start-up;
 * workers retain their per-process state — decoded payloads
   (:mod:`~repro.core.tuner.handoff`), disk-backed stores
   (:func:`repro.store.open_store`) — across dispatches, so repeated

@@ -14,7 +14,6 @@ from typing import Sequence
 
 from ...gpu.occupancy import max_blocks_per_sm
 from ...gpu.specs import GPUSpec
-from ...obs.depth import DepthSeries
 from ..executor import RecordingExecutor
 from ..pipeline import Pipeline
 from ..trace import Trace
@@ -52,27 +51,6 @@ class PipelineProfile:
 
     def weights(self) -> dict[str, float]:
         return {name: profile.weight for name, profile in self.stages.items()}
-
-
-@dataclass(frozen=True)
-class QueuePressure:
-    """Backlog summary of a run, read from a queue set's depth series.
-
-    The tuner attaches this to evaluated configurations: a plan whose
-    peak backlog dwarfs another's at similar run time is the one to
-    revisit when the online adapter reports starvation.
-    """
-
-    peak_per_stage: dict[str, int]
-    residual_per_stage: dict[str, int]
-
-
-def queue_pressure(depth: DepthSeries) -> QueuePressure:
-    """Summarise a finished run's :class:`DepthSeries`."""
-    return QueuePressure(
-        peak_per_stage=dict(depth.peak),
-        residual_per_stage=dict(depth.current),
-    )
 
 
 def profile_pipeline(

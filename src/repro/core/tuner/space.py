@@ -39,6 +39,11 @@ from .profiler import PipelineProfile
 #: cancellation, or pruning could discard the true optimum.
 BOUND_SAFETY = 0.999
 
+#: SM mappings tried per grouping (proportional split + transfers).
+MAX_SM_VARIANTS = 6
+#: Block maps tried per fine group (largest packings first).
+MAX_BLOCK_MAPS = 6
+
 
 def contiguous_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All compositions of ``n`` (ordered group sizes), coarsest first."""
@@ -297,8 +302,6 @@ def enumerate_configs(
     pipeline: Pipeline,
     spec: GPUSpec,
     profile: Optional[PipelineProfile] = None,
-    max_sm_variants: int = 6,
-    max_block_maps: int = 6,
     include_kbk_groups: bool = True,
 ) -> Iterator[PipelineConfig]:
     """Yield candidate hybrid configurations, coarsest groupings first."""
@@ -319,7 +322,7 @@ def enumerate_configs(
             model_choices.append(choices)
         for models in itertools.product(*model_choices):
             for allocation in sm_allocations(
-                spec.num_sms, group_weights, max_sm_variants
+                spec.num_sms, group_weights, MAX_SM_VARIANTS
             ):
                 sm_sets = []
                 next_sm = 0
@@ -330,7 +333,7 @@ def enumerate_configs(
                 for g, model in zip(groups, models):
                     if model == "fine":
                         maps = fine_block_maps(
-                            pipeline, spec, g, max_block_maps
+                            pipeline, spec, g, MAX_BLOCK_MAPS
                         )
                         if not maps:
                             break

@@ -24,8 +24,7 @@ from ..core.tuner.profiler import (
 )
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, K20C
-from ..obs import Observer, RunReport, TunerStats
-from ..obs.events import EventBus
+from ..obs import Observer, RunReport
 from ..store import Store, StoreStats
 from ..workloads.registry import WorkloadSpec, get_workload
 from .tracecache import DEFAULT_TRACE_CACHE, TraceCache, workload_fingerprint
@@ -380,19 +379,12 @@ class TunedWorkload:
     trace: Trace
     profiled_tasks: int
 
-    @property
-    def stats(self) -> TunerStats:
-        return TunerStats.from_report(
-            self.report, label=f"{self.workload}/{self.device}"
-        )
-
 
 def tune_workload(
     name: str,
     gpu: GPUSpec = K20C,
     params: Optional[object] = None,
     options: Optional[TunerOptions] = None,
-    bus: Optional[EventBus] = None,
     cache: Optional[Store] = DEFAULT_TRACE_CACHE,
 ) -> TunedWorkload:
     """Profile one workload and run the offline search end to end.
@@ -400,7 +392,7 @@ def tune_workload(
     The one-stop entry point shared by ``repro tune``, the tuner
     benchmark and the CI gate: records the trace, builds the profile,
     and runs :class:`~repro.core.tuner.offline.OfflineTuner` with the
-    given options (worker pool, profile cache, dominance pruning
+    given options (worker pool, search cache, dominance pruning
     included).  A trace already recorded by the harness (same workload
     and params) is reused instead of re-running the stage code.
     """
@@ -419,9 +411,7 @@ def tune_workload(
         )
         if cache is not None:
             cache.put(workload_fingerprint(spec, params), trace)
-    tuner = OfflineTuner(
-        pipeline, gpu, trace, profile=profile, options=options, bus=bus
-    )
+    tuner = OfflineTuner(pipeline, gpu, trace, profile=profile, options=options)
     report = tuner.tune()
     return TunedWorkload(
         workload=spec.name,

@@ -210,9 +210,7 @@ class TunerEvaluation(Event):
 
     Tuner events are host-side: ``t`` is the candidate's position in the
     canonical enumeration order, not a device clock.  ``outcome`` is one
-    of ``completed``, ``timeout``, ``dominated`` or ``invalid``;
-    ``cached`` marks outcomes served from the persistent profile cache
-    instead of a fresh replay.
+    of ``completed``, ``timeout``, ``dominated`` or ``invalid``.
     """
 
     kind: ClassVar[str] = "tuner_eval"
@@ -221,7 +219,6 @@ class TunerEvaluation(Event):
     config: str
     time_ms: float
     outcome: str
-    cached: bool
 
 
 @dataclass(slots=True)

@@ -25,22 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .events import (
-    Adaptation,
-    BlockAdmitted,
-    BlockExited,
-    ComputeSegment,
-    GroupExited,
-    HostSync,
-    KernelLaunched,
-    KernelRetired,
-    Memcpy,
-    QueuePop,
-    QueuePush,
-    TunerEvaluation,
-    TunerSearchCompleted,
-)
-
 
 @dataclass
 class LatencyHistogram:
@@ -563,12 +547,9 @@ class RunReport:
 class TunerStats:
     """Condensed view of one offline-tuner search.
 
-    Built either from a :class:`~repro.core.tuner.offline.TunerReport`
-    (duck-typed, so this module never imports ``repro.core``) or from a
-    recorded stream of :class:`~repro.obs.events.TunerEvaluation` /
-    :class:`~repro.obs.events.TunerSearchCompleted` events.  This is what
-    ``repro tune --report-json`` serialises and what the CI benchmark
-    gate compares across commits.
+    Built from a :class:`~repro.core.tuner.offline.TunerReport`
+    (duck-typed, so this module never imports ``repro.core``).  This is
+    what ``repro tune --report-json`` serialises.
     """
 
     label: str = ""
@@ -599,30 +580,6 @@ class TunerStats:
             best_time_ms=report.best_time_ms,
             best_config=report.best_config.describe(),
         )
-
-    @classmethod
-    def from_events(cls, events: Sequence, label: str = "") -> "TunerStats":
-        """Rebuild the summary from a recorded tuner event stream."""
-        stats = cls(label=label)
-        for event in events:
-            if isinstance(event, TunerSearchCompleted):
-                stats.evaluated = event.evaluated
-                stats.completed = event.completed
-                stats.timeouts = event.timeouts
-                stats.dominated = event.dominated
-                stats.invalid = event.invalid
-                stats.cache_hits = event.cache_hits
-                stats.cache_misses = event.cache_misses
-                stats.workers = event.workers
-                stats.best_time_ms = event.best_time_ms
-            elif isinstance(event, TunerEvaluation):
-                if (
-                    event.outcome == "completed"
-                    and event.time_ms <= stats.best_time_ms
-                    and not stats.best_config
-                ):
-                    stats.best_config = event.config
-        return stats
 
     @property
     def pruned(self) -> int:

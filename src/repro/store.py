@@ -3,7 +3,7 @@
 Three caches share this module, each as a *namespace* with its own
 codec, schema version and in-memory bound (:data:`NAMESPACES`):
 
-* ``evals`` — the tuner's memoized candidate outcomes
+* ``evals`` — the tuner's memoized searches, one entry per search
   (:mod:`repro.core.tuner.cache`), JSON on disk;
 * ``traces`` — the harness's recorded task traces
   (:mod:`repro.harness.tracecache`), pickled because the recorded
@@ -62,8 +62,8 @@ class Namespace:
 
 
 NAMESPACES: dict[str, Namespace] = {
-    # v2: completed entries carry exact elapsed engine ``cycles``.
-    "evals": Namespace(schema=2, codec="json", max_entries=4096),
+    # v3: one entry per whole search (v2 held one per candidate).
+    "evals": Namespace(schema=3, codec="json", max_entries=64),
     # Entries hold real output ndarrays; the bound caps resident memory.
     # v2: every trace is recorded breadth-first (the tuner's node order);
     # v1 entries recorded by the harness in model-run order read back
@@ -201,24 +201,16 @@ class Store:
             stores=self.stores,
         )
 
-    def get(
-        self, key: str, accept: Optional[Callable[[Any], bool]] = None
-    ) -> Any:
-        """The value stored under ``key``, or ``None`` on a miss.
-
-        ``accept`` lets the caller reject a stored value (it is then
-        treated as absent).  A rejected memory entry falls through to
-        disk: a concurrent writer may have replaced the file with a
-        value the caller can use.
-        """
+    def get(self, key: str) -> Any:
+        """The value stored under ``key``, or ``None`` on a miss."""
         value = self._memory.get(key)
-        if value is not None and (accept is None or accept(value)):
+        if value is not None:
             self._memory.move_to_end(key)
             self.mem_hits += 1
             return value
         codec = self._codec
         value = self._load(codec, key) if codec is not None else None
-        if value is not None and (accept is None or accept(value)):
+        if value is not None:
             _lru_put(self._memory, key, value, self.max_entries)
             self.disk_hits += 1
             return value

@@ -1,64 +1,114 @@
-"""Persistent profile cache: hits, misses, invalidation, fingerprints."""
+"""Memoized tuner searches: hits, misses, keys and unusable entries."""
 
 import dataclasses
-import math
+import functools
+import json
+
+import pytest
 
 from repro import store as store_mod
+from repro.core.errors import ConfigurationError
+from repro.core.tuner import offline
 from repro.core.tuner.cache import (
-    CachedEvaluation,
     config_fingerprint,
-    eval_key,
-    lookup,
     pipeline_fingerprint,
-    space_key,
+    profile_fingerprint,
+    search_key,
     spec_fingerprint,
     trace_fingerprint,
 )
 from repro.core.tuner.offline import OfflineTuner, TunerOptions
 from repro.core.tuner.profiler import profile_pipeline
 from repro.gpu.specs import K20C, get_spec
-from repro.store import Store
+from repro.store import open_store
 
 from .conftest import toy_pipeline
 
 
-def _tuner(cache_dir, workers=1, budget=25):
+@functools.lru_cache(maxsize=None)
+def _recorded(count=200):
     pipe = toy_pipeline()
-    initial = {"doubler": list(range(1, 200))}
-    profile, trace = profile_pipeline(pipe, K20C, initial)
+    profile, trace = profile_pipeline(
+        pipe, K20C, {"doubler": list(range(1, count))}
+    )
+    return pipe, profile, trace
+
+
+def _tuner(cache_dir=None, workers=1, budget=25, **options):
+    pipe, profile, trace = _recorded()
     return OfflineTuner(
         pipe,
         K20C,
         trace,
         profile=profile,
         options=TunerOptions(
-            max_configs=budget, workers=workers, cache_dir=str(cache_dir)
+            max_configs=budget,
+            workers=workers,
+            cache_dir=str(cache_dir) if cache_dir else None,
+            **options,
         ),
     )
 
 
-class TestSearchWithCache:
-    def test_cold_then_warm(self, tmp_path):
-        cold = _tuner(tmp_path / "c").tune()
-        assert cold.cache_hits == 0
-        # Only candidates the bound skips at run time bypass the cache,
-        # and each of those is dominated in the canonical report too
-        # (the run-time deadline is never below the final one).
-        assert cold.cache_misses >= cold.num_evaluated - cold.num_dominated
-        assert cold.cache_stats.stores == cold.cache_misses
+def _key(tuner):
+    return search_key(
+        tuner.pipeline,
+        tuner.spec,
+        tuner.trace,
+        tuner.profile,
+        tuner.options,
+        tuner.candidates(),
+    )
 
-        # Cached searches pin deadlines to the deterministic shard-local
-        # schedule, so a warm rerun looks up exactly the cells the cold
-        # run stored and misses nothing.
-        warm = _tuner(tmp_path / "c").tune()
-        assert warm.cache_misses == 0
-        assert warm.cache_hits == cold.cache_misses
-        assert all(
-            e.cached for e in warm.evaluated if e.outcome == "completed"
-        )
-        assert warm.best_config == cold.best_config
-        assert warm.best_time_ms == cold.best_time_ms
-        assert warm.canonical_payload() == cold.canonical_payload()
+
+def _payload_bytes(report):
+    return json.dumps(report.canonical_payload(), sort_keys=True)
+
+
+def _heavier_pipeline():
+    """The toy pipeline with a register-heavier first stage: another
+    kernel, hence another pipeline fingerprint."""
+    pipe = toy_pipeline()
+    pipe.stage("doubler").registers_per_thread = 96
+    return pipe
+
+
+def _replay_counter(monkeypatch):
+    """Record the config of every replay from here on."""
+    calls = []
+    real = offline._replay_config
+
+    def replay(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(offline, "_replay_config", replay)
+    return calls
+
+
+class TestSearchWithCache:
+    def test_cold_then_warm(self, tmp_path, monkeypatch):
+        """One entry per search: a cold run misses once and stores it;
+        warm reruns at any worker count hit once and replay nothing.
+        The canonical payload is the uncached search's, byte for byte."""
+        uncached = [_tuner(workers=w).tune() for w in (1, 2)]
+        reference = _payload_bytes(uncached[0])
+        assert _payload_bytes(uncached[1]) == reference
+
+        cold = _tuner(tmp_path / "c", workers=2).tune()
+        assert (cold.cache_hits, cold.cache_misses) == (0, 1)
+        assert _payload_bytes(cold) == reference
+        assert open_store("evals", str(tmp_path / "c")).entry_count() == 1
+
+        calls = _replay_counter(monkeypatch)
+        for workers in (1, 2):
+            warm = _tuner(tmp_path / "c", workers=workers).tune()
+            assert (warm.cache_hits, warm.cache_misses) == (1, 0)
+            assert warm.workers == workers
+            assert warm.best_config == cold.best_config
+            assert warm.best_time_ms == cold.best_time_ms
+            assert _payload_bytes(warm) == reference
+        assert calls == []
 
     def test_cache_disabled_reports_zero_traffic(self, tmp_path):
         pipe = toy_pipeline()
@@ -70,11 +120,10 @@ class TestSearchWithCache:
             options=TunerOptions(max_configs=10),
         ).tune()
         assert report.cache_hits == 0 and report.cache_misses == 0
-        assert not any(e.cached for e in report.evaluated)
 
     def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
         first = _tuner(tmp_path / "c").tune()
-        assert first.cache_misses > 0
+        assert first.cache_misses == 1
         evals = store_mod.NAMESPACES["evals"]
         monkeypatch.setitem(
             store_mod.NAMESPACES,
@@ -82,120 +131,169 @@ class TestSearchWithCache:
             dataclasses.replace(evals, schema=evals.schema + 1),
         )
         rerun = _tuner(tmp_path / "c").tune()
-        assert rerun.cache_hits == 0  # every old entry misses cleanly
+        assert rerun.cache_hits == 0  # the old entry misses cleanly
         assert rerun.best_config == first.best_config
 
     def test_different_workload_different_space(self, tmp_path):
-        """A changed trace must land in a different search space."""
+        """A changed trace must land on a different search key."""
         pipe = toy_pipeline()
         _, trace_a = profile_pipeline(pipe, K20C, {"doubler": [1, 2, 3]})
         _, trace_b = profile_pipeline(pipe, K20C, {"doubler": [4, 5, 6]})
-        assert space_key(pipe, K20C, trace_a) != space_key(
-            pipe, K20C, trace_b
-        )
+        options = TunerOptions(max_configs=5)
+        keys = {
+            search_key(
+                pipe, K20C, trace, None, options,
+                OfflineTuner(pipe, K20C, trace, options=options).candidates(),
+            )
+            for trace in (trace_a, trace_b)
+        }
+        assert len(keys) == 2
+
+    def test_key_moves_with_every_search_input(self):
+        base = _tuner()
+        pipe, profile, trace = _recorded()
+        _, other_profile, other_trace = _recorded(150)
+        variants = {
+            "budget": _tuner(budget=24),
+            "kbk": _tuner(include_kbk_groups=False),
+            "dominance": _tuner(dominance_pruning=False),
+            "slack": _tuner(timeout_slack=1.5),
+            "trace": OfflineTuner(
+                pipe, K20C, other_trace, profile=profile,
+                options=base.options,
+            ),
+            "profile": OfflineTuner(
+                pipe, K20C, trace, profile=other_profile,
+                options=base.options,
+            ),
+            "no profile": OfflineTuner(
+                pipe, K20C, trace, options=base.options
+            ),
+            "device": OfflineTuner(
+                pipe, get_spec("GTX1080"), trace, profile=profile,
+                options=base.options,
+            ),
+            "pipeline": OfflineTuner(
+                _heavier_pipeline(), K20C, trace, profile=profile,
+                options=base.options,
+            ),
+        }
+        keys = {name: _key(tuner) for name, tuner in variants.items()}
+        keys["base"] = _key(base)
+        assert len(set(keys.values())) == len(keys), keys
+
+    def test_key_ignores_workers_and_directory(self, tmp_path):
+        key = _key(_tuner())
+        assert _key(_tuner(workers=2)) == key
+        assert _key(_tuner(tmp_path / "elsewhere", workers=4)) == key
+
+    def test_cold_cached_race_uses_the_shared_bound(
+        self, tmp_path, monkeypatch
+    ):
+        """A cached search races exactly as an uncached one: at
+        ``workers=2`` its shards read the cross-worker bound."""
+        payloads = []
+        real = offline.map_shards
+
+        def spy(fn, payload, shards, workers):
+            payloads.append(payload)
+            return real(fn, payload, shards, workers)
+
+        monkeypatch.setattr(offline, "map_shards", spy)
+        _tuner(tmp_path / "c", workers=2).tune()
+        assert len(payloads) == 1
+        assert payloads[0].shared_best is not None
 
 
 class TestCacheSemantics:
-    def _cache(self, tmp_path):
-        pipe = toy_pipeline()
-        _, trace = profile_pipeline(pipe, K20C, {"doubler": [1, 2, 3]})
-        tuner_opts = TunerOptions(max_configs=1)
-        config = OfflineTuner(
-            pipe, K20C, trace, options=tuner_opts
-        ).candidates()[0]
-        key = eval_key(space_key(pipe, K20C, trace), config)
-        return Store("evals", str(tmp_path)), key
+    def test_roundtrip_completed(self, tmp_path, monkeypatch):
+        """Records rebuilt from the JSON file equal the raced ones field
+        for field, exact times and cycles included."""
+        cold = _tuner(tmp_path).tune()
+        open_store("evals", str(tmp_path)).clear()
+        calls = _replay_counter(monkeypatch)
+        warm = _tuner(tmp_path).tune()
+        assert warm.cache_hits == 1 and calls == []
+        assert warm.evaluated == cold.evaluated
+        assert any(e.cycles > 0 for e in warm.evaluated)
 
-    def test_roundtrip_completed(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        assert lookup(cache, key) is None
-        cache.put(
-            key, CachedEvaluation(status="completed", time_ms=1.25).to_payload()
-        )
-        entry = lookup(cache, key)
-        assert entry is not None
-        assert entry.status == "completed" and entry.time_ms == 1.25
+    def test_invalid_entry_always_hits(self, tmp_path, monkeypatch):
+        """An infeasible candidate is memoized with its note like any
+        other outcome: the warm rerun reports it without a replay."""
+        real = offline._replay_config
+        candidates = _tuner().candidates()
 
-    def test_timeout_entry_deadline_semantics(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        cache.put(
-            key,
-            CachedEvaluation(status="timeout", exceeded_cycles=100.0).to_payload(),
-        )
-        # Stricter (or equal) deadline: the run would provably time out
-        # again, so the entry is a hit.
-        hit = lookup(cache, key, deadline_cycles=50.0)
-        assert hit is not None and hit.status == "timeout"
-        assert lookup(cache, key, deadline_cycles=100.0) is not None
-        # Looser deadline: the run might finish now; must re-evaluate.
-        assert lookup(cache, key, deadline_cycles=200.0) is None
-        assert lookup(cache, key, deadline_cycles=math.inf) is None
+        def replay(pipeline, spec, trace, config, **kwargs):
+            if config == candidates[3]:
+                raise ConfigurationError("cannot place this plan")
+            return real(pipeline, spec, trace, config, **kwargs)
 
-    def test_unusable_memory_entry_falls_through_to_disk(self, tmp_path):
-        """A concurrent worker may have overwritten a timed-out cell
-        with a completed outcome; the stale memory entry must not hide
-        it from a lookup under a looser deadline."""
-        cache, key = self._cache(tmp_path)
-        cache.put(
-            key,
-            CachedEvaluation(status="timeout", exceeded_cycles=100.0).to_payload(),
-        )
-        other_worker = Store("evals", str(tmp_path))
-        other_worker.put(
-            key,
-            CachedEvaluation(
-                status="completed", time_ms=2.0, cycles=150.0
-            ).to_payload(),
-        )
-        entry = lookup(cache, key, deadline_cycles=200.0)
-        assert entry is not None and entry.status == "completed"
-        assert cache.stats().disk_hits == 1 and cache.stats().mem_hits == 0
-        # The loaded outcome replaced the stale one in memory.
-        assert lookup(cache, key, deadline_cycles=200.0) == entry
-        assert cache.stats().mem_hits == 1
+        monkeypatch.setattr(offline, "_replay_config", replay)
+        cold = _tuner(tmp_path).tune()
+        assert cold.evaluated[3].note == "invalid: cannot place this plan"
+        calls = _replay_counter(monkeypatch)
+        warm = _tuner(tmp_path).tune()
+        assert warm.cache_hits == 1 and calls == []
+        assert warm.evaluated[3].outcome == "invalid"
+        assert warm.canonical_payload() == cold.canonical_payload()
 
-    def test_invalid_entry_always_hits(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        cache.put(
-            key,
-            CachedEvaluation(status="invalid", note="invalid: nope").to_payload(),
-        )
-        entry = lookup(cache, key, deadline_cycles=1.0)
-        assert entry is not None and entry.status == "invalid"
+    def _assert_miss_then_recompute(self, tmp_path, monkeypatch):
+        """The next search misses, replays, overwrites the entry, and
+        the one after it hits (from disk, in a fresh memory layer)."""
+        calls = _replay_counter(monkeypatch)
+        store = open_store("evals", str(tmp_path))
+        store.clear()
+        rerun = _tuner(tmp_path).tune()
+        assert (rerun.cache_hits, rerun.cache_misses) == (0, 1)
+        assert calls
+        store.clear()
+        del calls[:]
+        again = _tuner(tmp_path).tune()
+        assert (again.cache_hits, again.cache_misses) == (1, 0)
+        assert store.stats().disk_hits == 1
+        assert calls == []
+        assert again.canonical_payload() == rerun.canonical_payload()
 
-    def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        cache.put(
-            key, CachedEvaluation(status="completed", time_ms=2.0).to_payload()
-        )
-        with open(cache.path_for(key), "w", encoding="utf-8") as fh:
+    def test_corrupt_file_is_a_miss(self, tmp_path, monkeypatch):
+        tuner = _tuner(tmp_path)
+        tuner.tune()
+        path = open_store("evals", str(tmp_path)).path_for(_key(tuner))
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write("{not json")
-        # The in-process memory layer still remembers the good entry ...
-        assert lookup(cache, key) is not None
-        # ... but a fresh cache object (a new process) must treat the
-        # corrupt file as a clean miss.
-        fresh, _ = self._cache(tmp_path)
-        assert lookup(fresh, key) is None
+        self._assert_miss_then_recompute(tmp_path, monkeypatch)
 
-    def test_unknown_status_is_a_miss(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        cache.put(key, {"status": "quantum"})
-        assert lookup(cache, key) is None
-        fresh, _ = self._cache(tmp_path)
-        assert lookup(fresh, key) is None
+    def test_unknown_status_is_a_miss(self, tmp_path, monkeypatch):
+        """A per-candidate entry (the v2 layout) under the key misses."""
+        store = open_store("evals", str(tmp_path))
+        store.put(_key(_tuner()), {"status": "quantum"})
+        self._assert_miss_then_recompute(tmp_path, monkeypatch)
 
-    def test_entry_count_and_clear(self, tmp_path):
-        cache, key = self._cache(tmp_path)
-        assert cache.entry_count() == 0
-        cache.put(
-            key, CachedEvaluation(status="completed", time_ms=1.0).to_payload()
-        )
-        assert cache.entry_count() == 1
-        # Clearing drops the memory layer only: the cell reloads from disk.
-        cache.clear()
-        assert len(cache) == 0
-        assert lookup(cache, key) is not None
-        assert cache.stats().disk_hits == 1
+    @pytest.mark.parametrize("damage", ["short", "reordered", "row"])
+    def test_stale_entry_is_a_miss(self, tmp_path, monkeypatch, damage):
+        tuner = _tuner(tmp_path)
+        entry = offline._to_entry(tuner.tune().evaluated)
+        if damage == "short":
+            entry = entry[:-1]
+        elif damage == "reordered":
+            entry = entry[1:] + entry[:1]
+        else:
+            entry[2] = ["2", "timeout"]
+        open_store("evals", str(tmp_path)).put(_key(tuner), entry)
+        self._assert_miss_then_recompute(tmp_path, monkeypatch)
+
+    def test_entry_count_and_clear(self, tmp_path, monkeypatch):
+        store = open_store("evals", str(tmp_path))
+        assert store.entry_count() == 0
+        _tuner(tmp_path).tune()
+        assert store.entry_count() == 1
+        # Clearing drops the memory layer only: the search reloads
+        # from disk.
+        store.clear()
+        assert len(store) == 0
+        calls = _replay_counter(monkeypatch)
+        assert _tuner(tmp_path).tune().cache_hits == 1
+        assert store.stats().disk_hits == 1
+        assert calls == []
 
 
 class TestFingerprints:
@@ -228,19 +326,22 @@ class TestFingerprints:
         assert trace_fingerprint(trace_a) == trace_fingerprint(trace_b)
         assert trace_fingerprint(trace_a) != trace_fingerprint(trace_c)
 
+    def test_profile_fingerprint_tracks_profile(self):
+        _, profile, _ = _recorded()
+        _, same, _ = _recorded.__wrapped__()
+        _, other, _ = _recorded(150)
+        assert profile_fingerprint(profile) == profile_fingerprint(same)
+        assert profile_fingerprint(profile) != profile_fingerprint(other)
+        assert profile_fingerprint(None) != profile_fingerprint(profile)
+
 
 class TestPerRunDeltas:
     def test_counters_stay_per_run_under_shared_reuse(self, tmp_path):
-        """Regression: shared cache objects outlive a search, so reports
-        must carry per-run counter *deltas*, never lifetime totals —
-        repeated searches in one process would otherwise inflate every
-        later report's traffic (the TraceCache bug PR 7 fixed)."""
+        """Regression: the process-wide store outlives a search, so each
+        report counts its own lookup, never the store's lifetime totals."""
         cold = _tuner(tmp_path / "c").tune()
         warm_one = _tuner(tmp_path / "c").tune()
         warm_two = _tuner(tmp_path / "c").tune()
-        assert cold.cache_hits == 0 and cold.cache_misses > 0
-        # Identical warm traffic on every rerun — no accumulation.
-        assert warm_one.cache_hits == warm_two.cache_hits
-        assert warm_one.cache_hits == cold.cache_misses
-        assert warm_one.cache_misses == warm_two.cache_misses == 0
-        assert warm_two.cache_stats.stores == 0
+        assert (cold.cache_hits, cold.cache_misses) == (0, 1)
+        assert (warm_one.cache_hits, warm_one.cache_misses) == (1, 0)
+        assert (warm_two.cache_hits, warm_two.cache_misses) == (1, 0)

@@ -238,8 +238,8 @@ class TestDominanceSoundness:
                 exact = _exact_replay(name, index)
                 if exact is None:
                     continue
-                ms, cycles, _ = exact
-                cut_ms, cut_cycles, _ = _replay_config(
+                ms, cycles = exact
+                cut_ms, cut_cycles = _replay_config(
                     pipeline, K20C, trace, config,
                     deadline_cycles=cycles, profile=profile,
                 )
@@ -288,7 +288,7 @@ class TestDominanceSoundness:
     def test_cut_never_changes_an_outcome(self, name, index, factor):
         """Property: under any deadline, the replays with and without
         the cut both raise ``DeadlineExceeded`` or both return the same
-        ``(ms, cycles, pressure)``."""
+        ``(ms, cycles)``."""
         pipeline, trace, profile, candidates = _quick_space(name)
         index %= len(candidates)
         exact = _exact_replay(name, index)
@@ -444,6 +444,55 @@ class TestSharedBest:
             raced = _evaluate_shard(corrupted, candidates)
         finally:
             slot.release()
+        assert [(r.index, r.time_ms, r.note) for r in clean] == [
+            (r.index, r.time_ms, r.note) for r in raced
+        ]
+
+
+class TestPayloadHandoff:
+    """Pool workers get the search's trace without its recorded sink
+    payloads: replays read only costs and children."""
+
+    def _tuner(self, workers):
+        pipe = toy_pipeline()
+        profile, trace = profile_pipeline(
+            pipe, K20C, {"doubler": list(range(1, 200))},
+            record_outputs=True,
+        )
+        return OfflineTuner(
+            pipe, K20C, trace, profile=profile,
+            options=TunerOptions(max_configs=40, workers=workers),
+        )
+
+    def test_pickled_payload_drops_recorded_outputs(self):
+        tuner = self._tuner(workers=2)
+        assert tuner.trace.recorded_outputs
+        payload = _SearchPayload(
+            pipeline=tuner.pipeline,
+            spec=tuner.spec,
+            trace=tuner.trace,
+            profile=tuner.profile,
+            options=tuner.options,
+        )
+        clone = pickle.loads(pickle.dumps(payload))
+        assert clone.trace.recorded_outputs == {}
+        assert clone.trace.nodes == tuner.trace.nodes
+        assert clone.trace.initial == tuner.trace.initial
+        # Only the pickle is stripped: in-process shards keep replaying
+        # the caller's trace, outputs included.
+        assert payload.trace is tuner.trace
+        assert tuner.trace.recorded_outputs
+        candidates = list(enumerate(tuner.candidates()))
         assert [
-            (r.index, r.time_ms, r.note) for r in clean.records
-        ] == [(r.index, r.time_ms, r.note) for r in raced.records]
+            (r.index, r.time_ms, r.cycles, r.note)
+            for r in _evaluate_shard(clone, candidates)
+        ] == [
+            (r.index, r.time_ms, r.cycles, r.note)
+            for r in _evaluate_shard(payload, candidates)
+        ]
+
+    def test_parallel_search_on_recorded_outputs_matches_serial(self):
+        serial = self._tuner(workers=1).tune()
+        parallel = self._tuner(workers=2).tune()
+        assert parallel.workers == 2
+        assert _payload_bytes(parallel) == _payload_bytes(serial)

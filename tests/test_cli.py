@@ -232,6 +232,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["run", "reyes", "--model", "warpdrive"])
 
+    def test_stats_has_no_tuner_pass(self, capsys):
+        # ``repro tune --cache-dir --budget N`` is the one way to run a
+        # memoized search.
+        for flag in ("--cache-dir", "--tune-budget"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["stats", "ldpc", flag, "4"])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestUnplaceablePlan:
+    """A plan the device cannot place is a one-line error, exit 2."""
+
+    @pytest.mark.parametrize("workload", ["reyes", "face_detection"])
+    @pytest.mark.parametrize("command", ["run", "timeline", "stats"])
+    def test_fine_model_exits_two(self, capsys, command, workload):
+        code = main([command, workload, "--model", "fine"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: stages [")
+        assert "cannot co-reside" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
 
 class TestBatchingFlags:
     def test_stats_reports_batching_line(self, capsys):

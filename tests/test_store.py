@@ -19,7 +19,7 @@ from repro.store import (
 #: A value of the shape each namespace really holds: JSON-able outcome
 #: records for ``evals``, arbitrary picklable objects for ``traces``.
 VALUES = {
-    "evals": {"status": "completed", "time_ms": 1.5, "cycles": 3.0},
+    "evals": [[0, "", 1.5, 3.0], [1, "timeout", None, 0.0]],
     "traces": ("trace", (1, 2, 3), {"outputs": [4.5]}),
 }
 
@@ -81,12 +81,6 @@ class TestRoundTrip:
         assert store.entry_count() == 0
         with pytest.raises(ValueError):
             store.path_for(KEY)
-
-    def test_rejected_value_is_a_miss(self, namespace, tmp_path):
-        store = Store(namespace, str(tmp_path))
-        store.put(KEY, VALUES[namespace])
-        assert store.get(KEY, accept=lambda value: False) is None
-        assert store.stats() == StoreStats(misses=1, stores=1)
 
 
 class TestUnusableEntries:
