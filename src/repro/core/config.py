@@ -12,6 +12,11 @@ The pure models are special cases:
 * coarse pipeline — one single-stage ``megakernel`` group per stage;
 * fine pipeline — one group, model ``fine``, with a block map;
 * RTC — one group, model ``rtc`` (stages fused and inlined).
+
+The placement rules live here once, for validation, the coarse and fine
+models and the tuner's search space alike: the per-SM residency test of a
+fine block map (:func:`fine_residency_problems`) and the largest-remainder
+SM split (:func:`proportional_sm_counts`, :func:`sm_ranges`).
 """
 
 from __future__ import annotations
@@ -96,7 +101,16 @@ class PipelineConfig:
                     )
                 seen_sms.add(sm)
             if group.model == "fine":
-                _validate_fine_residency(pipeline, spec, group)
+                problems = fine_residency_problems(
+                    pipeline,
+                    spec,
+                    {s: group.block_map[s] for s in group.stages},
+                )
+                if problems:
+                    raise ConfigurationError(
+                        f"fine group {group.stages} block map infeasible "
+                        "on one SM: " + "; ".join(problems)
+                    )
 
     def describe(self) -> str:
         """Human-readable one-line-per-group summary."""
@@ -123,14 +137,19 @@ def _compress_ids(ids: Sequence[int]) -> str:
     return ",".join(map(str, ids))
 
 
-def _validate_fine_residency(
-    pipeline: Pipeline, spec: GPUSpec, group: GroupConfig
-) -> None:
-    """Check that one SM can host the requested per-stage block counts."""
+def fine_residency_problems(
+    pipeline: Pipeline, spec: GPUSpec, block_map: Mapping[str, int]
+) -> list[str]:
+    """Why one SM of ``spec`` cannot host ``block_map``'s per-SM block
+    counts (stage name -> blocks), one entry per exceeded limit; empty
+    when the map fits.
+
+    The one residency rule of the plan space (Section 7): a fine group
+    runs ``block_map[s]`` blocks of every stage ``s`` on each of its SMs.
+    """
     regs = smem = threads = blocks = 0
-    for stage_name in group.stages:
+    for stage_name, count in block_map.items():
         kernel = pipeline.stage(stage_name).kernel_spec()
-        count = group.block_map[stage_name]
         regs += registers_per_block(kernel, spec) * count
         smem += shared_mem_per_block(kernel, spec) * count
         threads += kernel.threads_per_block * count
@@ -144,13 +163,45 @@ def _validate_fine_residency(
         problems.append(f"threads {threads} > {spec.max_threads_per_sm}")
     if blocks > spec.max_blocks_per_sm:
         problems.append(f"blocks {blocks} > {spec.max_blocks_per_sm}")
-    if problems:
-        raise ConfigurationError(
-            f"fine group {group.stages} block map infeasible on one SM: "
-            + "; ".join(problems)
-        )
+    return problems
 
 
 def max_fine_blocks(pipeline: Pipeline, spec: GPUSpec, stage: str) -> int:
     """Upper bound on a stage's per-SM block count (tuner pruning rule 1)."""
     return max_blocks_per_sm(pipeline.stage(stage).kernel_spec(), spec)
+
+
+def proportional_sm_counts(
+    num_sms: int, weights: Sequence[float]
+) -> list[int]:
+    """SM counts proportional to ``weights``, at least one each, summing
+    to ``num_sms`` (largest-remainder method, deterministic: ties go to
+    the earlier weight).  Needs ``len(weights) <= num_sms``."""
+    count = len(weights)
+    total = sum(max(w, 1e-12) for w in weights)
+    raw = [max(w, 1e-12) / total * num_sms for w in weights]
+    counts = [max(1, int(r)) for r in raw]
+    while sum(counts) > num_sms:
+        over = max(
+            (i for i in range(count) if counts[i] > 1),
+            key=lambda i: counts[i] - raw[i],
+        )
+        counts[over] -= 1
+    order = sorted(
+        range(count), key=lambda i: raw[i] - counts[i], reverse=True
+    )
+    cursor = 0
+    while sum(counts) < num_sms:
+        counts[order[cursor % count]] += 1
+        cursor += 1
+    return counts
+
+
+def sm_ranges(counts: Sequence[int]) -> list[tuple[int, ...]]:
+    """Consecutive SM id ranges of the given sizes, starting at SM 0."""
+    ranges = []
+    next_sm = 0
+    for count in counts:
+        ranges.append(tuple(range(next_sm, next_sm + count)))
+        next_sm += count
+    return ranges

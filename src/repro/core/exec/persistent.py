@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from ...gpu.block import ThreadBlock
 from ...gpu.kernel import KernelSpec, fuse_specs
 from ...gpu.occupancy import max_blocks_per_sm
-from ...gpu.scheduler import KernelLaunch, Stream
 from ...obs.events import GroupExited
 from ..config import GroupConfig
 from ..errors import ConfigurationError
@@ -96,7 +95,6 @@ class PersistentGroupRunner:
         self.group = group
         self.device = ctx.device
         self.pipeline = ctx.pipeline
-        self.launches: list[KernelLaunch] = []
         self.total_blocks = 0
         self._finished_blocks = 0
         self.on_all_blocks_exited = None  # online-tuner hook
@@ -109,11 +107,6 @@ class PersistentGroupRunner:
     # ------------------------------------------------------------------
     # Launch plan.
     # ------------------------------------------------------------------
-    #: Code size of the persistent scheduling loop added to fused kernels
-    #: (kept as a class attribute for API stability; the value lives at
-    #: module level so :func:`fused_group_kernel` can share it).
-    SCHEDULER_CODE_BYTES = SCHEDULER_CODE_BYTES
-
     def fused_kernel(self) -> KernelSpec:
         if self._fused_kernel is not None:
             return self._fused_kernel
@@ -123,91 +116,52 @@ class PersistentGroupRunner:
         self._fused_kernel = fused
         return fused
 
-    def launch(self) -> None:
+    def launch(self, sm_ids: Optional[Iterable[int]] = None) -> None:
+        """Launch the group's persistent blocks on ``sm_ids`` — the
+        group's own SMs by default, or the SMs another group freed
+        (online adaptation, Section 7).
+
+        A fused group runs its kernel's occupancy in blocks per SM; a
+        fine group runs one kernel per stage, ``block_map[stage]``
+        blocks pinned to each SM.  Each kernel gets its own stream.
+        """
+        sm_ids = self.group.sm_ids if sm_ids is None else tuple(sm_ids)
+        device = self.device
         if self.group.model == "fine":
-            self._launch_fine()
-        else:
-            self._launch_fused()
-
-    def _launch_fused(self) -> None:
-        kernel = self.fused_kernel()
-        per_sm = max_blocks_per_sm(kernel, self.device.spec)
-        if per_sm == 0:
-            raise ConfigurationError(
-                f"kernel {kernel.name} does not fit on one SM at all"
-            )
-        num_blocks = per_sm * len(self.group.sm_ids)
-        stream = self.device.create_stream()
-        watch = tuple(self.group.stages)
-        inline = self.group.model == "rtc"
-        launch = self.device.launch(
-            kernel,
-            lambda block: self._program(block, kernel, watch, inline),
-            num_blocks=num_blocks,
-            stream=stream,
-            sm_filter=frozenset(self.group.sm_ids),
-        )
-        self.launches.append(launch)
-        self.total_blocks += num_blocks
-
-    def _launch_fine(self) -> None:
-        for stage_name in self.group.stages:
-            stage = self.pipeline.stage(stage_name)
-            kernel = stage.kernel_spec()
-            count = self.group.block_map[stage_name]
-            per_block_sm = []
-            for sm in self.group.sm_ids:
-                per_block_sm.extend([frozenset({sm})] * count)
-            stream = self.device.create_stream()
-            watch = (stage_name,)
-            launch = self.device.launch(
-                kernel,
-                lambda block, k=kernel, w=watch: self._program(block, k, w, False),
-                num_blocks=len(per_block_sm),
-                stream=stream,
-                per_block_sm=per_block_sm,
-            )
-            self.launches.append(launch)
-            self.total_blocks += len(per_block_sm)
-
-    def add_blocks(self, stages: tuple[str, ...], sm_ids: Iterable[int]) -> None:
-        """Launch extra persistent blocks for this group on freed SMs
-        (online adaptation, Section 7)."""
-        sm_ids = tuple(sm_ids)
-        if not sm_ids:
-            return
-        if self.group.model == "fine":
-            for stage_name in stages:
+            for stage_name in self.group.stages:
                 kernel = self.pipeline.stage(stage_name).kernel_spec()
                 count = self.group.block_map[stage_name]
                 per_block_sm = []
                 for sm in sm_ids:
                     per_block_sm.extend([frozenset({sm})] * count)
-                launch = self.device.launch(
+                device.launch(
                     kernel,
                     lambda block, k=kernel, w=(stage_name,): self._program(
                         block, k, w, False
                     ),
                     num_blocks=len(per_block_sm),
-                    stream=self.device.create_stream(),
+                    stream=device.create_stream(),
                     per_block_sm=per_block_sm,
                 )
-                self.launches.append(launch)
                 self.total_blocks += len(per_block_sm)
             return
         kernel = self.fused_kernel()
-        per_sm = max_blocks_per_sm(kernel, self.device.spec)
-        launch = self.device.launch(
+        per_sm = max_blocks_per_sm(kernel, device.spec)
+        if per_sm == 0:
+            raise ConfigurationError(
+                f"kernel {kernel.name} does not fit on one SM at all"
+            )
+        watch = tuple(self.group.stages)
+        inline = self.group.model == "rtc"
+        num_blocks = per_sm * len(sm_ids)
+        device.launch(
             kernel,
-            lambda block: self._program(
-                block, kernel, tuple(self.group.stages), self.group.model == "rtc"
-            ),
-            num_blocks=per_sm * len(sm_ids),
-            stream=self.device.create_stream(),
+            lambda block: self._program(block, kernel, watch, inline),
+            num_blocks=num_blocks,
+            stream=device.create_stream(),
             sm_filter=frozenset(sm_ids),
         )
-        self.launches.append(launch)
-        self.total_blocks += per_sm * len(sm_ids)
+        self.total_blocks += num_blocks
 
     # ------------------------------------------------------------------
     # The persistent block program.

@@ -19,7 +19,7 @@ from ..gpu.specs import K20C, GPUSpec
 from .config import PipelineConfig
 from .errors import ConfigurationError
 from .executor import FunctionalExecutor
-from .models.hybrid import HybridEngine
+from .models.hybrid import HybridModel
 from .pipeline import Pipeline
 from .result import RunResult
 from .trace import Trace
@@ -83,9 +83,11 @@ class VersaPipe:
         """Execute the pipeline (auto-tuning first if unconfigured)."""
         if self.config is None:
             self.tune()
-        device = device or GPUDevice(self.spec)
-        executor = FunctionalExecutor(self.pipeline)
-        engine = HybridEngine(self.pipeline, device, executor, self.config)
-        result = engine.run(self.initial_items)
+        result = HybridModel(self.config).run(
+            self.pipeline,
+            device or GPUDevice(self.spec),
+            FunctionalExecutor(self.pipeline),
+            self.initial_items,
+        )
         result.model = "versapipe"
         return result

@@ -8,9 +8,10 @@ completion, and optionally performs the online adaptation of Section 7 —
 when a group's persistent blocks all exit, the freed SMs are re-filled with
 blocks of the stage group holding the most backlogged queues.
 
-:class:`HybridModel` is the :class:`ExecutionModel` wrapper;
-the pure megakernel / coarse / fine models are one-group special cases
-defined in their own modules.
+Every persistent model is a :class:`PlannedModel`: it builds one
+:class:`PipelineConfig` (:meth:`PlannedModel.plan`) and runs it here.
+:class:`HybridModel` runs a given plan; the megakernel, coarse and fine
+models are special cases defined in their own modules.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ...gpu.device import GPUDevice
+from ...gpu.specs import GPUSpec
 from ...obs.events import Adaptation
-from ..config import GroupConfig, PipelineConfig
+from ..config import PipelineConfig
 from ..errors import ConfigurationError, ExecutionError
 from ..executor import Executor
 from ..pipeline import Pipeline
@@ -82,7 +84,7 @@ class OnlineAdapter:
                         backlog=depth.total(target.group.stages),
                     )
                 )
-            target.add_blocks(tuple(target.group.stages), freed)
+            target.launch(freed)
 
         self.ctx.device.engine.schedule_call(delay, relaunch)
 
@@ -183,8 +185,31 @@ class HybridEngine:
         )
 
 
+class PlannedModel(ExecutionModel):
+    """An execution model that is one :class:`PipelineConfig`, run by
+    :class:`HybridEngine`."""
+
+    def plan(self, pipeline: Pipeline, spec: GPUSpec) -> PipelineConfig:
+        """The plan this model runs ``pipeline`` with on ``spec``."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        pipeline: Pipeline,
+        device: GPUDevice,
+        executor: Executor,
+        initial_items: dict[str, Sequence[object]],
+    ) -> RunResult:
+        engine = HybridEngine(
+            pipeline, device, executor, self.plan(pipeline, device.spec)
+        )
+        result = engine.run(initial_items)
+        result.model = self.name
+        return result
+
+
 @register_model
-class HybridModel(ExecutionModel):
+class HybridModel(PlannedModel):
     """VersaPipe's hybrid pipeline: stage groups, each with its own model."""
 
     name = "hybrid"
@@ -203,14 +228,5 @@ class HybridModel(ExecutionModel):
             raise ConfigurationError("HybridModel requires a PipelineConfig")
         self.config = config
 
-    def run(
-        self,
-        pipeline: Pipeline,
-        device: GPUDevice,
-        executor: Executor,
-        initial_items: dict[str, Sequence[object]],
-    ) -> RunResult:
-        engine = HybridEngine(pipeline, device, executor, self.config)
-        result = engine.run(initial_items)
-        result.model = self.name
-        return result
+    def plan(self, pipeline: Pipeline, spec: GPUSpec) -> PipelineConfig:
+        return self.config

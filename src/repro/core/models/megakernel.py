@@ -8,19 +8,15 @@ block per K20c SM, so most of the GPU's latency-hiding capacity is wasted.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ...gpu.device import GPUDevice
+from ...gpu.specs import GPUSpec
 from ..config import GroupConfig, PipelineConfig
-from ..executor import Executor
 from ..pipeline import Pipeline
-from ..result import RunResult
-from .base import ExecutionModel, Level, ModelCharacteristics, register_model
-from .hybrid import HybridEngine
+from .base import Level, ModelCharacteristics, register_model
+from .hybrid import PlannedModel
 
 
 @register_model
-class MegakernelModel(ExecutionModel):
+class MegakernelModel(PlannedModel):
     name = "megakernel"
     characteristics = ModelCharacteristics(
         applicability=Level.FAIR,
@@ -38,25 +34,15 @@ class MegakernelModel(ExecutionModel):
         self.policy = policy
         self.queue_mode = queue_mode
 
-    def run(
-        self,
-        pipeline: Pipeline,
-        device: GPUDevice,
-        executor: Executor,
-        initial_items: dict[str, Sequence[object]],
-    ) -> RunResult:
-        config = PipelineConfig(
+    def plan(self, pipeline: Pipeline, spec: GPUSpec) -> PipelineConfig:
+        return PipelineConfig(
             groups=(
                 GroupConfig(
                     stages=tuple(pipeline.stage_names),
                     model="megakernel",
-                    sm_ids=tuple(range(device.spec.num_sms)),
+                    sm_ids=tuple(range(spec.num_sms)),
                 ),
             ),
             policy=self.policy,
             queue_mode=self.queue_mode,
         )
-        engine = HybridEngine(pipeline, device, executor, config)
-        result = engine.run(initial_items)
-        result.model = self.name
-        return result

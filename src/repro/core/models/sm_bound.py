@@ -17,16 +17,19 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from ...gpu.device import GPUDevice
-from ...gpu.occupancy import registers_per_block, shared_mem_per_block
 from ...gpu.specs import GPUSpec
-from ..config import GroupConfig, PipelineConfig, max_fine_blocks
+from ..config import (
+    GroupConfig,
+    PipelineConfig,
+    fine_residency_problems,
+    max_fine_blocks,
+    proportional_sm_counts,
+    sm_ranges,
+)
 from ..errors import ConfigurationError
-from ..executor import Executor
 from ..pipeline import Pipeline
-from ..result import RunResult
-from .base import ExecutionModel, Level, ModelCharacteristics, register_model
-from .hybrid import HybridEngine
+from .base import Level, ModelCharacteristics, register_model
+from .hybrid import PlannedModel
 
 
 def split_sms_proportionally(
@@ -42,52 +45,11 @@ def split_sms_proportionally(
             f"coarse pipeline needs >= 1 SM per stage: {len(stages)} stages "
             f"vs {num_sms} SMs"
         )
-    if weights is None:
-        weights = {s: 1.0 for s in stages}
-    total = sum(max(1e-12, weights.get(s, 1.0)) for s in stages)
-    raw = {
-        s: max(1e-12, weights.get(s, 1.0)) / total * num_sms for s in stages
-    }
-    counts = {s: max(1, int(raw[s])) for s in stages}
-    # Largest-remainder correction to hit num_sms exactly.
-    while sum(counts.values()) > num_sms:
-        victim = max(
-            (s for s in stages if counts[s] > 1),
-            key=lambda s: counts[s] - raw[s],
-        )
-        counts[victim] -= 1
-    remainders = sorted(
-        stages, key=lambda s: (raw[s] - counts[s]), reverse=True
+    weights = weights or {}
+    counts = proportional_sm_counts(
+        num_sms, [weights.get(s, 1.0) for s in stages]
     )
-    index = 0
-    while sum(counts.values()) < num_sms:
-        counts[remainders[index % len(remainders)]] += 1
-        index += 1
-    assignment: dict[str, tuple[int, ...]] = {}
-    next_sm = 0
-    for s in stages:
-        assignment[s] = tuple(range(next_sm, next_sm + counts[s]))
-        next_sm += counts[s]
-    return assignment
-
-
-def _fine_map_fits(
-    pipeline: Pipeline, spec: GPUSpec, candidate: Mapping[str, int]
-) -> bool:
-    """Can one SM of ``spec`` host the candidate per-SM block counts?"""
-    regs = smem = threads = blocks = 0
-    for stage_name, count in candidate.items():
-        kernel = pipeline.stage(stage_name).kernel_spec()
-        regs += registers_per_block(kernel, spec) * count
-        smem += shared_mem_per_block(kernel, spec) * count
-        threads += kernel.threads_per_block * count
-        blocks += count
-    return (
-        regs <= spec.registers_per_sm
-        and smem <= spec.shared_mem_per_sm
-        and threads <= spec.max_threads_per_sm
-        and blocks <= spec.max_blocks_per_sm
-    )
+    return dict(zip(stages, sm_ranges(counts)))
 
 
 def default_fine_block_map(
@@ -95,7 +57,7 @@ def default_fine_block_map(
 ) -> dict[str, int]:
     """One block per stage per SM, then greedily add more while they fit."""
     block_map = {s: 1 for s in stages}
-    if not _fine_map_fits(pipeline, spec, block_map):
+    if fine_residency_problems(pipeline, spec, block_map):
         raise ConfigurationError(
             f"stages {list(stages)} cannot co-reside even at 1 block each; "
             "use coarse pipeline or regroup"
@@ -111,7 +73,7 @@ def default_fine_block_map(
                 continue
             trial = dict(block_map)
             trial[stage_name] += 1
-            if _fine_map_fits(pipeline, spec, trial):
+            if not fine_residency_problems(pipeline, spec, trial):
                 block_map = trial
                 changed = True
     return block_map
@@ -132,7 +94,7 @@ def fit_fine_block_map(
     per stage cannot fit.
     """
     block_map = dict(preferred)
-    while not _fine_map_fits(pipeline, spec, block_map):
+    while fine_residency_problems(pipeline, spec, block_map):
         victim = None
         for stage_name, count in block_map.items():
             if count > 1 and (
@@ -149,7 +111,7 @@ def fit_fine_block_map(
 
 
 @register_model
-class CoarsePipelineModel(ExecutionModel):
+class CoarsePipelineModel(PlannedModel):
     """Each stage exclusively owns a set of SMs (Figure 4)."""
 
     name = "coarse"
@@ -173,34 +135,24 @@ class CoarsePipelineModel(ExecutionModel):
         self.weights = weights
         self.policy = policy
 
-    def run(
-        self,
-        pipeline: Pipeline,
-        device: GPUDevice,
-        executor: Executor,
-        initial_items: dict[str, Sequence[object]],
-    ) -> RunResult:
+    def plan(self, pipeline: Pipeline, spec: GPUSpec) -> PipelineConfig:
         if self.sm_assignment is not None:
             assignment = {
                 s: tuple(ids) for s, ids in self.sm_assignment.items()
             }
         else:
             assignment = split_sms_proportionally(
-                device.spec.num_sms, pipeline.stage_names, self.weights
+                spec.num_sms, pipeline.stage_names, self.weights
             )
         groups = tuple(
             GroupConfig(stages=(s,), model="megakernel", sm_ids=assignment[s])
             for s in pipeline.stage_names
         )
-        config = PipelineConfig(groups=groups, policy=self.policy)
-        engine = HybridEngine(pipeline, device, executor, config)
-        result = engine.run(initial_items)
-        result.model = self.name
-        return result
+        return PipelineConfig(groups=groups, policy=self.policy)
 
 
 @register_model
-class FinePipelineModel(ExecutionModel):
+class FinePipelineModel(PlannedModel):
     """Stages share SMs at thread-block granularity (Figure 5)."""
 
     name = "fine"
@@ -224,29 +176,18 @@ class FinePipelineModel(ExecutionModel):
         self.sm_ids = tuple(sm_ids) if sm_ids is not None else None
         self.policy = policy
 
-    def run(
-        self,
-        pipeline: Pipeline,
-        device: GPUDevice,
-        executor: Executor,
-        initial_items: dict[str, Sequence[object]],
-    ) -> RunResult:
-        sm_ids = self.sm_ids or tuple(range(device.spec.num_sms))
+    def plan(self, pipeline: Pipeline, spec: GPUSpec) -> PipelineConfig:
         block_map = self.block_map or default_fine_block_map(
-            pipeline, device.spec, pipeline.stage_names
+            pipeline, spec, pipeline.stage_names
         )
-        config = PipelineConfig(
+        return PipelineConfig(
             groups=(
                 GroupConfig(
                     stages=tuple(pipeline.stage_names),
                     model="fine",
-                    sm_ids=sm_ids,
+                    sm_ids=self.sm_ids or tuple(range(spec.num_sms)),
                     block_map=block_map,
                 ),
             ),
             policy=self.policy,
         )
-        engine = HybridEngine(pipeline, device, executor, config)
-        result = engine.run(initial_items)
-        result.model = self.name
-        return result

@@ -14,8 +14,9 @@ queues with stealing/donation.  This module implements both:
   (contention-free), consumers pop locally first and *steal* from the
   richest shard when empty, paying a remote-access surcharge.
 
-The cost accounting lives here so the runners stay agnostic: ``pop`` and
-``push`` return the cycle cost of the operation alongside the items.
+Pop costs live here so the runners stay agnostic: ``pop`` returns the
+cycle cost of the operation alongside the items.  Pushes are charged per
+batch of children by :meth:`~repro.core.runcontext.RunContext.push_cost`.
 
 Every queue set maintains a :class:`~repro.obs.depth.DepthSeries` — the
 canonical per-stage backlog ledger that the online adapter and the tuner
@@ -95,10 +96,6 @@ class SharedQueueSet(_QueueSetBase):
         }
         #: Approximate concurrent accessors per SM; set by the engine.
         self._contention_level = 0.0
-        #: stage -> single-item push cost at the current contention level.
-        #: Pushes dominate queue traffic (one per emitted child), so the
-        #: per-push cost-model evaluation collapses to one dict lookup.
-        self._push_costs: dict[str, float] = {}
         #: (stage, batch size) -> pop cost at the current contention level.
         self._pop_costs: dict[tuple[str, int], float] = {}
         self.steals = 0  # always zero for the shared organisation
@@ -111,7 +108,6 @@ class SharedQueueSet(_QueueSetBase):
     def contention_level(self, value: float) -> None:
         if value != self._contention_level:
             self._contention_level = value
-            self._push_costs.clear()
             self._pop_costs.clear()
 
     def push(
@@ -119,23 +115,15 @@ class SharedQueueSet(_QueueSetBase):
         stage: str,
         payload: object,
         producer_sm: Optional[int],
-    ) -> float:
-        queue = self._queues[stage]
-        queue.push(payload, producer_sm)
+    ) -> None:
+        self._queues[stage].push(payload, producer_sm)
         depth = self.depth.push(stage)
         if self.bus is not None:
             self._emit_push(stage, SHARED_SHARD, depth)
-        cost = self._push_costs.get(stage)
-        if cost is None:
-            cost = queue_op_cost(
-                self.spec, queue.item_bytes, 1, self._contention_level
-            )
-            self._push_costs[stage] = cost
-        return cost
 
     def push_many(
         self, stage: str, payloads: list[object], producer_sm: Optional[int]
-    ) -> float:
+    ) -> None:
         """Bulk :meth:`push` of ``payloads`` into one stage.
 
         With a bus attached the per-item path is used so the emitted
@@ -143,17 +131,11 @@ class SharedQueueSet(_QueueSetBase):
         unchanged; otherwise all bookkeeping runs once for the batch.
         """
         if self.bus is not None:
-            return sum(self.push(stage, p, producer_sm) for p in payloads)
-        queue = self._queues[stage]
-        queue.push_many(payloads, producer_sm)
+            for payload in payloads:
+                self.push(stage, payload, producer_sm)
+            return
+        self._queues[stage].push_many(payloads, producer_sm)
         self.depth.push(stage, len(payloads))
-        cost = self._push_costs.get(stage)
-        if cost is None:
-            cost = queue_op_cost(
-                self.spec, queue.item_bytes, 1, self._contention_level
-            )
-            self._push_costs[stage] = cost
-        return cost * len(payloads)
 
     def pop(
         self, stage: str, max_items: int, sm_id: Optional[int]
@@ -221,30 +203,26 @@ class DistributedQueueSet(_QueueSetBase):
     # ------------------------------------------------------------------
     def push(
         self, stage: str, payload: object, producer_sm: Optional[int]
-    ) -> float:
+    ) -> None:
         shard = HOST_SHARD if producer_sm is None else producer_sm
         self._shards[stage][shard].push(payload, producer_sm)
         depth = self.depth.push(stage)
         if self.bus is not None:
             self._emit_push(stage, shard, depth)
-        # A per-SM shard sees only its own SM's blocks: no cross-SM
-        # contention on the atomic counters.
-        return queue_op_cost(self.spec, self._item_bytes[stage], 1, 0.0)
 
     def push_many(
         self, stage: str, payloads: list[object], producer_sm: Optional[int]
-    ) -> float:
+    ) -> None:
         """Bulk :meth:`push`: every item lands on the producer's shard, so
         the batch is one ``push_many`` on a single queue.  Falls back to the
         per-item path when a bus is attached (event stream unchanged)."""
         if self.bus is not None:
-            return sum(self.push(stage, p, producer_sm) for p in payloads)
+            for payload in payloads:
+                self.push(stage, payload, producer_sm)
+            return
         shard = HOST_SHARD if producer_sm is None else producer_sm
         self._shards[stage][shard].push_many(payloads, producer_sm)
         self.depth.push(stage, len(payloads))
-        return len(payloads) * queue_op_cost(
-            self.spec, self._item_bytes[stage], 1, 0.0
-        )
 
     def pop(
         self, stage: str, max_items: int, sm_id: Optional[int]

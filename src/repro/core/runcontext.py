@@ -45,20 +45,18 @@ POLICIES = ("deepest_first", "fifo", "round_robin")
 class _WatchState:
     """Incremental quiescence counter for one watched stage set.
 
-    ``upstream`` is the frozen set of stages whose outstanding work can
-    still reach any watched stage (per the pipeline reachability
-    closure); ``outstanding`` is the live sum of those stages'
-    outstanding counts, maintained by ``_enqueue_one`` /
+    ``outstanding`` is the live sum of the outstanding counts of the
+    stages whose work can still reach any watched stage (per the
+    pipeline reachability closure), maintained by ``_enqueue_one`` /
     ``complete_tasks``.  The watched set is quiescent exactly when the
     sum is zero, turning every ``is_quiescent`` call — the hottest
     function of a simulated run, previously a full reachability scan per
     completed task per waiter — into a single integer comparison.
     """
 
-    __slots__ = ("upstream", "outstanding")
+    __slots__ = ("outstanding",)
 
-    def __init__(self, upstream: frozenset[str], outstanding: int) -> None:
-        self.upstream = upstream
+    def __init__(self, outstanding: int) -> None:
         self.outstanding = outstanding
 
 
@@ -422,8 +420,7 @@ class RunContext:
             if can_reach(source, targets)
         )
         watch = _WatchState(
-            upstream,
-            sum(self.outstanding[source] for source in upstream),
+            sum(self.outstanding[source] for source in upstream)
         )
         self._watch_states[targets] = watch
         for source in upstream:
@@ -715,8 +712,8 @@ class RunContext:
     @property
     def depth_series(self):
         """The queue set's always-on backlog ledger
-        (:class:`repro.obs.depth.DepthSeries`) — current and peak queued
-        items per stage.  The online adapter and the tuner's
+        (:class:`repro.obs.depth.DepthSeries`) — current queued items
+        per stage.  The online adapter and the tuner's
         queue-pressure summary read from here."""
         return self.queue_set.depth
 

@@ -21,15 +21,18 @@ The generator is deterministic, so tuning is reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from ...gpu.occupancy import (
-    max_blocks_per_sm,
-    registers_per_block,
-    shared_mem_per_block,
-)
+from ...gpu.occupancy import max_blocks_per_sm
 from ...gpu.specs import GPUSpec
-from ..config import GroupConfig, PipelineConfig, max_fine_blocks
+from ..config import (
+    GroupConfig,
+    PipelineConfig,
+    fine_residency_problems,
+    max_fine_blocks,
+    proportional_sm_counts,
+    sm_ranges,
+)
 from ..exec.persistent import fused_group_kernel
 from ..pipeline import Pipeline
 from .profiler import PipelineProfile
@@ -70,60 +73,27 @@ def group_model_candidates(
     candidates = ["megakernel"]
     if not any(pipeline.stage(s).requires_global_sync for s in stages):
         candidates.append("rtc")
-    if len(stages) > 1 and _fine_feasible(pipeline, stages, spec):
+    if len(stages) > 1 and not fine_residency_problems(
+        pipeline, spec, {s: 1 for s in stages}
+    ):
         candidates.append("fine")
     candidates.append("kbk")
     return candidates
 
 
-def _fine_feasible(
-    pipeline: Pipeline, stages: Sequence[str], spec: GPUSpec
-) -> bool:
-    """Can one block of every stage co-reside on a single SM?"""
-    regs = smem = threads = blocks = 0
-    for stage_name in stages:
-        kernel = pipeline.stage(stage_name).kernel_spec()
-        regs += registers_per_block(kernel, spec)
-        smem += shared_mem_per_block(kernel, spec)
-        threads += kernel.threads_per_block
-        blocks += 1
-    return (
-        regs <= spec.registers_per_sm
-        and smem <= spec.shared_mem_per_sm
-        and threads <= spec.max_threads_per_sm
-        and blocks <= spec.max_blocks_per_sm
-    )
-
-
 def sm_allocations(
-    num_sms: int,
-    group_weights: Sequence[float],
-    max_variants: int = 8,
+    num_sms: int, group_weights: Sequence[float]
 ) -> list[tuple[int, ...]]:
     """Candidate SM counts per group: proportional plus neighbours.
 
     Starts from the largest-remainder proportional split and adds every
-    single-SM transfer between group pairs that keeps all counts >= 1.
+    single-SM transfer between group pairs that keeps all counts >= 1,
+    up to :data:`MAX_SM_VARIANTS` allocations.
     """
     k = len(group_weights)
     if k > num_sms:
         return []
-    if k == 1:
-        return [(num_sms,)]
-    total = sum(max(w, 1e-12) for w in group_weights)
-    raw = [max(w, 1e-12) / total * num_sms for w in group_weights]
-    base = [max(1, int(r)) for r in raw]
-    while sum(base) > num_sms:
-        over = max(
-            (i for i in range(k) if base[i] > 1), key=lambda i: base[i] - raw[i]
-        )
-        base[over] -= 1
-    order = sorted(range(k), key=lambda i: raw[i] - base[i], reverse=True)
-    cursor = 0
-    while sum(base) < num_sms:
-        base[order[cursor % k]] += 1
-        cursor += 1
-
+    base = proportional_sm_counts(num_sms, group_weights)
     variants: list[tuple[int, ...]] = [tuple(base)]
     for src in range(k):
         for dst in range(k):
@@ -135,45 +105,27 @@ def sm_allocations(
             candidate = tuple(moved)
             if candidate not in variants:
                 variants.append(candidate)
-    return variants[:max_variants]
+    return variants[:MAX_SM_VARIANTS]
 
 
 def fine_block_maps(
-    pipeline: Pipeline,
-    spec: GPUSpec,
-    stages: tuple[str, ...],
-    max_maps: int = 12,
+    pipeline: Pipeline, spec: GPUSpec, stages: tuple[str, ...]
 ) -> list[dict[str, int]]:
     """Feasible per-SM block maps for a fine group, pruned per the paper.
 
     Rule 1: each stage's count is bounded by its occupancy maximum.
     Rule 2 is structural (one count per stage, replicated over the group's
     SMs).  Maps that are dominated (every count <= another feasible map's)
-    are dropped, and the largest total block counts are tried first.
+    are dropped, and the largest total block counts are tried first, up
+    to :data:`MAX_BLOCK_MAPS` maps.
     """
     limits = {s: max_fine_blocks(pipeline, spec, s) for s in stages}
-
-    def fits(candidate: Mapping[str, int]) -> bool:
-        regs = smem = threads = blocks = 0
-        for stage_name, count in candidate.items():
-            kernel = pipeline.stage(stage_name).kernel_spec()
-            regs += registers_per_block(kernel, spec) * count
-            smem += shared_mem_per_block(kernel, spec) * count
-            threads += kernel.threads_per_block * count
-            blocks += count
-        return (
-            regs <= spec.registers_per_sm
-            and smem <= spec.shared_mem_per_sm
-            and threads <= spec.max_threads_per_sm
-            and blocks <= spec.max_blocks_per_sm
-        )
-
     feasible: list[dict[str, int]] = []
     for counts in itertools.product(
         *(range(1, limits[s] + 1) for s in stages)
     ):
         candidate = dict(zip(stages, counts))
-        if fits(candidate):
+        if not fine_residency_problems(pipeline, spec, candidate):
             feasible.append(candidate)
     # Keep only maps not dominated by another feasible map.
     maximal = [
@@ -186,7 +138,7 @@ def fine_block_maps(
         )
     ]
     maximal.sort(key=lambda m: (-sum(m.values()), tuple(m[s] for s in stages)))
-    return maximal[:max_maps]
+    return maximal[:MAX_BLOCK_MAPS]
 
 
 def lane_limits(
@@ -321,20 +273,12 @@ def enumerate_configs(
                 choices = [c for c in choices if c != "kbk"]
             model_choices.append(choices)
         for models in itertools.product(*model_choices):
-            for allocation in sm_allocations(
-                spec.num_sms, group_weights, MAX_SM_VARIANTS
-            ):
-                sm_sets = []
-                next_sm = 0
-                for count in allocation:
-                    sm_sets.append(tuple(range(next_sm, next_sm + count)))
-                    next_sm += count
+            for allocation in sm_allocations(spec.num_sms, group_weights):
+                sm_sets = sm_ranges(allocation)
                 block_map_choices = []
                 for g, model in zip(groups, models):
                     if model == "fine":
-                        maps = fine_block_maps(
-                            pipeline, spec, g, MAX_BLOCK_MAPS
-                        )
+                        maps = fine_block_maps(pipeline, spec, g)
                         if not maps:
                             break
                         block_map_choices.append(maps)

@@ -83,8 +83,6 @@ class ThreadBlock:
         self.sm: Optional[StreamingMultiprocessor] = None  # set on admission
         self.launch: Optional[KernelLaunch] = None  # set by the device on launch
         self.finished = False
-        self.start_cycle: float | None = None
-        self.finish_cycle: float | None = None
         self._compute_started_at: float | None = None
         self._pending_min_cycles: float = 0.0
         #: The resume continuation, bound once: every Delay/Wait resume
@@ -106,7 +104,6 @@ class ThreadBlock:
         :meth:`_finish` itself when its loop exits.
         """
         assert self.sm is not None, "block must be admitted to an SM first"
-        self.start_cycle = self.sm.engine.now
         program = self._program_factory(self)
         if program is None:
             return
@@ -187,6 +184,5 @@ class ThreadBlock:
         sm = self.sm
         assert sm is not None
         self.finished = True
-        self.finish_cycle = sm.engine.now
         self._program = None
         sm.retire(self)

@@ -37,11 +37,8 @@ class KernelLaunch:
     ) -> None:
         self.launch_id = next(KernelLaunch._ids)
         self.kernel = kernel
-        self.blocks = blocks
         self.stream = stream
-        self.ready = False
         self.issue_cycle: float | None = None
-        self.complete_cycle: float | None = None
         self._undispatched = list(reversed(blocks))  # pop() from the end
         self._outstanding = len(blocks)
         self._on_complete: list[Callable[["KernelLaunch"], None]] = []
@@ -64,10 +61,9 @@ class KernelLaunch:
     def pop_block(self) -> ThreadBlock:
         return self._undispatched.pop()
 
-    def block_retired(self, now: float) -> None:
+    def block_retired(self) -> None:
         self._outstanding -= 1
         if self._outstanding == 0:
-            self.complete_cycle = now
             callbacks, self._on_complete = self._on_complete, []
             for fn in callbacks:
                 fn(self)
@@ -90,7 +86,6 @@ class Stream:
 
     def _make_head_ready(self) -> None:
         head = self._queue[0]
-        head.ready = True
         self._scheduler.activate(head)
         head.add_completion_callback(self._head_done)
 
@@ -180,7 +175,7 @@ class HardwareScheduler:
         launch = block.launch
         sm = block.sm
         if launch is not None and sm is not None:
-            launch.block_retired(sm.engine.now)
+            launch.block_retired()
             if launch.done and self.obs is not None:
                 self.obs.emit(
                     KernelRetired(

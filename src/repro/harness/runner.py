@@ -454,9 +454,6 @@ def longest_stage_ms(
     kernel at its own occupancy, with no interference or queueing from the
     other stages — and report the slowest stage.
     """
-    from ..core.config import GroupConfig, PipelineConfig
-    from ..core.models.hybrid import HybridEngine
-
     params = params if params is not None else spec.default_params()
     pipeline = spec.build_pipeline(params)
     _profile, trace = profile_pipeline(
@@ -468,19 +465,12 @@ def longest_stage_ms(
         if not sub_trace.initial.get(stage_name):
             continue
         solo = _solo_pipeline(pipeline.stage(stage_name))
-        device = GPUDevice(gpu)
-        executor = ReplayExecutor(solo, sub_trace)
-        config = PipelineConfig(
-            groups=(
-                GroupConfig(
-                    stages=(stage_name,),
-                    model="megakernel",
-                    sm_ids=tuple(range(gpu.num_sms)),
-                ),
-            )
+        result = MegakernelModel().run(
+            solo,
+            GPUDevice(gpu),
+            ReplayExecutor(solo, sub_trace),
+            replay_placeholders(sub_trace),
         )
-        engine = HybridEngine(solo, device, executor, config)
-        result = engine.run(replay_placeholders(sub_trace))
         if result.time_ms > worst_ms:
             worst_stage, worst_ms = stage_name, result.time_ms
     return worst_stage, worst_ms

@@ -1,8 +1,8 @@
 """Always-on queue-depth accounting.
 
 The :class:`DepthSeries` is the canonical backlog ledger of a queue set:
-both queue organisations update it on every push/pop, so current and
-peak depths are available *without* an attached event subscriber.  The
+both queue organisations update it on every push/pop, so current depths
+are available *without* an attached event subscriber.  The
 online adapter (Section 7) and the tuner's queue-pressure summary read
 backlog from here rather than probing queue internals; the full
 ``(time, depth)`` series is derived from the :class:`~repro.obs.events.QueuePush`
@@ -16,20 +16,17 @@ from typing import Iterable
 
 
 class DepthSeries:
-    """Current and peak queued-item counts per stage."""
+    """Current queued-item counts per stage."""
 
-    __slots__ = ("current", "peak")
+    __slots__ = ("current",)
 
     def __init__(self, stages: Iterable[str]) -> None:
         self.current: dict[str, int] = {name: 0 for name in stages}
-        self.peak: dict[str, int] = {name: 0 for name in stages}
 
     def push(self, stage: str, n: int = 1) -> int:
         """Account ``n`` items entering ``stage``; returns the new depth."""
         depth = self.current[stage] + n
         self.current[stage] = depth
-        if depth > self.peak[stage]:
-            self.peak[stage] = depth
         return depth
 
     def pop(self, stage: str, n: int) -> int:
@@ -44,6 +41,3 @@ class DepthSeries:
     def total(self, stages: Iterable[str]) -> int:
         current = self.current
         return sum(current[s] for s in stages)
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.current)

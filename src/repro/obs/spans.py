@@ -107,10 +107,7 @@ class RequestTracker:
         self.on_visit = on_visit
         self.on_complete = on_complete
         self.spans: dict[int, RequestSpan] = {}
-        self.completed: list[RequestSpan] = []
         self._pending: dict[int, int] = {}
-        #: Arrivals refused by an admission policy (serving mode).
-        self.shed_count = 0
 
     # ------------------------------------------------------------------
     # Lifecycle notifications (serving driver + run context).
@@ -125,10 +122,9 @@ class RequestTracker:
     def shed(self, rid: int, stage: str, t: float) -> None:
         """An admission policy refused ``rid`` at arrival.
 
-        The request never enters a queue, so no span is opened; only
-        the shed counter moves (plus a ``req_shed`` event with a bus).
+        The request never enters a queue, so no span is opened; with a
+        bus attached a ``req_shed`` event records it.
         """
-        self.shed_count += 1
         if self.bus is not None:
             self.bus.emit(RequestShed(t=t, rid=rid, stage=stage))
 
@@ -180,7 +176,6 @@ class RequestTracker:
     # ------------------------------------------------------------------
     def _finish(self, span: RequestSpan, t: float) -> None:
         span.completion_t = t
-        self.completed.append(span)
         del self.spans[span.rid]
         del self._pending[span.rid]
         if self.bus is not None:

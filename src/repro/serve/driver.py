@@ -60,13 +60,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, cast
 
-from ..core.config import GroupConfig, PipelineConfig
+from ..core.config import PipelineConfig
 from ..core.errors import ConfigurationError, ExecutionError
 from ..core.executor import ExecResult, Executor, ReplayExecutor
-from ..core.models.hybrid import HybridEngine
-from ..core.models.sm_bound import default_fine_block_map, split_sms_proportionally
+from ..core.models import get_model
+from ..core.models.hybrid import HybridEngine, PlannedModel
 from ..core.pipeline import Pipeline
 from ..core.trace import Trace
 from ..core.tuner.profiler import profile_pipeline
@@ -165,41 +165,17 @@ def build_serve_plan(
     """The resident :class:`PipelineConfig` for one serve model name.
 
     ``versapipe`` serves the workload's paper-described plan as it is,
-    with online adaptation off (docs/serving.md says why).
+    with online adaptation off (docs/serving.md says why); every other
+    name serves the plan its execution model runs in a batch run.
     """
-    all_sms = tuple(range(gpu.num_sms))
-    stages = tuple(pipeline.stage_names)
     if model == "versapipe":
         return spec.versapipe_config(pipeline, gpu, params)
-    if model == "megakernel":
-        groups = (
-            GroupConfig(stages=stages, model="megakernel", sm_ids=all_sms),
-        )
-    elif model == "coarse":
-        assignment = split_sms_proportionally(gpu.num_sms, stages, None)
-        groups = tuple(
-            GroupConfig(
-                stages=(stage,),
-                model="megakernel",
-                sm_ids=assignment[stage],
-            )
-            for stage in stages
-        )
-    elif model == "fine":
-        groups = (
-            GroupConfig(
-                stages=stages,
-                model="fine",
-                sm_ids=all_sms,
-                block_map=default_fine_block_map(pipeline, gpu, stages),
-            ),
-        )
-    else:
+    if model not in SERVE_MODELS:
         raise ConfigurationError(
             f"model {model!r} cannot serve open-loop arrivals; choose "
             f"from {SERVE_MODELS}"
         )
-    return PipelineConfig(groups=groups)
+    return cast(PlannedModel, get_model(model)()).plan(pipeline, gpu)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ from repro.core import (
 )
 from repro.core.errors import ConfigurationError
 from repro.core.exec.kbk import run_kbk
-from repro.core.exec.persistent import PersistentGroupRunner, locality_adjusted
+from repro.core.exec.persistent import (
+    SCHEDULER_CODE_BYTES,
+    PersistentGroupRunner,
+    locality_adjusted,
+)
 from repro.core.models.hybrid import HybridEngine, OnlineAdapter
 from repro.core.runcontext import RunContext
 from repro.gpu import GPUDevice, K20C
@@ -77,7 +81,7 @@ class TestPersistentGroupRunner:
             pipeline.stage(s).code_bytes
             for s in ("doubler", "adder", "sink")
         )
-        assert fused.code_bytes == stage_code + runner.SCHEDULER_CODE_BYTES
+        assert fused.code_bytes == stage_code + SCHEDULER_CODE_BYTES
 
     def test_single_stage_group_has_no_scheduler_overhead(self):
         pipeline = toy_pipeline()
@@ -169,7 +173,7 @@ class TestKBKLanes:
 
 
 class TestOnlineAdapter:
-    def _imbalanced_config(self, adapt):
+    def _imbalanced_config(self, adapt, model="megakernel", block_map=None):
         return PipelineConfig(
             groups=(
                 GroupConfig(
@@ -179,8 +183,9 @@ class TestOnlineAdapter:
                 ),
                 GroupConfig(
                     stages=("adder", "sink"),
-                    model="megakernel",
+                    model=model,
                     sm_ids=(10, 11, 12),
+                    block_map=block_map,
                 ),
             ),
             online_adaptation=adapt,
@@ -199,6 +204,33 @@ class TestOnlineAdapter:
         # recovers; it must at least stay near-neutral (the clear win case
         # is exercised in benchmarks/bench_ablations.py on Reyes).
         assert adaptive.time_ms <= static.time_ms * 1.15
+
+    @pytest.mark.parametrize(
+        "model, block_map, time_ms, static_blocks, adaptive_blocks",
+        [
+            ("megakernel", None, 0.08566490883998355, 46, 66),
+            ("fine", {"adder": 1, "sink": 2}, 0.0917302825597482, 49, 79),
+        ],
+    )
+    def test_relaunch_refills_freed_sms(
+        self, model, block_map, time_ms, static_blocks, adaptive_blocks
+    ):
+        # The doubler group exits with adder+sink backlog left, and the
+        # adapter relaunches that group on the 10 freed SMs: at its fused
+        # occupancy (2 blocks per SM) or at its block map (1 + 2).
+        initial = {"doubler": [1] * 4000}
+        static_engine, _ = make_engine(
+            self._imbalanced_config(False, model, block_map)
+        )
+        static = static_engine.run(initial)
+        adaptive_engine, _ = make_engine(
+            self._imbalanced_config(True, model, block_map)
+        )
+        adaptive = adaptive_engine.run(initial)
+        assert static.extras["persistent_blocks"] == static_blocks
+        assert adaptive.extras["online_adaptations"] == 1
+        assert adaptive.extras["persistent_blocks"] == adaptive_blocks
+        assert adaptive.time_ms == time_ms
 
     def test_no_adaptation_without_backlog(self):
         # Tiny workload drains before any group exits with backlog left.

@@ -12,6 +12,7 @@ from repro.core.queueset import (
     SharedQueueSet,
     make_queue_set,
 )
+from repro.core.runcontext import RunContext
 from repro.gpu import GPUDevice, K20C
 
 from .conftest import toy_expected, toy_pipeline
@@ -139,22 +140,10 @@ class TestQueueCostAccounting:
     """Pin the cost accounting the batch-drain path depends on.
 
     Coalesced drains pop a block's worth of same-stage items in one queue
-    operation; these tests freeze the amortisation formula and the
-    shared-queue push-cost memo so batching can never silently change
-    what a queue op charges.
+    operation; these tests freeze the amortisation formula and what a
+    push is charged, so batching can never silently change what a queue
+    op costs.
     """
-
-    def test_push_cost_memo_tracks_contention(self):
-        qs = SharedQueueSet(STAGES, K20C)
-        calm = qs.push("a", "x", None)
-        # Memo hit: identical cost while the contention level is stable.
-        assert qs.push("a", "y", None) == calm
-        qs.contention_level = 8.0
-        contended = qs.push("a", "z", None)
-        assert contended == calm + K20C.queue_contention_cycles * 8.0
-        # Dropping back must rebuild the memo, not serve the stale entry.
-        qs.contention_level = 0.0
-        assert qs.push("a", "w", None) == calm
 
     def test_batch_pop_amortises_fixed_cost(self):
         qs = SharedQueueSet(STAGES, K20C)
@@ -175,7 +164,21 @@ class TestQueueCostAccounting:
         assert qs.backlog("a") == 0
 
     def test_distributed_push_sees_no_contention(self):
-        qs = DistributedQueueSet(STAGES, K20C)
-        qs.contention_level = 8.0
-        cost = qs.push("a", "x", producer_sm=2)
-        assert cost == queue_op_cost(K20C, STAGES["a"], 1, 0.0)
+        # RunContext.push_cost is what a persistent block is charged for
+        # its pushes: a per-SM shard sees only its own SM's blocks, the
+        # shared queue every block on the device.
+        pipeline = toy_pipeline()
+        item_bytes = pipeline.stage("adder").item_bytes
+        calm = queue_op_cost(K20C, item_bytes, 1, 0.0)
+        costs = {}
+        for mode in ("shared", "distributed"):
+            ctx = RunContext(
+                pipeline,
+                GPUDevice(K20C),
+                FunctionalExecutor(pipeline),
+                queue_mode=mode,
+            )
+            ctx.contention_level = 8.0
+            costs[mode] = ctx.push_cost([("adder", 16)])
+        assert costs["distributed"] == calm
+        assert costs["shared"] == calm + K20C.queue_contention_cycles * 8.0
