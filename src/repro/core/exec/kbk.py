@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ...gpu.block import Compute, ThreadBlock
+from ...gpu.block import ThreadBlock, one_segment
 from ...gpu.device import GPUDevice
-from ...gpu.kernel import KernelSpec, fuse_specs
 from ..config import GroupConfig
 from ..errors import ExecutionError
 from ..executor import Executor
@@ -33,8 +32,8 @@ from ..pipeline import Pipeline
 from ..runcontext import RunContext, StageRunStats
 
 
-class _WaveBatch:
-    """The work of one block within a wave."""
+class WaveBatch:
+    """The work of one block within a wave (or of one RTC block)."""
 
     __slots__ = ("work", "min_cycles", "threads")
 
@@ -56,18 +55,18 @@ def _wave_batches(
     """
     stage = pipeline.stage(stage_name)
     per_block = stage.items_per_block()
-    batches: list[_WaveBatch] = []
+    batches: list[WaveBatch] = []
     children: list[tuple[str, object]] = []
     outputs: list[object] = []
     busy = 0.0
-    current: Optional[_WaveBatch] = None
+    current: Optional[WaveBatch] = None
     count_in_block = 0
     # The whole wave is one same-stage batch — KBK's best case for
     # coalescing (everything pending drains at once).  Per-item packing
     # below is unchanged, so batches/costs stay bit-identical.
     for result in executor.run_batch(stage_name, list(items)):
         if current is None or count_in_block >= per_block:
-            current = _WaveBatch()
+            current = WaveBatch()
             batches.append(current)
             count_in_block = 0
         cycles = result.cost.cycles_per_thread
@@ -85,69 +84,16 @@ def _wave_batches(
     return batches, children, outputs, busy
 
 
-def _fused_wave_batches(
-    pipeline: Pipeline,
-    executor: Executor,
-    group: tuple[str, ...],
-    entry_stage: str,
-    items: Sequence[object],
-):
-    """Execute a wave whose kernel fuses a stage group (the RTC-in-KBK mix
-    the paper's rasterization baseline uses: Clip and Interpolate in one
-    kernel).  Each item runs inline through every group stage it reaches;
-    only emissions leaving the group become pending items.
+def wave_program(batches: list[WaveBatch]):
+    """The block program of a grid of batches: block ``i`` runs
+    ``batches[i]`` as one compute segment."""
 
-    Returns ``(batches, children, outputs, per_stage_busy)``.
-    """
-    inline_set = frozenset(group)
-    entry = pipeline.stage(entry_stage)
-    per_block = entry.items_per_block()
-    batches: list[_WaveBatch] = []
-    children: list[tuple[str, object]] = []
-    outputs: list[object] = []
-    per_stage_busy: dict[str, tuple[int, float]] = {}
-    current: Optional[_WaveBatch] = None
-    count_in_block = 0
-    for item in items:
-        result = executor.run_inline(entry_stage, item, inline_set)
-        if current is None or count_in_block >= per_block:
-            current = _WaveBatch()
-            batches.append(current)
-            count_in_block = 0
-        for task in result.tasks:
-            tstage = pipeline.stage(task.stage)
-            cycles = task.cost.cycles_per_thread
-            current.work += cycles * tstage.threads_per_item
-            count, busy = per_stage_busy.get(task.stage, (0, 0.0))
-            per_stage_busy[task.stage] = (count + 1, busy + cycles)
-        current.min_cycles = max(
-            current.min_cycles, result.chain_floor_cycles
-        )
-        current.threads = min(
-            entry.threads_per_block,
-            current.threads + entry.threads_per_item,
-        )
-        count_in_block += 1
-        children.extend(result.children)
-        outputs.extend(result.outputs)
-    return batches, children, outputs, per_stage_busy
+    def program(block: ThreadBlock) -> None:
+        batch = batches[block.tag]
+        threads = max(1, batch.threads)
+        one_segment(block, batch.work / threads, threads, batch.min_cycles)
 
-
-def _wave_program_factory(batches: list[_WaveBatch]):
-    """Each wave block runs exactly one Compute with its batch's work."""
-
-    def factory(block: ThreadBlock):
-        def program(blk):
-            batch = batches[blk.tag]
-            yield Compute(
-                cycles_per_thread=batch.work / max(1, batch.threads),
-                threads=max(1, batch.threads),
-                min_cycles=batch.min_cycles,
-            )
-
-        return program(block)
-
-    return factory
+    return program
 
 
 class KBKLane:
@@ -168,9 +114,7 @@ class KBKLane:
         generations: list[dict[str, list[object]]],
         stage_stats: dict[str, StageRunStats],
         outputs: list[object],
-        sm_filter: Optional[frozenset[int]] = None,
         host_bytes_per_wave: int = 0,
-        fused_groups: Sequence[Sequence[str]] = (),
     ) -> None:
         self.pipeline = pipeline
         self.device = device
@@ -178,19 +122,11 @@ class KBKLane:
         self.generations = generations
         self.stage_stats = stage_stats
         self.outputs = outputs
-        self.sm_filter = sm_filter
         self.host_bytes_per_wave = host_bytes_per_wave
         self.stream = device.create_stream()
         self.pending: dict[str, list[object]] = {}
         self.finished = False
         self.waves = 0
-        #: stage -> stages fused with it into one kernel (RTC-in-KBK mix).
-        self.fusion_of: dict[str, tuple[str, ...]] = {}
-        for group in fused_groups:
-            group = tuple(group)
-            for member in group:
-                pipeline.stage(member)  # validates
-                self.fusion_of[member] = group
 
     def start(self) -> None:
         self._next_generation()
@@ -214,27 +150,13 @@ class KBKLane:
         self._next_generation()
 
     def _launch_wave(self, stage_name: str, items: list[object]) -> None:
-        group = self.fusion_of.get(stage_name)
-        if group is not None:
-            batches, children, outputs, per_stage = _fused_wave_batches(
-                self.pipeline, self.executor, group, stage_name, items
-            )
-            for tstage, (count, busy) in per_stage.items():
-                stats = self.stage_stats[tstage]
-                stats.tasks += count
-                stats.busy_cycles += busy
-            kernel = fuse_specs(
-                [self.pipeline.stage(s).kernel_spec() for s in group],
-                name=f"rtc:{'+'.join(group)}",
-            )
-        else:
-            batches, children, outputs, busy = _wave_batches(
-                self.pipeline, self.executor, stage_name, items
-            )
-            stats = self.stage_stats[stage_name]
-            stats.tasks += len(items)
-            stats.busy_cycles += busy
-            kernel = self.pipeline.stage(stage_name).kernel_spec()
+        batches, children, outputs, busy = _wave_batches(
+            self.pipeline, self.executor, stage_name, items
+        )
+        stats = self.stage_stats[stage_name]
+        stats.tasks += len(items)
+        stats.busy_cycles += busy
+        kernel = self.pipeline.stage(stage_name).kernel_spec()
         self.waves += 1
 
         def on_complete(_launch) -> None:
@@ -250,10 +172,9 @@ class KBKLane:
 
         self.device.launch(
             kernel,
-            _wave_program_factory(batches),
+            wave_program(batches),
             num_blocks=len(batches),
             stream=self.stream,
-            sm_filter=self.sm_filter,
             on_complete=on_complete,
         )
         self.device.note_residency()
@@ -267,14 +188,10 @@ def run_kbk(
     lanes: int = 1,
     sequential: bool = False,
     host_bytes_per_wave: int = 0,
-    fused_groups: Sequence[Sequence[str]] = (),
 ):
     """Run the full pipeline under the standalone KBK model.
 
-    ``fused_groups`` lists stage groups compiled into a single kernel and
-    executed RTC-style within each wave (the paper's "mixing of KBK and
-    RTC" rasterization baseline).  Returns
-    ``(outputs, stage_stats, total_waves)``.
+    Returns ``(outputs, stage_stats, total_waves)``.
     """
     if lanes <= 0:
         raise ExecutionError("KBK needs at least one lane")
@@ -322,7 +239,6 @@ def run_kbk(
             stage_stats,
             outputs,
             host_bytes_per_wave=host_bytes_per_wave,
-            fused_groups=fused_groups,
         )
         for generations in lane_generations
         if generations
@@ -392,7 +308,7 @@ class KBKGroupRunner:
 
         self.device.launch(
             kernel,
-            _wave_program_factory(batches),
+            wave_program(batches),
             num_blocks=len(batches),
             stream=self.stream,
             sm_filter=frozenset(self.group.sm_ids),

@@ -190,12 +190,7 @@ class PersistentGroupRunner:
         watch: tuple[str, ...],
         inline: bool,
     ) -> None:
-        """Start the persistent loop for one block (direct style).
-
-        Returns ``None``: :class:`_BlockLoop` drives itself through
-        engine callbacks rather than a yielded-command generator — one
-        bound-method call per engine event instead of a generator resume
-        plus command dispatch (see ``ThreadBlock.start``)."""
+        """Start the persistent loop for one block."""
         _BlockLoop(self, block, kernel, watch, inline).start()
 
 
@@ -206,16 +201,13 @@ class _BlockLoop:
     loop, unrolled into one method per simulator event:
 
     ``_fetch`` → (queue wake) → ``_on_fetch`` → (fetch latency) →
-    ``_body`` → (Compute drains) → ``_after_compute`` → (push latency) →
+    ``_body`` → (compute drains) → ``_after_compute`` → (push latency) →
     ``_after_push`` → ``_fetch`` ...
 
     Every engine event invokes the next phase's bound method directly.
-    The event sequence — which ``schedule_call`` / ``add_work`` /
-    ``fetch_async`` calls happen, in which order, with which delays — is
-    exactly the one the earlier generator program produced, so schedules
-    are bit-identical (pinned by the golden tests).  The locality
-    adjustment inlines :func:`locality_adjusted`'s float expression
-    unchanged for the same reason.
+    The locality adjustment inlines :func:`locality_adjusted`'s float
+    expression unchanged, so schedules stay bit-identical (pinned by the
+    golden tests).
     """
 
     __slots__ = (
@@ -277,7 +269,7 @@ class _BlockLoop:
         self.outputs: list[object] = []
 
     def start(self) -> None:
-        # Compute completions resume at the post-compute phase.
+        # Each drained compute segment resumes at the post-compute phase.
         self.block._resume = self._after_compute
         self._fetch()
 
@@ -407,9 +399,9 @@ class _BlockLoop:
                 work / active_threads, active_threads, min_cycles
             )
         else:
-            self._after_compute(None)
+            self._after_compute()
 
-    def _after_compute(self, _value=None) -> None:
+    def _after_compute(self) -> None:
         push = self.ctx.push_cost(self.children)
         if push > 0:
             self.engine.schedule_call(push, self._after_push)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ...gpu.block import Compute, ThreadBlock
+from ...gpu.block import ThreadBlock, one_segment
 from ...gpu.device import GPUDevice
 from ..errors import ModelNotApplicableError
 from ..executor import Executor
@@ -70,34 +70,35 @@ class DynamicParallelismModel(ExecutionModel):
             outputs.extend(result.outputs)
             children = result.children
 
-            def factory(block: ThreadBlock):
-                def program(blk):
-                    yield Compute(
-                        cycles_per_thread=result.cost.cycles_per_thread,
-                        threads=stage.threads_per_item,
-                        min_cycles=result.cost.min_cycles,
+            def launch_children() -> None:
+                # Device-side child launches: one subkernel per emitted
+                # item, serialised through the grid-launch unit.
+                now = device.engine.now
+                for target, child in children:
+                    state["child_launches"] += 1
+                    state["launch_free_at"] = (
+                        max(state["launch_free_at"], now) + dp_latency
                     )
-                    # Device-side child launches: one subkernel per emitted
-                    # item, serialised through the grid-launch unit.
-                    now = device.engine.now
-                    for target, child in children:
-                        state["child_launches"] += 1
-                        state["launch_free_at"] = (
-                            max(state["launch_free_at"], now) + dp_latency
-                        )
-                        device.engine.schedule_call(
-                            state["launch_free_at"] - now,
-                            lambda t=target, c=child: spawn(
-                                t, c, depth + 1, from_device=True
-                            ),
-                        )
-                    state["in_flight"] -= 1
+                    device.engine.schedule_call(
+                        state["launch_free_at"] - now,
+                        lambda t=target, c=child: spawn(
+                            t, c, depth + 1, from_device=True
+                        ),
+                    )
+                state["in_flight"] -= 1
 
-                return program(block)
+            def program(block: ThreadBlock) -> None:
+                one_segment(
+                    block,
+                    result.cost.cycles_per_thread,
+                    stage.threads_per_item,
+                    result.cost.min_cycles,
+                    after=launch_children,
+                )
 
             device.launch(
                 stage.kernel_spec(),
-                factory,
+                program,
                 num_blocks=1,
                 stream=device.create_stream(),
                 charge_host=not from_device,

@@ -24,10 +24,7 @@ class KBKModel(ExecutionModel):
     * ``lanes`` — number of concurrent host lanes/CUDA streams ("KBK with
       Stream" in Figure 13);
     * ``host_bytes_per_wave`` — CPU-side control traffic per wave (the
-      memory-copy overhead the paper attributes to KBK);
-    * ``fused_groups`` — stage groups compiled into one kernel and run
-      RTC-style inside each wave (the paper's mixed KBK+RTC rasterization
-      baseline fuses Clip and Interpolate).
+      memory-copy overhead the paper attributes to KBK).
     """
 
     name = "kbk"
@@ -46,12 +43,10 @@ class KBKModel(ExecutionModel):
         lanes: int = 1,
         sequential: bool = False,
         host_bytes_per_wave: int = 0,
-        fused_groups=(),
     ) -> None:
         self.lanes = lanes
         self.sequential = sequential
         self.host_bytes_per_wave = host_bytes_per_wave
-        self.fused_groups = tuple(tuple(g) for g in fused_groups)
 
     def run(
         self,
@@ -68,14 +63,10 @@ class KBKModel(ExecutionModel):
             lanes=self.lanes,
             sequential=self.sequential,
             host_bytes_per_wave=self.host_bytes_per_wave,
-            fused_groups=self.fused_groups,
         )
         label = f"{waves} waves, {self.lanes} lane(s)"
         if self.sequential:
             label += ", sequential inputs"
-        if self.fused_groups:
-            fused = "; ".join("+".join(g) for g in self.fused_groups)
-            label += f", fused [{fused}]"
         return self._finalize(
             device,
             outputs,

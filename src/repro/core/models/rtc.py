@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ...gpu.block import Compute, ThreadBlock
 from ...gpu.device import GPUDevice
 from ...gpu.kernel import fuse_specs
 from ..errors import ModelNotApplicableError
+from ..exec.kbk import WaveBatch, wave_program
 from ..executor import Executor
 from ..pipeline import Pipeline
 from ..result import RunResult
@@ -72,46 +72,37 @@ class RTCModel(ExecutionModel):
         if total_bytes:
             device.memcpy_h2d(total_bytes)
 
-        batches: list[dict] = []
-        current: dict | None = None
+        batches: list[WaveBatch] = []
+        current: WaveBatch | None = None
+        count_in_block = 0
         for stage_name, item in entries:
             stage = pipeline.stage(stage_name)
             per_block = max(1, kernel.threads_per_block // stage.threads_per_item)
-            if current is None or current["count"] >= per_block:
-                current = {"work": 0.0, "min": 0.0, "threads": 0, "count": 0}
+            if current is None or count_in_block >= per_block:
+                current = WaveBatch()
                 batches.append(current)
+                count_in_block = 0
             result = executor.run_inline(stage_name, item, inline_set)
             for task in result.tasks:
                 tstage = pipeline.stage(task.stage)
                 cycles = task.cost.cycles_per_thread
-                current["work"] += cycles * tstage.threads_per_item
+                current.work += cycles * tstage.threads_per_item
                 stats = stage_stats[task.stage]
                 stats.tasks += 1
                 stats.busy_cycles += cycles
-            current["min"] = max(current["min"], result.chain_floor_cycles)
-            current["threads"] = min(
+            current.min_cycles = max(current.min_cycles, result.chain_floor_cycles)
+            current.threads = min(
                 kernel.threads_per_block,
-                current["threads"] + stage.threads_per_item,
+                current.threads + stage.threads_per_item,
             )
-            current["count"] += 1
+            count_in_block += 1
             outputs.extend(result.outputs)
             # Children escaping the inline set are impossible here: the set
             # covers every stage, so run_inline consumed the whole subtree.
             assert not result.children
 
-        def factory(block: ThreadBlock):
-            def program(blk):
-                batch = batches[blk.tag]
-                yield Compute(
-                    cycles_per_thread=batch["work"] / max(1, batch["threads"]),
-                    threads=max(1, batch["threads"]),
-                    min_cycles=batch["min"],
-                )
-
-            return program(block)
-
         if batches:
-            device.launch(kernel, factory, num_blocks=len(batches))
+            device.launch(kernel, wave_program(batches), num_blocks=len(batches))
             device.note_residency()
         device.synchronize()
         return self._finalize(

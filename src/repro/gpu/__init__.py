@@ -10,7 +10,7 @@ See DESIGN.md §2 for the substitution argument (why a simulator preserves
 the behaviours the paper's evaluation depends on).
 """
 
-from .block import BlockProgram, Compute, Delay, ThreadBlock, Wait
+from .block import ThreadBlock, one_segment
 from .device import GPUDevice, SimulationDeadlock
 from .engine import Engine
 from .kernel import KernelSpec, fuse_specs
@@ -21,9 +21,6 @@ from .sm import StreamingMultiprocessor
 from .specs import GTX1080, K20C, PRESETS, GPUSpec, get_spec
 
 __all__ = [
-    "BlockProgram",
-    "Compute",
-    "Delay",
     "DeviceMetrics",
     "Engine",
     "GPUDevice",
@@ -39,9 +36,9 @@ __all__ = [
     "Stream",
     "StreamingMultiprocessor",
     "ThreadBlock",
-    "Wait",
     "fuse_specs",
     "get_spec",
     "max_blocks_per_sm",
     "occupancy_report",
+    "one_segment",
 ]

@@ -1,22 +1,29 @@
-"""Thread blocks and the block-program command vocabulary.
+"""Thread blocks and their programs.
 
-A simulated thread block runs a *block program*: a Python generator that
-yields commands (:class:`Compute`, :class:`Delay`, :class:`Wait`) and is
-resumed by the simulator when each command completes.  This generator style
-is what lets us express persistent-thread kernels naturally — the paper's
-``while (item = schedule()) { ... }`` loop becomes a Python ``while`` loop
-that yields a :class:`Wait` on a work queue and a :class:`Compute` per task.
+A simulated thread block runs a *block program*: a callable the SM calls
+with the block when it admits it.  The program drives itself through
+engine callbacks.  It starts a compute segment with
+:meth:`ThreadBlock.begin_compute`, continues in the block's ``_resume``
+continuation once that segment drains, and retires the block with
+:meth:`ThreadBlock._finish` when it is done.
 
-Work is measured in *cycles per thread*: a ``Compute(cycles, threads)``
-command contributes ``cycles * threads`` thread-cycles of work to the SM,
-which drains it at a rate set by the SM's processor-sharing model (see
+Kernels come in the paper's two shapes.  Persistent blocks loop
+``while (item = schedule())`` until the queues are quiescent (the
+megakernel, coarse, fine and hybrid groups; see ``PersistentGroupRunner``).
+Host-driven grids (KBK, RTC, dynamic parallelism) give each block one
+batch of work, which :func:`one_segment` runs as one compute segment
+before the block exits.
+
+Work is measured in *cycles per thread*: a segment of
+``cycles_per_thread`` on ``threads`` threads contributes
+``cycles_per_thread * threads`` thread-cycles of work to the SM, which
+drains it at a rate set by the SM's processor-sharing model (see
 :mod:`repro.gpu.sm`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .kernel import KernelSpec
 
@@ -25,52 +32,19 @@ if TYPE_CHECKING:
     from .sm import StreamingMultiprocessor
 
 
-@dataclass(frozen=True, slots=True)
-class Compute:
-    """Execute ``cycles_per_thread`` cycles of work on ``threads`` threads.
-
-    ``min_cycles`` is a lower bound on wall-clock duration regardless of
-    throughput; it models intra-block critical paths (one long task among
-    many short ones keeps the block alive).
-    """
-
-    cycles_per_thread: float
-    threads: Optional[int] = None
-    min_cycles: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class Delay:
-    """Pure latency (e.g. an atomic queue operation): the block is busy but
-    consumes no SM compute lanes."""
-
-    cycles: float
-
-
-@dataclass(frozen=True, slots=True)
-class Wait:
-    """Suspend until external code resumes the block.
-
-    ``register`` is called with a ``resume(value)`` callable; whoever holds
-    it (typically a work queue) calls it when the block should continue.
-    The value passed to ``resume`` becomes the result of the ``yield``.
-    """
-
-    register: Callable[[Callable[[object], None]], None]
-
-
-BlockProgram = Generator[object, object, None]
-
-
 class ThreadBlock:
     """One simulated thread block: resources plus a running block program."""
 
     _ids = iter(range(1, 1 << 60))
 
+    #: Called when a compute segment has drained and its ``min_cycles``
+    #: floor has passed; the program sets it before its first segment.
+    _resume: Callable[[], None]
+
     def __init__(
         self,
         kernel: KernelSpec,
-        program_factory: Callable[["ThreadBlock"], BlockProgram],
+        program: Callable[["ThreadBlock"], None],
         sm_filter: Optional[frozenset[int]] = None,
         tag: object = None,
     ) -> None:
@@ -78,86 +52,24 @@ class ThreadBlock:
         self.kernel = kernel
         self.sm_filter = sm_filter
         self.tag = tag
-        self._program_factory = program_factory
-        self._program: BlockProgram | None = None
+        self._program = program
         self.sm: Optional[StreamingMultiprocessor] = None  # set on admission
         self.launch: Optional[KernelLaunch] = None  # set by the device on launch
-        self.finished = False
         self._compute_started_at: float | None = None
         self._pending_min_cycles: float = 0.0
-        #: The resume continuation, bound once: every Delay/Wait resume
-        #: reuses it instead of minting a new bound method (and, on the
-        #: typed engine path, a new closure) per command.
-        self._resume = self._advance
-
-    @property
-    def threads(self) -> int:
-        return self.kernel.threads_per_block
 
     def start(self) -> None:
-        """Begin executing the block program (called by the SM on admit).
-
-        A factory may return ``None`` instead of a generator: it has then
-        started a *direct-style* program that drives itself through
-        callbacks (see ``PersistentGroupRunner``), uses
-        :meth:`begin_compute` for Compute segments, and calls
-        :meth:`_finish` itself when its loop exits.
-        """
+        """Run the block program (called by the SM on admission)."""
         assert self.sm is not None, "block must be admitted to an SM first"
-        program = self._program_factory(self)
-        if program is None:
-            return
-        self._program = program
-        self._advance(None)
-
-    def _advance(self, value: object) -> None:
-        assert self._program is not None
-        try:
-            command = self._program.send(value)
-        except StopIteration:
-            self._finish()
-            return
-        self._dispatch(command)
-
-    def _dispatch(self, command: object) -> None:
-        sm = self.sm
-        assert sm is not None
-        engine = sm.engine
-        # Exact-type checks first (the command vocabulary is closed and
-        # final in practice); isinstance only as a subclass fallback.
-        cls = command.__class__
-        if cls is Delay:
-            engine.schedule_call(command.cycles, self._resume, None)
-            return
-        if cls is Wait:
-            command.register(self._resume)
-            return
-        if isinstance(command, Compute):
-            threads = command.threads if command.threads is not None else self.threads
-            if threads <= 0:
-                raise ValueError("Compute.threads must be positive")
-            threads = min(threads, self.threads)
-            self._compute_started_at = engine.now
-            self._pending_min_cycles = command.min_cycles
-            sm.add_work(
-                self,
-                work=command.cycles_per_thread * threads,
-                threads=threads,
-                on_done=self._compute_done,
-            )
-        elif isinstance(command, Delay):
-            engine.schedule_call(command.cycles, self._resume, None)
-        elif isinstance(command, Wait):
-            command.register(self._resume)
-        else:
-            raise TypeError(f"unknown block command: {command!r}")
+        self._program(self)
 
     def begin_compute(
         self, cycles_per_thread: float, threads: int, min_cycles: float
     ) -> None:
-        """Direct-style Compute: charge the SM and resume ``self._resume``
-        when the work drains (exactly what ``_dispatch`` does for a
-        yielded :class:`Compute`, minus the command object)."""
+        """Charge the SM ``cycles_per_thread * threads`` of work and call
+        ``self._resume()`` when it drains, but no sooner than
+        ``min_cycles`` after now (an intra-block critical path: one long
+        task among many short ones keeps the block alive)."""
         sm = self.sm
         assert sm is not None
         self._compute_started_at = sm.engine.now
@@ -176,13 +88,32 @@ class ThreadBlock:
         elapsed = engine.now - self._compute_started_at
         remainder = self._pending_min_cycles - elapsed
         if remainder > 1e-9:
-            engine.schedule_call(remainder, self._resume, None)
+            engine.schedule_call(remainder, self._resume)
         else:
-            self._resume(None)
+            self._resume()
 
     def _finish(self) -> None:
         sm = self.sm
         assert sm is not None
-        self.finished = True
-        self._program = None
         sm.retire(self)
+
+
+def one_segment(
+    block: ThreadBlock,
+    cycles_per_thread: float,
+    threads: int,
+    min_cycles: float,
+    after: Optional[Callable[[], None]] = None,
+) -> None:
+    """The whole program of a host-driven block: one compute segment,
+    then ``after()`` if given, then exit."""
+    if after is None:
+        block._resume = block._finish
+    else:
+
+        def resume() -> None:
+            after()
+            block._finish()
+
+        block._resume = resume
+    block.begin_compute(cycles_per_thread, threads, min_cycles)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..obs.events import EventBus, HostSync, KernelLaunched, Memcpy
-from .block import BlockProgram, ThreadBlock
+from .block import ThreadBlock
 from .engine import Engine
 from .kernel import KernelSpec
 from .metrics import DeviceMetrics
@@ -33,15 +33,11 @@ class SimulationDeadlock(RuntimeError):
 
 
 class GPUDevice:
-    """A simulated GPU plus its host-side timeline.
+    """A simulated GPU plus its host-side timeline."""
 
-    ``engine`` injects a pre-built event engine; otherwise the device
-    builds a fresh :class:`~repro.gpu.engine.Engine`.
-    """
-
-    def __init__(self, spec: GPUSpec, engine: Optional[Engine] = None) -> None:
+    def __init__(self, spec: GPUSpec) -> None:
         self.spec = spec
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.sms = [
             StreamingMultiprocessor(i, spec, self.engine)
             for i in range(spec.num_sms)
@@ -73,7 +69,7 @@ class GPUDevice:
     def launch(
         self,
         kernel: KernelSpec,
-        program_factory: Callable[[ThreadBlock], BlockProgram],
+        program: Callable[[ThreadBlock], None],
         num_blocks: int,
         stream: Optional[Stream] = None,
         sm_filter: Optional[frozenset[int]] = None,
@@ -81,7 +77,7 @@ class GPUDevice:
         on_complete: Optional[Callable[[KernelLaunch], None]] = None,
         charge_host: bool = True,
     ) -> KernelLaunch:
-        """Issue a grid of ``num_blocks`` blocks running ``program_factory``.
+        """Issue a grid of ``num_blocks`` blocks running ``program``.
 
         The launch is charged ``kernel_launch_us`` on the host timeline
         (unless ``charge_host`` is False, e.g. for device-side DP launches)
@@ -103,7 +99,7 @@ class GPUDevice:
         for i in range(num_blocks):
             filt = per_block_sm[i] if per_block_sm is not None else sm_filter
             blocks.append(
-                ThreadBlock(kernel, program_factory, sm_filter=filt, tag=i)
+                ThreadBlock(kernel, program, sm_filter=filt, tag=i)
             )
         launch = KernelLaunch(kernel, blocks, stream)
         launch.issue_cycle = max(self.host_time, self.engine.now)

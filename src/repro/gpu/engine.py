@@ -10,7 +10,7 @@ of the same program produce bit-identical schedules.
 popped one event at a time; an event runs as ``fn()``, or as ``fn(arg)``
 when scheduled with an argument, so it needs no closure.  ``owner`` is
 ``None`` for the fire-and-forget ``schedule_call``/``schedule_call_at``,
-else the :class:`CancelToken` or :class:`Timer` that can cancel the entry.
+else the :class:`Timer` that can cancel or re-arm the entry.
 An entry is live iff ``owner is None or owner._seq == seq``: an owner
 holds the sequence number of its one live entry, or ``None``, and the
 engine clears it before calling ``fn``, so a timer re-armed from its own
@@ -35,40 +35,17 @@ from typing import Callable
 _NO_ARG = object()
 
 
-class CancelToken:
-    """Handle for a scheduled event that may be cancelled before it fires.
-
-    ``_seq`` is the sequence number of the token's heap entry while that
-    entry is live, and ``None`` once it fired or was cancelled.
-    ``cancelled`` only records that :meth:`cancel` was called: a token
-    whose event fired reports ``False``, and cancelling it then is free.
-    """
-
-    __slots__ = ("cancelled", "_seq", "_engine")
-
-    def __init__(self, engine: Engine, seq: int) -> None:
-        self.cancelled = False
-        self._seq: int | None = seq
-        self._engine = engine
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            if self._seq is not None:
-                self._seq = None
-                self._engine._note_tombstone()
-
-
 class Timer:
-    """A reusable re-armable timer for high-churn reschedule points.
+    """The engine's one cancellable event: a re-armable timer.
 
     ``arm(delay)`` replaces any previous arming (the old heap entry
     becomes a tombstone); ``disarm()`` cancels without re-arming.  One
     ``Timer`` object serves an unbounded number of re-schedules, so call
-    sites like ``SM._reschedule`` allocate no token per residency change.
-    Arming takes one sequence number, exactly as a fresh
-    :meth:`Engine.schedule` would, so event ordering — including ties —
-    is that of the naive cancel-then-schedule path.
+    sites like ``SM._reschedule`` allocate nothing per residency change;
+    a timer armed once is a single cancellable event.  Arming takes one
+    sequence number, exactly as :meth:`Engine.schedule_call` does, so
+    timers and fire-and-forget events at one time fire in the order they
+    were scheduled.
     """
 
     __slots__ = ("_engine", "_fn", "_seq")
@@ -104,7 +81,7 @@ class Timer:
 
 
 #: One heap entry (see the module docstring).
-_Entry = tuple[float, int, Callable, object, CancelToken | Timer | None]
+_Entry = tuple[float, int, Callable, object, Timer | None]
 
 
 class Engine:
@@ -133,25 +110,12 @@ class Engine:
         """Live (not cancelled, not yet fired) events currently scheduled."""
         return len(self._heap) - self._tombstones
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> CancelToken:
-        """Schedule ``fn`` to run ``delay`` cycles from now.
-
-        Negative delays are clamped to zero (events cannot fire in the
-        past).  Returns a token that can cancel the event.
-        """
-        if delay < 0:
-            delay = 0.0
-        seq = next(self._seq)
-        token = CancelToken(self, seq)
-        heapq.heappush(self._heap, (self.now + delay, seq, fn, _NO_ARG, token))
-        return token
-
     def schedule_call(self, delay: float, fn: Callable, arg: object = _NO_ARG) -> None:
         """Fire-and-forget schedule: run ``fn(arg)`` (or ``fn()`` when no
         argument is given) ``delay`` cycles from now.
 
-        Consumes exactly one sequence number, like :meth:`schedule`, but
-        allocates no token: the event cannot be cancelled.
+        Consumes exactly one sequence number, like :meth:`Timer.arm`, but
+        the event cannot be cancelled.
         """
         if delay < 0:
             delay = 0.0
@@ -164,32 +128,6 @@ class Engine:
     ) -> None:
         """Fire-and-forget schedule at an absolute time (clamped to >= now)."""
         self.schedule_call(max(0.0, time - self.now), fn, arg)
-
-    def schedule_many(
-        self, delay: float, fns: "list[Callable[[], None]]"
-    ) -> list[CancelToken]:
-        """Schedule several callbacks at the same delay in list order.
-
-        Equivalent to — and fires in the same order as — calling
-        :meth:`schedule` once per callback.
-        """
-        if delay < 0:
-            delay = 0.0
-        time = self.now + delay
-        heap = self._heap
-        push = heapq.heappush
-        counter = self._seq
-        tokens = []
-        for fn in fns:
-            seq = next(counter)
-            token = CancelToken(self, seq)
-            push(heap, (time, seq, fn, _NO_ARG, token))
-            tokens.append(token)
-        return tokens
-
-    def schedule_at(self, time: float, fn: Callable[[], None]) -> CancelToken:
-        """Schedule ``fn`` at an absolute time (clamped to >= now)."""
-        return self.schedule(max(0.0, time - self.now), fn)
 
     def timer(self, fn: Callable[[], None]) -> Timer:
         """A reusable :class:`Timer` bound to ``fn`` (see its docstring)."""

@@ -63,7 +63,7 @@ class _KernelFootprint:
 
 
 class _Segment:
-    """An in-flight Compute command of one block."""
+    """An in-flight compute segment of one block."""
 
     __slots__ = (
         "block",
@@ -198,7 +198,7 @@ class StreamingMultiprocessor:
         threads: int,
         on_done: Callable[[], None],
     ) -> None:
-        """Register a Compute segment for a resident block."""
+        """Register a compute segment for a resident block."""
         self._sync()
         if work <= _EPS:
             # Zero-cost compute completes immediately (but asynchronously,
@@ -239,7 +239,7 @@ class StreamingMultiprocessor:
             self._tick_timer.disarm()
             return
         # Latency hiding counts every resident warp, not only those in a
-        # Compute segment: an idle persistent block busy-polls its queue,
+        # compute segment: an idle persistent block busy-polls its queue,
         # so its warps still cover memory latency for the others.
         warps = self._resident_warps
         spec = self.spec

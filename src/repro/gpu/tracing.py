@@ -1,7 +1,7 @@
 """Text Gantt chart of per-SM compute activity.
 
 Every SM emits a :class:`~repro.obs.events.ComputeSegment` for each
-completed Compute interval of a block that took simulated time, so an
+completed compute interval of a block that took simulated time, so an
 attached :class:`~repro.obs.Observer` records the run's SM activity as
 ``(sm_id, kernel, start, end, work)`` events.  :func:`render_timeline`
 turns those events into a terminal Gantt chart — one row per SM, one

@@ -1,4 +1,4 @@
-"""Compute-once/simulate-many trace reuse for the experiment harness.
+"""Trace reuse for the experiment harness: compute once, simulate many.
 
 A workload's task graph depends only on the workload parameters (which
 include the seed) — never on the execution model or device the harness is

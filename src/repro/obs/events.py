@@ -106,7 +106,7 @@ class BlockExited(Event):
 
 @dataclass(slots=True)
 class ComputeSegment(Event):
-    """One completed Compute interval of one block on one SM.
+    """One completed compute interval of one block on one SM.
 
     ``t`` is the segment end (the emission time); ``start`` is when the
     segment began draining.

@@ -38,6 +38,12 @@ from typing import Optional
 #: Admission policy families accepted by ``--admission``.
 ADMISSION_KINDS = ("none", "drop-tail", "slo-ewma")
 
+#: Weight of each new sample in an :class:`Ewma`.
+EWMA_ALPHA = 0.3
+
+#: Backlog (items) at which :class:`BatchFormer`'s depth pressure is 1/2.
+BATCH_DEPTH_SCALE = 8
+
 
 class AdmissionSpecError(ValueError):
     """A malformed ``--admission`` spec (bad grammar or bad field)."""
@@ -46,17 +52,16 @@ class AdmissionSpecError(ValueError):
 class Ewma:
     """An exponentially weighted moving average (``None`` until fed)."""
 
-    __slots__ = ("alpha", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, alpha: float = 0.3) -> None:
-        self.alpha = alpha
+    def __init__(self) -> None:
         self.value: Optional[float] = None
 
     def update(self, sample: float) -> float:
         if self.value is None:
             self.value = sample
         else:
-            self.value += self.alpha * (sample - self.value)
+            self.value += EWMA_ALPHA * (sample - self.value)
         return self.value
 
 
@@ -229,8 +234,9 @@ class BatchFormer:
     per-batch overhead for maximum throughput) from two deterministic
     pressure signals:
 
-    * **queue depth** — ``depth / (depth + depth_scale)`` saturates as
-      the stage backlog outgrows ``depth_scale`` items;
+    * **queue depth** — ``depth / (depth + BATCH_DEPTH_SCALE)``
+      saturates as the stage backlog outgrows ``BATCH_DEPTH_SCALE``
+      items;
     * **SLO slack** — the predictor's current latency estimate over the
       budget, clamped to [0, 1]: once requests are predicted near the
       budget, larger batches stop making individual requests much
@@ -240,25 +246,22 @@ class BatchFormer:
     context would otherwise pop (never raises it).
     """
 
-    __slots__ = ("slo_ms", "max_batch", "predictor", "depth_scale")
+    __slots__ = ("slo_ms", "max_batch", "predictor")
 
     def __init__(
-        self,
-        slo_ms: float,
-        max_batch: int,
-        predictor: LatencyPredictor,
-        depth_scale: int = 8,
+        self, slo_ms: float, max_batch: int, predictor: LatencyPredictor
     ) -> None:
         self.slo_ms = slo_ms
         self.max_batch = max_batch
         self.predictor = predictor
-        self.depth_scale = depth_scale
 
     def target(self, stage: str, depth: int) -> int:
         span = self.max_batch - 1
         if span <= 0:
             return 1
-        depth_pressure = depth / (depth + self.depth_scale) if depth > 0 else 0.0
+        depth_pressure = (
+            depth / (depth + BATCH_DEPTH_SCALE) if depth > 0 else 0.0
+        )
         predicted = self.predictor.predicted_latency_ms()
         slack_pressure = min(1.0, predicted / self.slo_ms) if self.slo_ms > 0 else 0.0
         pressure = depth_pressure if depth_pressure > slack_pressure else slack_pressure

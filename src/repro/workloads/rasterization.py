@@ -15,11 +15,10 @@ The paper's point with this linear, compute-saturated pipeline is that all
 models perform within a few percent of each other (32.8 / 30.8 / 30.7 ms)
 — everyone saturates the device; only launch overhead and a little task
 parallelism separate them.  The registered baseline is the pure-KBK
-variant (paper: 33.8 ms); the paper's mixed KBK+RTC baseline fuses Clip
-and Interpolate at *triangle* granularity, which our object-granular Clip
-items cannot express without concentrating a whole object's rasterisation
-into one block (see ``KBKModel(fused_groups=...)`` for the fusion
-mechanism and its granularity caveat).
+variant (paper: 33.8 ms).  The paper's mixed KBK+RTC baseline, which
+fuses Clip and Interpolate at *triangle* granularity, is not modelled:
+Clip items here are whole objects, so fusing the two stages would run a
+whole object's rasterisation in one block.
 """
 
 from __future__ import annotations

@@ -13,12 +13,19 @@ def aggressive_compaction(monkeypatch):
     monkeypatch.setattr(Engine, "COMPACT_MIN", 1)
 
 
+def one_shot(engine, delay, fn):
+    """A single-use Timer: the cancellable form of ``schedule_call``."""
+    timer = engine.timer(fn)
+    timer.arm(delay)
+    return timer
+
+
 def test_events_fire_in_time_order():
     engine = Engine()
     fired = []
-    engine.schedule(5.0, lambda: fired.append("b"))
-    engine.schedule(1.0, lambda: fired.append("a"))
-    engine.schedule(9.0, lambda: fired.append("c"))
+    engine.schedule_call(5.0, lambda: fired.append("b"))
+    engine.schedule_call(1.0, lambda: fired.append("a"))
+    engine.schedule_call(9.0, lambda: fired.append("c"))
     engine.run()
     assert fired == ["a", "b", "c"]
     assert engine.now == 9.0
@@ -28,7 +35,7 @@ def test_ties_break_by_insertion_order():
     engine = Engine()
     fired = []
     for name in "abc":
-        engine.schedule(3.0, lambda n=name: fired.append(n))
+        engine.schedule_call(3.0, lambda n=name: fired.append(n))
     engine.run()
     assert fired == ["a", "b", "c"]
 
@@ -36,9 +43,9 @@ def test_ties_break_by_insertion_order():
 def test_cancelled_events_do_not_fire():
     engine = Engine()
     fired = []
-    token = engine.schedule(1.0, lambda: fired.append("x"))
-    engine.schedule(2.0, lambda: fired.append("y"))
-    token.cancel()
+    timer = one_shot(engine, 1.0, lambda: fired.append("x"))
+    engine.schedule_call(2.0, lambda: fired.append("y"))
+    timer.disarm()
     engine.run()
     assert fired == ["y"]
 
@@ -46,9 +53,14 @@ def test_cancelled_events_do_not_fire():
 def test_negative_delay_clamps_to_now():
     engine = Engine()
     fired = []
-    engine.schedule(2.0, lambda: engine.schedule(-5.0, lambda: fired.append(engine.now)))
+
+    def late():
+        engine.schedule_call(-5.0, lambda: fired.append(("call", engine.now)))
+        one_shot(engine, -5.0, lambda: fired.append(("timer", engine.now)))
+
+    engine.schedule_call(2.0, late)
     engine.run()
-    assert fired == [2.0]
+    assert fired == [("call", 2.0), ("timer", 2.0)]
 
 
 def test_nested_scheduling_from_callbacks():
@@ -57,9 +69,9 @@ def test_nested_scheduling_from_callbacks():
 
     def outer():
         fired.append(("outer", engine.now))
-        engine.schedule(4.0, lambda: fired.append(("inner", engine.now)))
+        engine.schedule_call(4.0, lambda: fired.append(("inner", engine.now)))
 
-    engine.schedule(1.0, outer)
+    engine.schedule_call(1.0, outer)
     engine.run()
     assert fired == [("outer", 1.0), ("inner", 5.0)]
 
@@ -68,7 +80,7 @@ def test_run_until_predicate_stops_early():
     engine = Engine()
     fired = []
     for t in (1.0, 2.0, 3.0):
-        engine.schedule(t, lambda t=t: fired.append(t))
+        engine.schedule_call(t, lambda t=t: fired.append(t))
     engine.run(until=lambda: engine.now >= 2.0)
     assert fired == [1.0, 2.0]
     assert engine.peek_time() == 3.0
@@ -78,9 +90,9 @@ def test_runaway_guard_raises():
     engine = Engine()
 
     def loop():
-        engine.schedule(1.0, loop)
+        engine.schedule_call(1.0, loop)
 
-    engine.schedule(0.0, loop)
+    engine.schedule_call(0.0, loop)
     with pytest.raises(RuntimeError, match="livelock"):
         engine.run(max_events=100)
 
@@ -88,9 +100,9 @@ def test_runaway_guard_raises():
 def _three_events(extra: float | None = None) -> Engine:
     engine = Engine()
     for delay in (1.0, 2.0, 3.0):
-        engine.schedule(delay, lambda: None)
+        engine.schedule_call(delay, lambda: None)
     if extra is not None:
-        engine.schedule(extra, lambda: None)
+        engine.schedule_call(extra, lambda: None)
     return engine
 
 
@@ -104,7 +116,7 @@ def test_max_events_guard_needs_a_next_event():
     assert engine.pending_events == 0
 
     engine = _three_events()
-    engine.schedule(4.0, lambda: None).cancel()
+    one_shot(engine, 4.0, lambda: None).disarm()
     engine.run(max_events=3)
     assert engine.events_processed == 3
 
@@ -114,7 +126,7 @@ def test_max_events_guard_needs_a_next_event():
     engine.run(max_events=3, until=lambda: engine.now >= 3.0)
     stop = [False]
     engine = _three_events(extra=4.0)
-    engine.schedule(3.0, lambda: stop.__setitem__(0, True))
+    engine.schedule_call(3.0, lambda: stop.__setitem__(0, True))
     engine.run(max_events=4, until_flag=stop)
     assert engine.events_processed == 4
 
@@ -125,31 +137,20 @@ def test_max_events_guard_needs_a_next_event():
 
 def test_peek_time_skips_cancelled():
     engine = Engine()
-    token = engine.schedule(1.0, lambda: None)
-    engine.schedule(7.0, lambda: None)
-    token.cancel()
+    timer = one_shot(engine, 1.0, lambda: None)
+    engine.schedule_call(7.0, lambda: None)
+    timer.disarm()
     assert engine.peek_time() == 7.0
 
 
 def test_schedule_at_clamps_past_times():
     engine = Engine()
     fired = []
-    engine.schedule(3.0, lambda: engine.schedule_at(1.0, lambda: fired.append(engine.now)))
+    engine.schedule_call(
+        3.0, lambda: engine.schedule_call_at(1.0, lambda: fired.append(engine.now))
+    )
     engine.run()
     assert fired == [3.0]  # cannot fire in the past
-
-
-def test_schedule_many_matches_individual_schedules():
-    """schedule_many fires in list order and interleaves with singles by seq."""
-    engine = Engine()
-    fired = []
-    engine.schedule(1.0, lambda: fired.append("a"))
-    tokens = engine.schedule_many(1.0, [lambda n=n: fired.append(n) for n in "bcd"])
-    engine.schedule(1.0, lambda: fired.append("e"))
-    assert len(tokens) == 3
-    tokens[1].cancel()
-    engine.run()
-    assert fired == ["a", "b", "d", "e"]
 
 
 # ----------------------------------------------------------------------
@@ -158,12 +159,12 @@ def test_schedule_many_matches_individual_schedules():
 
 def test_pending_events_tracks_cancellations():
     engine = Engine()
-    a = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
+    a = one_shot(engine, 1.0, lambda: None)
+    engine.schedule_call(2.0, lambda: None)
     assert engine.pending_events == 2
-    a.cancel()
+    a.disarm()
     assert engine.pending_events == 1
-    a.cancel()  # double-cancel must not double-count
+    a.disarm()  # double-cancel must not double-count
     assert engine.pending_events == 1
 
 
@@ -171,15 +172,17 @@ def test_cancel_then_drain_preserves_live_events(aggressive_compaction):
     """Compaction on cancel must not drop or reorder live events."""
     engine = Engine()
     fired = []
-    keep = [engine.schedule(float(i), lambda i=i: fired.append(i)) for i in range(6)]
-    doomed = [engine.schedule(float(i) + 0.5, lambda: fired.append("X")) for i in range(8)]
-    for token in doomed:
-        token.cancel()  # compaction fires once tombstones outnumber live
+    keep = [one_shot(engine, float(i), lambda i=i: fired.append(i)) for i in range(6)]
+    doomed = [
+        one_shot(engine, float(i) + 0.5, lambda: fired.append("X")) for i in range(8)
+    ]
+    for timer in doomed:
+        timer.disarm()  # compaction fires once tombstones outnumber live
     assert engine.pending_events == 6
     assert len(engine._heap) == 6  # tombstones really were removed
+    assert [t.armed for t in keep] == [True] * 6
     engine.run()
     assert fired == list(range(6))
-    assert [t.cancelled for t in keep] == [False] * 6
 
 
 def test_cancel_during_step_is_honoured(aggressive_compaction):
@@ -187,9 +190,9 @@ def test_cancel_during_step_is_honoured(aggressive_compaction):
     even when the cancellation compacts the heap mid-run."""
     engine = Engine()
     fired = []
-    victim = engine.schedule(2.0, lambda: fired.append("victim"))
-    engine.schedule(1.0, lambda: victim.cancel())
-    engine.schedule(3.0, lambda: fired.append("after"))
+    victim = one_shot(engine, 2.0, lambda: fired.append("victim"))
+    engine.schedule_call(1.0, victim.disarm)
+    engine.schedule_call(3.0, lambda: fired.append("after"))
     engine.run()
     assert fired == ["after"]
 
@@ -197,11 +200,11 @@ def test_cancel_during_step_is_honoured(aggressive_compaction):
 def test_late_cancel_after_fire_is_free():
     engine = Engine()
     fired = []
-    token = engine.schedule(1.0, lambda: fired.append("x"))
+    timer = one_shot(engine, 1.0, lambda: fired.append("x"))
     engine.run()
-    token.cancel()  # already fired: must not corrupt tombstone accounting
+    timer.disarm()  # already fired: must not corrupt tombstone accounting
     assert engine.pending_events == 0
-    engine.schedule(1.0, lambda: fired.append("y"))
+    engine.schedule_call(1.0, lambda: fired.append("y"))
     engine.run()
     assert fired == ["x", "y"]
 
@@ -212,10 +215,10 @@ def test_max_events_guard_survives_compaction(aggressive_compaction):
 
     def churn():
         # Re-arm one, cancel one: every iteration leaves a tombstone.
-        engine.schedule(1.0, churn)
-        engine.schedule(1.0, lambda: None).cancel()
+        engine.schedule_call(1.0, churn)
+        one_shot(engine, 1.0, lambda: None).disarm()
 
-    engine.schedule(0.0, churn)
+    engine.schedule_call(0.0, churn)
     with pytest.raises(RuntimeError, match="livelock"):
         engine.run(max_events=50)
 
@@ -239,11 +242,11 @@ def test_tombstone_accounting_under_churn(seed, aggressive_compaction, monkeypat
     delays = (0.0, 0.5, 1.0, 1.0, 2.0, 5.0)
     engine = Engine()
     calls = [0]  # live fire-and-forget events
-    tokens = {}  # token -> still live
+    shots = {}  # single-use timer -> still live
     armed = [False, False, False]
 
     def check():
-        expected = calls[0] + sum(tokens.values()) + sum(armed)
+        expected = calls[0] + sum(shots.values()) + sum(armed)
         assert engine.pending_events == expected
         assert engine._tombstones >= 0
 
@@ -262,8 +265,8 @@ def test_tombstone_accounting_under_churn(seed, aggressive_compaction, monkeypat
 
         return tick
 
-    def on_token(cell):
-        tokens[cell[0]] = False
+    def on_shot(cell):
+        shots[cell[0]] = False
         check()
 
     timers = [engine.timer(make_tick(i)) for i in range(len(armed))]
@@ -283,14 +286,14 @@ def test_tombstone_accounting_under_churn(seed, aggressive_compaction, monkeypat
             armed[i] = False
         elif op < 0.60:
             cell = []
-            token = engine.schedule(rng.choice(delays), lambda c=cell: on_token(c))
-            cell.append(token)
-            tokens[token] = True
+            shot = one_shot(engine, rng.choice(delays), lambda c=cell: on_shot(c))
+            cell.append(shot)
+            shots[shot] = True
         elif op < 0.80:
-            if tokens:
-                token = rng.choice(list(tokens))  # may have fired already
-                token.cancel()
-                tokens[token] = False
+            if shots:
+                shot = rng.choice(list(shots))  # may have fired already
+                shot.disarm()
+                shots[shot] = False
         elif op < 0.90:
             engine.schedule_call(rng.choice(delays), on_call)
             calls[0] += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.block import Compute
+from repro.gpu.block import one_segment
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.specs import K20C
@@ -14,30 +14,26 @@ def kspec(regs=32, threads=256, name="k"):
     )
 
 
-def compute_program(cycles):
-    def factory(block):
-        def program(blk):
-            yield Compute(cycles)
+def compute_program(cycles, on_start=None):
+    """Each block runs one whole-block compute segment of ``cycles``."""
 
-        return program(block)
+    def program(block):
+        if on_start is not None:
+            on_start(block)
+        one_segment(block, cycles, block.kernel.threads_per_block, 0.0)
 
-    return factory
+    return program
 
 
 class TestDispatchOrder:
     def test_blocks_of_one_launch_dispatch_in_order(self):
         device = GPUDevice(K20C.with_overrides(num_sms=1))
         starts = []
-
-        def factory(block):
-            def program(blk):
-                starts.append(blk.tag)
-                yield Compute(500.0)
-
-            return program(block)
-
+        program = compute_program(
+            500.0, on_start=lambda block: starts.append(block.tag)
+        )
         # 255-reg blocks: strictly one at a time on the single SM.
-        device.launch(kspec(regs=255), factory, num_blocks=5, charge_host=False)
+        device.launch(kspec(regs=255), program, num_blocks=5, charge_host=False)
         device.synchronize(charge_host=False)
         assert starts == [0, 1, 2, 3, 4]
 
@@ -47,20 +43,15 @@ class TestDispatchOrder:
         device = GPUDevice(K20C.with_overrides(num_sms=2))
         seen = []
 
-        def factory(name):
-            def make(block):
-                def program(blk):
-                    seen.append((name, blk.sm.sm_id))
-                    yield Compute(2000.0)
-
-                return program(block)
-
-            return make
+        def program(name):
+            return compute_program(
+                2000.0, on_start=lambda block: seen.append((name, block.sm.sm_id))
+            )
 
         # Saturate SM 0 with a long 255-reg block.
         device.launch(
             kspec(regs=255, name="hog"),
-            factory("hog"),
+            program("hog"),
             1,
             sm_filter=frozenset({0}),
             charge_host=False,
@@ -70,7 +61,7 @@ class TestDispatchOrder:
         stream_a = device.create_stream()
         device.launch(
             kspec(regs=255, name="stuck"),
-            factory("stuck"),
+            program("stuck"),
             1,
             stream=stream_a,
             sm_filter=frozenset({0}),
@@ -80,7 +71,7 @@ class TestDispatchOrder:
         stream_b = device.create_stream()
         device.launch(
             kspec(regs=32, name="free"),
-            factory("free"),
+            program("free"),
             1,
             stream=stream_b,
             charge_host=False,
@@ -92,15 +83,10 @@ class TestDispatchOrder:
     def test_least_loaded_sm_preferred(self):
         device = GPUDevice(K20C.with_overrides(num_sms=3))
         placements = []
-
-        def factory(block):
-            def program(blk):
-                placements.append(blk.sm.sm_id)
-                yield Compute(5000.0)
-
-            return program(block)
-
-        device.launch(kspec(regs=16), factory, num_blocks=6, charge_host=False)
+        program = compute_program(
+            5000.0, on_start=lambda block: placements.append(block.sm.sm_id)
+        )
+        device.launch(kspec(regs=16), program, num_blocks=6, charge_host=False)
         device.synchronize(charge_host=False)
         # Round-robin-ish: each SM got two blocks.
         assert sorted(placements) == [0, 0, 1, 1, 2, 2]
@@ -175,17 +161,15 @@ class TestLaunchValidation:
     def test_per_block_sm_placement(self):
         device = GPUDevice(K20C)
         placements = {}
-
-        def factory(block):
-            def program(blk):
-                placements[blk.tag] = blk.sm.sm_id
-                yield Compute(10.0)
-
-            return program(block)
-
+        program = compute_program(
+            10.0,
+            on_start=lambda block: placements.__setitem__(
+                block.tag, block.sm.sm_id
+            ),
+        )
         device.launch(
             kspec(),
-            factory,
+            program,
             3,
             per_block_sm=[
                 frozenset({4}),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.block import Compute, Delay, Wait
+from repro.gpu.block import one_segment
 from repro.gpu.device import GPUDevice, SimulationDeadlock
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.specs import K20C
@@ -17,19 +17,26 @@ def kspec(regs=32, threads=256, name="k", code_bytes=2048):
     )
 
 
-def compute_program(cycles, threads=None):
-    def factory(block):
-        def program(blk):
-            yield Compute(cycles, threads=threads)
+def compute_program(cycles, threads=None, min_cycles=0.0, on_start=None):
+    """Each block runs one compute segment of ``cycles`` per thread on
+    ``threads`` threads (the whole block by default)."""
 
-        return program(block)
+    def program(block):
+        if on_start is not None:
+            on_start(block)
+        one_segment(
+            block,
+            cycles,
+            threads or block.kernel.threads_per_block,
+            min_cycles,
+        )
 
-    return factory
+    return program
 
 
-def run_single(kernel, program_factory, num_blocks=1, spec=K20C):
+def run_single(kernel, program, num_blocks=1, spec=K20C):
     device = GPUDevice(spec)
-    device.launch(kernel, program_factory, num_blocks=num_blocks, charge_host=False)
+    device.launch(kernel, program, num_blocks=num_blocks, charge_host=False)
     device.synchronize(charge_host=False)
     return device
 
@@ -65,20 +72,14 @@ class TestThroughputModel:
         assert (t8 - overhead) == pytest.approx(2 * (t4 - overhead), rel=1e-6)
 
     def test_serial_portion_runs_at_one_lane(self):
-        # Compute with threads=1 models a serial section: rate is capped at
+        # A segment on threads=1 models a serial section: rate is capped at
         # 1 lane, so duration equals the cycle count.
         device = run_single(kspec(), compute_program(5000.0, threads=1))
         overhead = K20C.us_to_cycles(K20C.launch_latency_us)
         assert device.engine.now - overhead == pytest.approx(5000.0, rel=1e-6)
 
     def test_min_cycles_floor(self):
-        def factory(block):
-            def program(blk):
-                yield Compute(10.0, min_cycles=9999.0)
-
-            return program(block)
-
-        device = run_single(kspec(), factory)
+        device = run_single(kspec(), compute_program(10.0, min_cycles=9999.0))
         overhead = K20C.us_to_cycles(K20C.launch_latency_us)
         assert device.engine.now - overhead == pytest.approx(9999.0, rel=1e-4)
 
@@ -103,31 +104,21 @@ class TestOccupancyDispatch:
     def test_blocks_spread_across_sms(self):
         device = GPUDevice(K20C)
         seen_sms = []
-
-        def factory(block):
-            def program(blk):
-                seen_sms.append(blk.sm.sm_id)
-                yield Compute(100.0)
-
-            return program(block)
-
-        device.launch(kspec(), factory, num_blocks=13)
+        program = compute_program(
+            100.0, on_start=lambda block: seen_sms.append(block.sm.sm_id)
+        )
+        device.launch(kspec(), program, num_blocks=13)
         device.synchronize(charge_host=False)
         assert sorted(seen_sms) == list(range(13))
 
     def test_sm_filter_restricts_placement(self):
         device = GPUDevice(K20C)
         seen_sms = []
-
-        def factory(block):
-            def program(blk):
-                seen_sms.append(blk.sm.sm_id)
-                yield Compute(100.0)
-
-            return program(block)
-
+        program = compute_program(
+            100.0, on_start=lambda block: seen_sms.append(block.sm.sm_id)
+        )
         device.launch(
-            kspec(), factory, num_blocks=4, sm_filter=frozenset({3, 7})
+            kspec(), program, num_blocks=4, sm_filter=frozenset({3, 7})
         )
         device.synchronize(charge_host=False)
         assert set(seen_sms) == {3, 7}
@@ -139,14 +130,12 @@ class TestStreams:
         order = []
 
         def make(name):
-            def factory(block):
-                def program(blk):
-                    yield Compute(1000.0)
-                    order.append(name)
+            def program(block):
+                one_segment(
+                    block, 1000.0, 256, 0.0, after=lambda: order.append(name)
+                )
 
-                return program(block)
-
-            return factory
+            return program
 
         stream = device.create_stream()
         device.launch(kspec(regs=16, name="a"), make("a"), 1, stream=stream)
@@ -176,44 +165,16 @@ class TestStreams:
 
 
 class TestWaitAndDelay:
-    def test_delay_is_pure_latency(self):
-        def factory(block):
-            def program(blk):
-                yield Delay(1234.0)
-
-            return program(block)
-
-        device = run_single(kspec(), factory)
-        overhead = K20C.us_to_cycles(K20C.launch_latency_us)
-        assert device.engine.now - overhead == pytest.approx(1234.0)
-
-    def test_wait_resumes_with_value(self):
-        resumers = []
-        got = []
-
-        def factory(block):
-            def program(blk):
-                value = yield Wait(lambda resume: resumers.append(resume))
-                got.append(value)
-
-            return program(block)
-
-        device = GPUDevice(K20C)
-        device.launch(kspec(), factory, 1)
-        device.engine.run(until=lambda: bool(resumers))
-        device.engine.schedule(10.0, lambda: resumers[0]("payload"))
-        device.synchronize(charge_host=False)
-        assert got == ["payload"]
-
     def test_deadlock_detection(self):
-        def factory(block):
-            def program(blk):
-                yield Wait(lambda resume: None)  # nobody will resume
+        """A block whose program waits forever (it never finishes and
+        nothing will resume it) leaves its launch incomplete when the
+        event heap drains."""
 
-            return program(block)
+        def program(block):
+            pass  # never calls block._finish()
 
         device = GPUDevice(K20C)
-        device.launch(kspec(), factory, 1)
+        device.launch(kspec(), program, 1)
         with pytest.raises(SimulationDeadlock):
             device.synchronize(charge_host=False)
 

@@ -3,7 +3,7 @@
 from repro.core import OUTPUT, FunctionalExecutor, Pipeline, Stage, TaskCost
 from repro.core.models import CoarsePipelineModel, MegakernelModel
 from repro.gpu import GPUDevice, K20C
-from repro.gpu.block import Compute, Delay
+from repro.gpu.block import one_segment
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.tracing import render_timeline
 from repro.obs import Observer
@@ -91,13 +91,13 @@ class TestTracer:
         horizon == now`` in floating point) completes, but its SM emits
         no segment for it."""
 
-        def factory(block):
-            def program(blk):
-                yield Delay(1e10)
-                yield Compute(1e-8)
-                yield Compute(1000.0)
+        def program(block):
+            # A 1e10-cycle gap, a 1e-8-cycle segment, then a real one.
+            def tiny():
+                block._resume = lambda: one_segment(block, 1000.0, 256, 0.0)
+                block.begin_compute(1e-8, 256, 0.0)
 
-            return program(block)
+            block.sm.engine.schedule_call(1e10, tiny)
 
         device = GPUDevice(K20C)
         observer = Observer().attach(device)
@@ -107,7 +107,7 @@ class TestTracer:
             threads_per_block=256,
             code_bytes=2048,
         )
-        device.launch(kernel, factory, num_blocks=1, charge_host=False)
+        device.launch(kernel, program, num_blocks=1, charge_host=False)
         device.synchronize(charge_host=False)
         segments = observer.recorder.of_type(ComputeSegment)
         assert len(segments) == 1
