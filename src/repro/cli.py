@@ -137,7 +137,8 @@ def _params(spec, args):
 
 def _trace_cache(args) -> TraceCache:
     """The invocation's replay cache: in memory, over the
-    ``--trace-cache-dir`` store when one is given."""
+    ``--trace-cache-dir`` store when one is given.  It is new for every
+    invocation, so its ``stats()`` are this invocation's traffic."""
     return TraceCache(disk_dir=args.trace_cache_dir)
 
 
@@ -224,7 +225,7 @@ def cmd_compare(args) -> int:
     for name, time_ms in rows[1:]:
         print(f"  -> {name} speedup over baseline: {base / time_ms:.2f}x")
     if cache.root is not None:
-        print(f"  (trace cache: {cache.last_run.describe()})")
+        print(f"  (trace cache: {cache.stats().describe()})")
     if args.trace_out:
         for name, cell in cells.items():
             path = _sibling_path(args.trace_out, name)
@@ -259,7 +260,7 @@ def cmd_stats(args) -> int:
     print(cell.result.report.summary_text())
     print(
         f"replay cache: on ({len(cache)} trace(s), "
-        f"last run: {cache.last_run.describe()})"
+        f"last run: {cache.stats().describe()})"
     )
     _write_outputs(args, cell)
     return 0
@@ -267,7 +268,6 @@ def cmd_stats(args) -> int:
 
 def cmd_tune(args) -> int:
     from .harness.runner import tune_workload
-    from .obs.report import TunerStats
 
     spec = get_workload(args.workload)
     gpu = get_spec(args.device)
@@ -295,9 +295,8 @@ def cmd_tune(args) -> int:
             f"cache: {report.cache_hits} hits / {report.cache_misses} "
             f"misses ({cache_dir})"
         )
-    stats = TunerStats.from_report(report, label=f"{spec.name}/{gpu.name}")
     if args.explain:
-        provenance = stats.provenance()
+        provenance = report.provenance()
         print(
             "prune provenance: "
             + ", ".join(f"{k}={v}" for k, v in provenance.items())
@@ -305,7 +304,10 @@ def cmd_tune(args) -> int:
             f" of {report.num_evaluated})"
         )
     if args.report_json:
-        write_report_json(args.report_json, stats)
+        write_report_json(
+            args.report_json,
+            {"label": f"{spec.name}/{gpu.name}", **report.to_dict()},
+        )
         print(f"wrote report: {args.report_json}")
     return 0
 

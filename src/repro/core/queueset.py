@@ -19,8 +19,9 @@ cycle cost of the operation alongside the items.  Pushes are charged per
 batch of children by :meth:`~repro.core.runcontext.RunContext.push_cost`.
 
 Every queue set maintains a :class:`~repro.obs.depth.DepthSeries` — the
-canonical per-stage backlog ledger that the online adapter and the tuner
-read — and, when a telemetry bus is attached (:meth:`attach_bus`), emits
+canonical per-stage backlog ledger that the run context, the online
+adapter and the serving controller read — and, when a telemetry bus is
+attached (:meth:`attach_bus`), emits
 :class:`~repro.obs.events.QueuePush` / :class:`~repro.obs.events.QueuePop`
 events carrying a depth sample per operation (``stolen=True`` marks a
 cross-shard steal).  With no bus attached no event objects are created.
@@ -173,9 +174,6 @@ class SharedQueueSet(_QueueSetBase):
     def has_work(self, stage: str) -> bool:
         return not self._queues[stage].empty
 
-    def backlog(self, stage: str) -> int:
-        return self.depth.backlog(stage)
-
     def stats(self) -> dict[str, QueueStats]:
         return {name: q.stats for name, q in self._queues.items()}
 
@@ -294,9 +292,6 @@ class DistributedQueueSet(_QueueSetBase):
     # ------------------------------------------------------------------
     def has_work(self, stage: str) -> bool:
         return self.depth.backlog(stage) > 0
-
-    def backlog(self, stage: str) -> int:
-        return self.depth.backlog(stage)
 
     def stats(self) -> dict[str, QueueStats]:
         merged: dict[str, QueueStats] = {}

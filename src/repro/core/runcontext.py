@@ -79,7 +79,6 @@ class StageRunStats:
     """Per-stage counters for one run."""
 
     tasks: int = 0
-    items_emitted: int = 0
     busy_cycles: float = 0.0
 
 
@@ -713,10 +712,6 @@ class RunContext:
     def depth_series(self):
         """The queue set's always-on backlog ledger
         (:class:`repro.obs.depth.DepthSeries`) — current queued items
-        per stage.  The online adapter and the tuner's
-        queue-pressure summary read from here."""
+        per stage.  The online adapter and the serving controller read
+        from here."""
         return self.queue_set.depth
-
-    def backlog(self, stages: Iterable[str]) -> int:
-        """Items currently queued for the given stages."""
-        return self.queue_set.depth.total(stages)

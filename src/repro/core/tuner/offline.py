@@ -45,7 +45,7 @@ top of the paper's loop, none of which change the chosen plan:
 dependent: whether a slow candidate times out, completes under a loose
 early deadline, or is cut by the dominance bound depends on when the
 global best arrived.  The winner does not — any deadline derived from a
-best-so-far is at least ``best_time_ms x timeout_slack``, so the true
+best-so-far is at least ``best_time_ms x TIMEOUT_SLACK``, so the true
 best candidate always completes with its exact deterministic time.  The
 search therefore rewrites every record after the fact as a pure
 function of deterministic quantities (the final best, each completed
@@ -69,7 +69,6 @@ from typing import Optional
 from ...gpu.device import GPUDevice
 from ...gpu.engine import Engine
 from ...gpu.specs import GPUSpec
-from ...obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
 from ...store import Store, open_store
 from ..config import PipelineConfig
 from ..errors import ConfigurationError, ExecutionError, VersaPipeError
@@ -92,6 +91,14 @@ from .space import (
 #: persistent pool rebalance when shards finish at different speeds
 #: (candidates pruned by the shared deadline cost almost nothing).
 CHUNKS_PER_WORKER = 4
+
+#: Headroom multiplier on every deadline: a candidate within 5 % of the
+#: best so far still completes, so near-ties are measured, not pruned.
+#: It must stay >= 1: below 1 the deadline undercuts the best time
+#: itself, the true best can time out, and the canonical post-pass
+#: (which assumes every deadline is at least the final best) would
+#: misclassify records.
+TIMEOUT_SLACK = 1.05
 
 
 class DeadlineExceeded(VersaPipeError):
@@ -123,8 +130,6 @@ class TunerOptions:
     max_configs: int = 160
     #: Allow KBK groups inside hybrid plans.
     include_kbk_groups: bool = True
-    #: Headroom multiplier on the timeout (1.0 = strict better-than-best).
-    timeout_slack: float = 1.05
     #: Worker processes for the search; ``None`` means one per core.
     #: ``workers=1`` runs the classic in-process sequential loop.
     workers: Optional[int] = None
@@ -137,17 +142,9 @@ class TunerOptions:
     dominance_pruning: bool = True
 
     def __post_init__(self) -> None:
-        # A slack below 1 lets the deadline undercut the best time itself,
-        # so the true best can time out: the search would silently return
-        # a worse plan, and the canonical post-pass (which assumes every
-        # deadline is at least the final best) would misclassify records.
         if self.max_configs < 1:
             raise ValueError(
                 f"max_configs must be >= 1, got {self.max_configs}"
-            )
-        if not self.timeout_slack >= 1.0:
-            raise ValueError(
-                f"timeout_slack must be >= 1, got {self.timeout_slack}"
             )
 
     def resolved_workers(self) -> int:
@@ -253,11 +250,28 @@ class TunerReport:
             ],
         }
 
+    @property
+    def num_pruned(self) -> int:
+        return self.num_evaluated - self.num_completed
+
+    def to_dict(self) -> dict:
+        """The ``repro tune --report-json`` payload."""
+        return {
+            "evaluated": self.num_evaluated,
+            "completed": self.num_completed,
+            "pruned": self.num_pruned,
+            "provenance": self.provenance(),
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "workers": self.workers,
+            "best_time_ms": self.best_time_ms,
+            "best_config": self.best_config.describe(),
+        }
+
     def summary(self) -> str:
-        pruned = self.num_evaluated - self.num_completed
         text = (
             f"tuned over {self.num_evaluated} configs "
-            f"({self.num_completed} completed, {pruned} pruned: "
+            f"({self.num_completed} completed, {self.num_pruned} pruned: "
             f"{self.num_timeout} timeout, {self.num_dominated} dominated, "
             f"{self.num_invalid} invalid; "
             f"cache {self.cache_hits} hits / {self.cache_misses} misses; "
@@ -458,7 +472,7 @@ def _evaluate_shard(
         if shared is not None:
             best_known = min(best_known, shared.read())
         deadline = (
-            best_known * options.timeout_slack * spec.clock_ghz * 1e6
+            best_known * TIMEOUT_SLACK * spec.clock_ghz * 1e6
             if math.isfinite(best_known)
             else math.inf
         )
@@ -513,14 +527,12 @@ class OfflineTuner:
         trace: Trace,
         profile: Optional[PipelineProfile] = None,
         options: Optional[TunerOptions] = None,
-        bus: Optional[EventBus] = None,
     ) -> None:
         self.pipeline = pipeline
         self.spec = spec
         self.trace = trace
         self.profile = profile
         self.options = options or TunerOptions()
-        self.bus = bus
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -597,17 +609,13 @@ class OfflineTuner:
         cache_misses = int(store is not None and not hit)
 
         best = _best(evaluated)
-        best_ms = best.time_ms if best is not None else math.inf
-        self._emit_events(
-            evaluated, best_ms, cache_hits, cache_misses, workers
-        )
         if best is None:
             raise ConfigurationError(
                 "the tuner found no feasible configuration"
             )
         return TunerReport(
             best_config=replace(best.config, online_adaptation=True),
-            best_time_ms=best_ms,
+            best_time_ms=best.time_ms,
             evaluated=evaluated,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
@@ -664,19 +672,16 @@ class OfflineTuner:
         """Rewrite runtime records as the canonical deterministic report.
 
         The winner is exact for any racing schedule (every runtime
-        deadline is at least ``best x slack``, so the true best always
+        deadline is at least ``best x TIMEOUT_SLACK``, so the true best always
         completes); every other record is reclassified from
         deterministic quantities only — completed iff its elapsed
         cycles fit the final deadline, else dominated iff its bound
         exceeds it, else timeout.
         """
-        options = self.options
         best = _best(records)
         best_ms = best.time_ms if best is not None else math.inf
-        final_deadline = (
-            best_ms * options.timeout_slack * self.spec.clock_ghz * 1e6
-        )
-        profile = self.profile if options.dominance_pruning else None
+        final_deadline = best_ms * TIMEOUT_SLACK * self.spec.clock_ghz * 1e6
+        profile = self.profile if self.options.dominance_pruning else None
 
         evaluated: list[EvaluatedConfig] = []
         for record in records:
@@ -701,44 +706,6 @@ class OfflineTuner:
                 )
             )
         return evaluated
-
-    # ------------------------------------------------------------------
-    def _emit_events(
-        self,
-        evaluated: list[EvaluatedConfig],
-        best_ms: float,
-        cache_hits: int,
-        cache_misses: int,
-        workers: int,
-    ) -> None:
-        if self.bus is None:
-            return
-        for record in evaluated:
-            self.bus.emit(
-                TunerEvaluation(
-                    t=float(record.index),
-                    index=record.index,
-                    config=record.config.describe(),
-                    time_ms=record.time_ms,
-                    outcome=record.outcome,
-                )
-            )
-        self.bus.emit(
-            TunerSearchCompleted(
-                t=float(len(evaluated)),
-                evaluated=len(evaluated),
-                completed=sum(
-                    1 for e in evaluated if math.isfinite(e.time_ms)
-                ),
-                timeouts=sum(1 for e in evaluated if e.note == "timeout"),
-                dominated=sum(1 for e in evaluated if e.note == "dominated"),
-                invalid=sum(1 for e in evaluated if e.outcome == "invalid"),
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                workers=workers,
-                best_time_ms=best_ms,
-            )
-        )
 
 
 def _best(records: list[EvaluatedConfig]) -> Optional[EvaluatedConfig]:

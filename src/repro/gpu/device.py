@@ -10,8 +10,8 @@ together and exposes the operations execution models need:
 * ``memcpy_cycles(...)`` — host<->device transfer cost model;
 * per-run :class:`~repro.gpu.metrics.DeviceMetrics`.
 
-A device instance represents **one run**: models create a fresh device (or
-call :meth:`reset`) per measurement so metrics and the clock start at zero.
+A device instance represents **one run**: models create a fresh device
+per measurement so metrics and the clock start at zero.
 """
 
 from __future__ import annotations

@@ -275,7 +275,6 @@ def suite_bench_payload(result: SuiteResult) -> dict:
             "stages": {
                 name: {
                     "tasks": stats.tasks,
-                    "items_emitted": stats.items_emitted,
                     "busy_cycles": stats.busy_cycles,
                 }
                 for name, stats in sorted(run.stage_stats.items())

@@ -25,9 +25,9 @@ from ..core.tuner.profiler import (
 from ..gpu.device import GPUDevice
 from ..gpu.specs import GPUSpec, K20C
 from ..obs import Observer, RunReport
-from ..store import Store, StoreStats
+from ..store import Store
 from ..workloads.registry import WorkloadSpec, get_workload
-from .tracecache import DEFAULT_TRACE_CACHE, TraceCache, workload_fingerprint
+from .tracecache import DEFAULT_TRACE_CACHE, workload_fingerprint
 
 
 @dataclass
@@ -149,8 +149,9 @@ def run_cell(
     the run and kept on ``cell.observer``, and the derived
     :class:`~repro.obs.RunReport` lands on ``cell.result.report``,
     labelled ``workload/model/device``.  Pass a
-    :class:`TraceCache` to enable compute-once/simulate-many trace reuse
-    across models (see :func:`execute_model`).  ``check`` grades the
+    :class:`~repro.harness.tracecache.TraceCache` to enable
+    compute-once/simulate-many trace reuse across models (see
+    :func:`execute_model`).  ``check`` grades the
     outputs with :func:`check_cell`: every functional run in full, and a
     replayed trace once, after which each replay only has to deliver
     the recorded outputs.
@@ -182,16 +183,6 @@ def run_cell(
     )
 
 
-def _stats(cache: Optional[Store]) -> StoreStats:
-    return cache.stats() if cache is not None else StoreStats()
-
-
-def _publish_run(cache: Optional[Store], delta: StoreStats) -> None:
-    """Record one entry-point call's counter delta as ``last_run``."""
-    if isinstance(cache, TraceCache):
-        cache.last_run = delta
-
-
 def run_versapipe(
     spec: WorkloadSpec,
     gpu: GPUSpec,
@@ -218,12 +209,11 @@ def run_versapipe(
     result is a copy labelled ``versapipe`` that carries the Megakernel
     run's observer (an observed report as
     ``<workload>/versapipe/<device>``), and the given cell is left as it
-    was.  ``cache.last_run`` is set to this call's cache-counter delta.
+    was.
     """
     params = params if params is not None else spec.default_params()
     pipeline = spec.build_pipeline(params)
     described = spec.versapipe_config(pipeline, gpu, params)
-    before = _stats(cache)
     cell = run_cell(
         spec,
         HybridModel(replace(described, online_adaptation=True)),
@@ -244,7 +234,6 @@ def run_versapipe(
             observe=observe,
             cache=cache,
         )
-    _publish_run(cache, _stats(cache) - before)
     if megakernel.time_ms < cell.time_ms:
         report = megakernel.result.report
         if report is not None:
@@ -294,13 +283,10 @@ def run_column(
     name; ``versapipe`` is :func:`run_versapipe`, which takes
     ``megakernel`` as its second candidate; every other name in
     :data:`MODEL_NAMES` is that registered model with its defaults.
-    ``cache.last_run`` is set to this call's cache-counter delta, so
-    ``repro stats`` reports per-run numbers.
     """
     if column not in MODEL_NAMES:
         raise ValueError(f"unknown column: {column!r}")
     params = params if params is not None else spec.default_params()
-    before = _stats(cache)
     if column == "versapipe":
         cell = run_versapipe(
             spec,
@@ -327,7 +313,6 @@ def run_column(
             observe=observe,
             cache=cache,
         )
-    _publish_run(cache, _stats(cache) - before)
     return cell
 
 
@@ -347,11 +332,9 @@ def run_workload_models(
     ``cache=None`` to run every column functionally.  The VersaPipe
     column takes the Megakernel cell as its second candidate
     (:func:`run_versapipe`), so each column is one simulated run.
-    ``cache.last_run`` carries this call's cache-counter delta.
     """
     spec = get_workload(name)
     params = params if params is not None else spec.default_params()
-    before = _stats(cache)
     cells: dict[str, ExperimentCell] = {}
     for column in COLUMNS:
         cells[column] = run_column(
@@ -364,7 +347,6 @@ def run_workload_models(
             cache=cache,
             megakernel=cells.get("megakernel"),
         )
-    _publish_run(cache, _stats(cache) - before)
     return cells
 
 

@@ -28,7 +28,7 @@ import json
 import os
 from typing import Optional
 
-from ..store import NAMESPACES, Store, StoreStats, digest
+from ..store import NAMESPACES, Store, digest
 from ..workloads.registry import WorkloadSpec
 
 #: Default location honoured by ``repro ... --trace-cache-dir`` with no
@@ -61,7 +61,7 @@ def workload_fingerprint(spec: WorkloadSpec, params: object) -> str:
 
 
 class TraceCache(Store):
-    """The harness's replay cache: a ``traces`` store plus ``last_run``.
+    """The harness's replay cache: a ``traces`` store.
 
     The traces stored here must be recorded with ``record_outputs=True``
     so replayed runs still deliver the real outputs: the recorded payload
@@ -74,7 +74,9 @@ class TraceCache(Store):
     With ``disk_dir`` set, every memory miss probes the directory and
     every ``put`` also persists the entry, so the cache survives the
     process and is shared between harness pool workers,
-    ``tune_workload`` and repeated benchmark/CI invocations.
+    ``tune_workload`` and repeated benchmark/CI invocations.  The
+    store's counters (:meth:`~repro.store.Store.stats`) are the cache's
+    traffic since it was built; each CLI invocation builds its own.
     """
 
     def __init__(
@@ -83,13 +85,6 @@ class TraceCache(Store):
         disk_dir: Optional[str] = None,
     ) -> None:
         super().__init__("traces", root=disk_dir, max_entries=max_entries)
-        #: Per-run counter delta of the most recent harness entry-point
-        #: call (``run_column`` / ``run_versapipe`` /
-        #: ``run_workload_models``) that used this cache; ``None`` until
-        #: one completes.  Kept so ``repro stats`` reports per-run numbers
-        #: even on the process-wide default cache, whose raw counters span
-        #: the process lifetime.
-        self.last_run: Optional[StoreStats] = None
 
 
 #: Process-wide cache used by the harness entry points by default; the

@@ -22,28 +22,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .depth import DepthSeries
-from .events import (
-    EVENT_TYPES,
-    EventBus,
-    TunerEvaluation,
-    TunerSearchCompleted,
-)
-from .export import (
-    chrome_trace,
-    events_csv,
-    write_chrome_trace,
-    write_report_json,
-)
+from .events import EVENT_TYPES, EventBus
+from .export import chrome_trace, write_chrome_trace, write_report_json
 from .hist import LogBucketHistogram, WindowSeries
 from .recorder import EventRecorder
-from .report import (
-    LatencyHistogram,
-    QueueDepthSummary,
-    RunReport,
-    SMActivity,
-    StageTaskStats,
-    TunerStats,
-)
+from .report import QueueDepthSummary, RunReport, SMActivity, StageTaskStats
 from .spans import RequestItem, RequestSpan, RequestTracker
 
 
@@ -109,7 +92,6 @@ __all__ = [
     "EVENT_TYPES",
     "EventBus",
     "EventRecorder",
-    "LatencyHistogram",
     "LogBucketHistogram",
     "Observer",
     "QueueDepthSummary",
@@ -119,12 +101,8 @@ __all__ = [
     "RunReport",
     "SMActivity",
     "StageTaskStats",
-    "TunerEvaluation",
-    "TunerSearchCompleted",
-    "TunerStats",
     "WindowSeries",
     "chrome_trace",
-    "events_csv",
     "write_chrome_trace",
     "write_report_json",
 ]

@@ -2,12 +2,12 @@
 
 The :class:`DepthSeries` is the canonical backlog ledger of a queue set:
 both queue organisations update it on every push/pop, so current depths
-are available *without* an attached event subscriber.  The
-online adapter (Section 7) and the tuner's queue-pressure summary read
-backlog from here rather than probing queue internals; the full
-``(time, depth)`` series is derived from the :class:`~repro.obs.events.QueuePush`
-/ :class:`~repro.obs.events.QueuePop` event stream when an observer is
-attached (see :mod:`repro.obs.report`).
+are available *without* an attached event subscriber.  The run
+context's queue picks, the online adapter (Section 7) and the serving
+controller read backlog from here rather than probing queue internals;
+the full ``(time, depth)`` series is derived from the
+:class:`~repro.obs.events.QueuePush` / :class:`~repro.obs.events.QueuePop`
+event stream when an observer is attached (see :mod:`repro.obs.report`).
 """
 
 from __future__ import annotations

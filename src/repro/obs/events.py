@@ -18,7 +18,7 @@ the process-global block/launch/stream ids — see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 
@@ -51,12 +51,6 @@ class Event:
     kind: ClassVar[str] = "event"
 
     t: float
-
-    def row(self) -> tuple:
-        """Flat field tuple (kind first) for CSV/diff serialisation."""
-        return (self.kind,) + tuple(
-            getattr(self, f.name) for f in fields(self)
-        )
 
 
 @dataclass(slots=True)
@@ -205,40 +199,6 @@ class GroupExited(Event):
 
 
 @dataclass(slots=True)
-class TunerEvaluation(Event):
-    """The offline tuner finished one candidate configuration.
-
-    Tuner events are host-side: ``t`` is the candidate's position in the
-    canonical enumeration order, not a device clock.  ``outcome`` is one
-    of ``completed``, ``timeout``, ``dominated`` or ``invalid``.
-    """
-
-    kind: ClassVar[str] = "tuner_eval"
-
-    index: int
-    config: str
-    time_ms: float
-    outcome: str
-
-
-@dataclass(slots=True)
-class TunerSearchCompleted(Event):
-    """The offline tuner's search finished; one summary event per run."""
-
-    kind: ClassVar[str] = "tuner_done"
-
-    evaluated: int
-    completed: int
-    timeouts: int
-    dominated: int
-    invalid: int
-    cache_hits: int
-    cache_misses: int
-    workers: int
-    best_time_ms: float
-
-
-@dataclass(slots=True)
 class RequestArrived(Event):
     """An open-loop request entered the pipeline (serving mode)."""
 
@@ -304,8 +264,6 @@ EVENT_TYPES = (
     Memcpy,
     Adaptation,
     GroupExited,
-    TunerEvaluation,
-    TunerSearchCompleted,
     RequestArrived,
     RequestStageSpan,
     RequestCompleted,

@@ -1,4 +1,4 @@
-"""Exporters: Chrome/Perfetto ``trace.json``, plain JSON, and CSV.
+"""Exporters: Chrome/Perfetto ``trace.json`` and plain JSON.
 
 The Chrome trace maps the simulator onto Perfetto's process/thread
 model the way the acceptance tooling expects:
@@ -21,10 +21,8 @@ device spec's clock.  Open the file at https://ui.perfetto.dev or
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Optional, Sequence
+from typing import Sequence
 
 #: Synthetic pids for the non-SM tracks (far above any real SM count).
 QUEUES_PID = 10_000
@@ -324,17 +322,6 @@ def write_chrome_trace(
 ) -> None:
     with open(path, "w") as handle:
         json.dump(chrome_trace(events, spec, label=label), handle)
-
-
-def events_csv(recorder, events: Optional[Sequence] = None) -> str:
-    """Render an :class:`~repro.obs.recorder.EventRecorder`'s stream as
-    CSV (ids normalised so identical runs export identically)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["kind", "fields..."])
-    for row in recorder.canonical_rows(events):
-        writer.writerow(row)
-    return buffer.getvalue()
 
 
 def write_report_json(path: str, report) -> None:

@@ -1,13 +1,15 @@
-"""Streaming, mergeable metrics: fine log-bucket histograms and
-fixed-window rate series.
+"""Streaming, mergeable metrics: log-bucket histograms and fixed-window
+rate series.
 
-The coarse power-of-two :class:`~repro.obs.report.LatencyHistogram` is
-fine for order-of-magnitude queue-wait attribution, but tail-latency
-accounting (p99/p999 under an SLO) needs sub-octave resolution.
-:class:`LogBucketHistogram` quantises each sample to an integer number
-of microseconds and buckets it logarithmically with
+:class:`LogBucketHistogram` is the one latency histogram: batch reports
+keep their per-stage queue waits in it (:mod:`repro.obs.report`) and
+serving reports their end-to-end latencies and per-stage waits and
+service times (:mod:`repro.serve.report`).  It quantises each sample to
+an integer number of microseconds and buckets it logarithmically with
 :data:`SUBBUCKETS_PER_OCTAVE` linear sub-buckets per power of two, so
-every bucket spans at most ``2**(1/8) - 1`` (about 9 %) of its value.
+every bucket spans at most ``2**(1/8) - 1`` (about 9 %) of its value —
+the sub-octave resolution tail accounting (p99/p999 under an SLO)
+needs.
 
 Everything here is **deterministic and exactly mergeable**:
 

@@ -11,7 +11,7 @@ kept running between them (the determinism test relies on this).
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Iterable, Optional, Type
+from typing import Type
 
 #: Field names holding process-global ids that must be normalised.
 _ID_FIELDS = ("block_id", "launch_id", "stream_id")
@@ -29,23 +29,18 @@ class EventRecorder:
     def __len__(self) -> int:
         return len(self.events)
 
-    def by_kind(self, *kinds: str) -> list:
-        wanted = set(kinds)
-        return [e for e in self.events if e.kind in wanted]
-
     def of_type(self, event_type: Type) -> list:
         return [e for e in self.events if isinstance(e, event_type)]
 
     # ------------------------------------------------------------------
     # Canonical serialisation.
     # ------------------------------------------------------------------
-    def canonical_rows(
-        self, events: Optional[Iterable] = None
-    ) -> list[tuple]:
-        """Field tuples with global ids renumbered by first appearance."""
+    def canonical_rows(self) -> list[tuple]:
+        """Field tuples (kind first) with global ids renumbered by first
+        appearance."""
         remap: dict[str, dict[int, int]] = {name: {} for name in _ID_FIELDS}
         rows: list[tuple] = []
-        for event in self.events if events is None else events:
+        for event in self.events:
             row = [event.kind]
             for f in fields(event):
                 value = getattr(event, f.name)

@@ -4,8 +4,10 @@ A :class:`RunReport` condenses one run's telemetry into the quantities
 the paper argues from:
 
 * **per-stage task-latency histograms** — how long items sat in each
-  stage's queue (FIFO-matched push/pop event pairs, per shard), plus the
-  per-stage task counts and busy cycles already kept by the run context;
+  stage's queue (FIFO-matched push/pop event pairs, per shard), kept
+  in milliseconds by :class:`~repro.obs.hist.LogBucketHistogram`, plus
+  the per-stage task counts and busy cycles already kept by the run
+  context;
 * **per-SM busy / stall / starved breakdown** — *busy*: at least one
   compute segment draining; *stalled*: blocks resident but none
   computing (fetch latency, queue operations, min-cycle floors);
@@ -15,87 +17,18 @@ the paper argues from:
 
 Reports are mergeable (:meth:`RunReport.merge` /
 :meth:`RunReport.aggregate`) so the harness can roll up whole
-(workload x model x device) sweeps, and JSON-serialisable
+(workload x model x device) sweeps; histograms, integer counters and
+queue peaks merge exactly, so any grouping of a sweep rolls up to the
+same values.  Reports are JSON-serialisable
 (:meth:`RunReport.to_dict`) for the CLI's ``--report-json`` flag.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-
-@dataclass
-class LatencyHistogram:
-    """A mergeable power-of-two-bucket latency histogram (cycles).
-
-    Bucket ``k`` holds samples in ``[2**(k-1), 2**k)`` (bucket 0 holds
-    ``[0, 1)``); percentiles interpolate linearly inside a bucket, which
-    is plenty for order-of-magnitude latency attribution and keeps the
-    report mergeable across runs without storing raw samples.
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float = 0.0
-    max: float = 0.0
-    buckets: dict[int, int] = field(default_factory=dict)
-
-    def add(self, value: float) -> None:
-        value = max(0.0, value)
-        if self.count == 0 or value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.count += 1
-        self.total += value
-        key = int(value).bit_length()
-        self.buckets[key] = self.buckets.get(key, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Approximate percentile ``p`` in [0, 100]."""
-        if self.count == 0:
-            return 0.0
-        rank = p / 100.0 * self.count
-        seen = 0.0
-        for key in sorted(self.buckets):
-            n = self.buckets[key]
-            if seen + n >= rank:
-                lo = 0.0 if key == 0 else float(2 ** (key - 1))
-                hi = float(2**key)
-                frac = (rank - seen) / n
-                return min(self.max, max(self.min, lo + frac * (hi - lo)))
-            seen += n
-        return self.max
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0 or other.min < self.min:
-            self.min = other.min
-        if other.max > self.max:
-            self.max = other.max
-        self.count += other.count
-        self.total += other.total
-        for key, n in other.buckets.items():
-            self.buckets[key] = self.buckets.get(key, 0) + n
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
+from .hist import LogBucketHistogram
 
 
 @dataclass
@@ -221,7 +154,8 @@ class RunReport:
     elapsed_ms: float = 0.0
     num_events: int = 0
     counters: dict[str, float] = field(default_factory=dict)
-    stage_latency: dict[str, LatencyHistogram] = field(default_factory=dict)
+    #: Queue waits per stage, in milliseconds.
+    stage_latency: dict[str, LogBucketHistogram] = field(default_factory=dict)
     stage_tasks: dict[str, StageTaskStats] = field(default_factory=dict)
     sm_activity: dict[int, SMActivity] = field(default_factory=dict)
     queue_depth: dict[str, QueueDepthSummary] = field(default_factory=dict)
@@ -269,6 +203,7 @@ class RunReport:
             "group_exits": 0,
         }
 
+        cycles_to_ms = spec.cycles_to_ms
         # FIFO push-time ledger per (stage, shard) for latency matching.
         pending: dict[tuple[str, int], list[float]] = {}
         heads: dict[tuple[str, int], int] = {}
@@ -335,10 +270,10 @@ class RunReport:
                     if histogram is None:
                         histogram = report.stage_latency[
                             event.stage
-                        ] = LatencyHistogram()
+                        ] = LogBucketHistogram()
                     stop = min(head + event.count, len(times))
                     for i in range(head, stop):
-                        histogram.add(event.t - times[i])
+                        histogram.add(cycles_to_ms(event.t - times[i]))
                     heads[key] = stop
             elif kind == "compute":
                 counters["compute_segments"] += 1
@@ -413,7 +348,7 @@ class RunReport:
             self.counters[key] = self.counters.get(key, 0) + value
         for stage, histogram in other.stage_latency.items():
             self.stage_latency.setdefault(
-                stage, LatencyHistogram()
+                stage, LogBucketHistogram()
             ).merge(histogram)
         for stage, stats in other.stage_tasks.items():
             self.stage_tasks.setdefault(stage, StageTaskStats()).merge(stats)
@@ -472,7 +407,7 @@ class RunReport:
 
         if self.stage_latency or self.stage_tasks:
             lines.append("")
-            lines.append("per-stage task latency (queue wait, cycles):")
+            lines.append("per-stage task latency (queue wait, us):")
             lines.append(
                 f"  {'stage':16s} {'tasks':>8s} {'p50':>10s} "
                 f"{'p90':>10s} {'p99':>10s} {'mean':>10s} {'max':>10s}"
@@ -482,15 +417,18 @@ class RunReport:
                 if stage not in self.stage_latency:
                     stages.append(stage)
             for stage in stages:
-                histogram = self.stage_latency.get(stage, LatencyHistogram())
+                histogram = self.stage_latency.get(
+                    stage, LogBucketHistogram()
+                )
                 tasks = self.stage_tasks.get(stage, StageTaskStats()).tasks
                 count = tasks or histogram.count
                 lines.append(
                     f"  {stage:16s} {count:8d} "
-                    f"{histogram.percentile(50):10.0f} "
-                    f"{histogram.percentile(90):10.0f} "
-                    f"{histogram.percentile(99):10.0f} "
-                    f"{histogram.mean:10.0f} {histogram.max:10.0f}"
+                    f"{histogram.percentile(50) * 1000:10.2f} "
+                    f"{histogram.percentile(90) * 1000:10.2f} "
+                    f"{histogram.percentile(99) * 1000:10.2f} "
+                    f"{histogram.mean * 1000:10.2f} "
+                    f"{histogram.max * 1000:10.2f}"
                 )
 
         if self.sm_activity:
@@ -540,95 +478,4 @@ class RunReport:
                 "counters: "
                 + "  ".join(f"{k}={int(v)}" for k, v in shown.items())
             )
-        return "\n".join(lines)
-
-
-@dataclass
-class TunerStats:
-    """Condensed view of one offline-tuner search.
-
-    Built from a :class:`~repro.core.tuner.offline.TunerReport`
-    (duck-typed, so this module never imports ``repro.core``).  This is
-    what ``repro tune --report-json`` serialises.
-    """
-
-    label: str = ""
-    evaluated: int = 0
-    completed: int = 0
-    timeouts: int = 0
-    dominated: int = 0
-    invalid: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    workers: int = 1
-    best_time_ms: float = math.inf
-    best_config: str = ""
-
-    @classmethod
-    def from_report(cls, report, label: str = "") -> "TunerStats":
-        """Summarise a tuner report (any object with its fields)."""
-        return cls(
-            label=label,
-            evaluated=report.num_evaluated,
-            completed=report.num_completed,
-            timeouts=report.num_timeout,
-            dominated=report.num_dominated,
-            invalid=report.num_invalid,
-            cache_hits=report.cache_hits,
-            cache_misses=report.cache_misses,
-            workers=report.workers,
-            best_time_ms=report.best_time_ms,
-            best_config=report.best_config.describe(),
-        )
-
-    @property
-    def pruned(self) -> int:
-        return self.timeouts + self.dominated + self.invalid
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def provenance(self) -> dict:
-        """Canonical prune provenance; counts sum to ``evaluated``."""
-        return {
-            "completed": self.completed,
-            "timeout": self.timeouts,
-            "dominated": self.dominated,
-            "invalid": self.invalid,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "evaluated": self.evaluated,
-            "completed": self.completed,
-            "timeouts": self.timeouts,
-            "dominated": self.dominated,
-            "invalid": self.invalid,
-            "pruned": self.pruned,
-            "provenance": self.provenance(),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "workers": self.workers,
-            "best_time_ms": self.best_time_ms,
-            "best_config": self.best_config,
-        }
-
-    def summary_text(self) -> str:
-        lines = []
-        if self.label:
-            lines.append(f"tuner: {self.label}")
-        lines.append(
-            f"evaluated {self.evaluated} configs: {self.completed} completed,"
-            f" {self.timeouts} timeout, {self.dominated} dominated,"
-            f" {self.invalid} invalid ({self.workers} workers)"
-        )
-        lines.append(
-            f"cache: {self.cache_hits} hits / {self.cache_misses} misses"
-            f" ({self.cache_hit_rate:.0%} hit rate)"
-        )
-        lines.append(f"best: {self.best_time_ms:.3f} ms  {self.best_config}")
         return "\n".join(lines)

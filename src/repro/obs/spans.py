@@ -22,8 +22,8 @@ layer's tagging executor guarantees this): the request id and the two
 queue timestamps ride on the item itself, so the tracker needs no
 identity maps and stays O(1) per operation.
 
-A request completes when its pending-item count returns to zero.  The
-count is incremented at enqueue and decremented at completion, and the
+A request completes when its span's pending-item count returns to zero.
+The count is incremented at enqueue and decremented at completion, and the
 runners enqueue children *before* completing their parent, so the count
 can never transiently hit zero while descendants are still in flight —
 the same invariant the run context's outstanding-work accounting relies
@@ -78,6 +78,8 @@ class RequestSpan:
     arrival_t: float
     completion_t: float = 0.0
     visits: int = 0
+    #: Items of the request queued or executing; it completes at zero.
+    pending: int = 0
     #: Per-stage aggregates (a request can visit a stage many times).
     stages: dict[str, StageVisitTotals] = field(default_factory=dict)
 
@@ -107,7 +109,6 @@ class RequestTracker:
         self.on_visit = on_visit
         self.on_complete = on_complete
         self.spans: dict[int, RequestSpan] = {}
-        self._pending: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle notifications (serving driver + run context).
@@ -115,7 +116,6 @@ class RequestTracker:
     def begin(self, rid: int, stage: str, t: float) -> None:
         """A new request was injected at ``stage`` at engine time ``t``."""
         self.spans[rid] = RequestSpan(rid=rid, entry_stage=stage, arrival_t=t)
-        self._pending[rid] = 0
         if self.bus is not None:
             self.bus.emit(RequestArrived(t=t, rid=rid, stage=stage))
 
@@ -131,7 +131,7 @@ class RequestTracker:
     def note_enqueued(self, item: RequestItem, t: float) -> None:
         """One item entered a stage queue."""
         item.enqueue_t = t
-        self._pending[item.rid] += 1
+        self.spans[item.rid].pending += 1
 
     def note_dequeued(self, qitems, t: float) -> None:
         """A batch of queued items was popped (``qitems`` are
@@ -168,16 +168,14 @@ class RequestTracker:
                 )
             if on_visit is not None:
                 on_visit(stage, wait, service)
-            remaining = self._pending[rid] - 1
-            self._pending[rid] = remaining
-            if remaining == 0:
+            span.pending -= 1
+            if span.pending == 0:
                 self._finish(span, t)
 
     # ------------------------------------------------------------------
     def _finish(self, span: RequestSpan, t: float) -> None:
         span.completion_t = t
         del self.spans[span.rid]
-        del self._pending[span.rid]
         if self.bus is not None:
             self.bus.emit(
                 RequestCompleted(

@@ -299,7 +299,6 @@ class ServeController:
         self.predictor: Optional[LatencyPredictor] = None
         if self.former is not None or self.admission.reads_predictor:
             self.predictor = predictor
-        self.shed = 0
         self._backlog: dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -325,7 +324,4 @@ class ServeController:
         return cap if cap < target else target
 
     def should_shed(self) -> bool:
-        if self.admission.should_shed(self):
-            self.shed += 1
-            return True
-        return False
+        return self.admission.should_shed(self)

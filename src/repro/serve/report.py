@@ -4,6 +4,9 @@ A report rolls the per-request spans into streaming aggregates — an
 end-to-end latency histogram (p50/p99/p999), per-stage queue-wait and
 service histograms, fixed-window arrival/completion/goodput series, and
 an :class:`~repro.serve.slo.SLOTracker` — all of which merge *exactly*.
+Arrivals are counted as they come (``requests``); the SLO tracker is
+the one tally of how they ended (``completed`` and ``shed`` read it),
+so ``requests == completed + shed`` is a real check of the run.
 Percentiles come from :class:`~repro.obs.hist.LogBucketHistogram`'s
 integer bucketing, so a report merged from N worker shards serialises
 byte-identically to the serial one (the ``--workers`` contract).
@@ -62,10 +65,6 @@ class ServeReport:
     duration_ms: float = 0.0
     window_ms: float = 1.0
     requests: int = 0
-    completed: int = 0
-    #: Arrivals refused by the admission policy (requests - completed
-    #: for a fully drained adaptive run; 0 for static runs).
-    shed: int = 0
     #: Simulated wall-clock until the last request drained (ms).
     elapsed_ms: float = 0.0
     latency: LogBucketHistogram = field(default_factory=LogBucketHistogram)
@@ -77,6 +76,15 @@ class ServeReport:
     sheds: WindowSeries = field(default_factory=WindowSeries)
     slo: SLOTracker = field(default_factory=lambda: SLOTracker(slo_ms=0.0))
     meta: dict = field(default_factory=dict)
+
+    @property
+    def completed(self) -> int:
+        return self.slo.completed
+
+    @property
+    def shed(self) -> int:
+        """Arrivals refused by the admission policy (0 for static runs)."""
+        return self.slo.shed
 
     # ------------------------------------------------------------------
     # Streaming observation (driver callbacks, deterministic order).
@@ -96,7 +104,6 @@ class ServeReport:
         self.stage_service[stage].add(service_ms)
 
     def observe_complete(self, latency_ms: float, t_ms: float) -> None:
-        self.completed += 1
         self.latency.add(latency_ms)
         self.completions.add(t_ms)
         self.slo.observe(latency_ms, t_ms)
@@ -105,7 +112,6 @@ class ServeReport:
 
     def observe_shed(self, t_ms: float) -> None:
         """The admission policy refused one arrival at ``t_ms``."""
-        self.shed += 1
         self.sheds.add(t_ms)
         self.slo.observe_shed()
 
@@ -126,8 +132,6 @@ class ServeReport:
     def merge(self, other: "ServeReport") -> None:
         self.duration_ms += other.duration_ms
         self.requests += other.requests
-        self.completed += other.completed
-        self.shed += other.shed
         self.sheds.merge(other.sheds)
         if other.elapsed_ms > self.elapsed_ms:
             self.elapsed_ms = other.elapsed_ms
@@ -142,13 +146,6 @@ class ServeReport:
         self.arrivals.merge(other.arrivals)
         self.completions.merge(other.completions)
         self.good_completions.merge(other.good_completions)
-        # Adopt the other side's budget whenever ours is still the
-        # default-constructed 0.0 — even if the other side completed
-        # nothing, its budget is real and the merged attainment /
-        # goodput must be judged against it.
-        if self.slo.completed == 0 and self.slo.slo_ms == 0.0:
-            if other.slo.slo_ms != 0.0:
-                self.slo.slo_ms = other.slo.slo_ms
         self.slo.merge(other.slo)
 
     # ------------------------------------------------------------------
@@ -249,7 +246,6 @@ def merge_serve_reports(
     merged.completions.window_ms = first.window_ms
     merged.good_completions.window_ms = first.window_ms
     merged.sheds.window_ms = first.window_ms
-    merged.slo.slo_ms = first.slo.slo_ms
     for report in items:
         merged.merge(report)
     if any(report.workload != first.workload for report in items):

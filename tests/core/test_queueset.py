@@ -98,10 +98,10 @@ class TestDistributedQueueSet:
         qs = DistributedQueueSet(STAGES, K20C)
         for sm in (0, 4, 9, None):
             qs.push("a", sm, producer_sm=sm)
-        assert qs.backlog("a") == 4
+        assert qs.depth.current["a"] == 4
         assert qs.has_work("a")
         qs.drain("a")
-        assert qs.backlog("a") == 0
+        assert qs.depth.current["a"] == 0
         assert not qs.has_work("a")
 
     def test_stats_merge_all_shards(self):
@@ -159,9 +159,9 @@ class TestQueueCostAccounting:
         qs = SharedQueueSet(STAGES, K20C)
         for index in range(4):
             qs.push("a", index, None)
-        assert qs.backlog("a") == 4
+        assert qs.depth.current["a"] == 4
         assert len(qs.drain("a")) == 4
-        assert qs.backlog("a") == 0
+        assert qs.depth.current["a"] == 0
 
     def test_distributed_push_sees_no_contention(self):
         # RunContext.push_cost is what a persistent block is charged for

@@ -168,5 +168,6 @@ class TestCostHelpers:
 
     def test_backlog(self, ctx):
         ctx.insert_initial({"doubler": [1, 2], "adder": [3]})
-        assert ctx.backlog(["doubler"]) == 2
-        assert ctx.backlog(["doubler", "adder"]) == 3
+        depth = ctx.depth_series
+        assert depth.total(["doubler"]) == 2
+        assert depth.total(["doubler", "adder"]) == 3

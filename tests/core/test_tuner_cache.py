@@ -157,7 +157,6 @@ class TestSearchWithCache:
             "budget": _tuner(budget=24),
             "kbk": _tuner(include_kbk_groups=False),
             "dominance": _tuner(dominance_pruning=False),
-            "slack": _tuner(timeout_slack=1.5),
             "trace": OfflineTuner(
                 pipe, K20C, other_trace, profile=profile,
                 options=base.options,

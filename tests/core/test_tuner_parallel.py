@@ -24,7 +24,6 @@ from repro.core.tuner.pool import default_workers, stride_shards
 from repro.core.tuner.profiler import profile_pipeline
 from repro.core.tuner.space import throughput_bound_cycles
 from repro.gpu.specs import K20C
-from repro.obs.events import EventBus, TunerEvaluation, TunerSearchCompleted
 
 from .conftest import toy_pipeline
 
@@ -62,7 +61,7 @@ class TestStrideShards:
         assert default_workers() >= 1
 
 
-def _make_tuner(workers, budget=40, bus=None, dominance=True):
+def _make_tuner(workers, budget=40, dominance=True):
     pipe = toy_pipeline()
     initial = {"doubler": list(range(1, 200))}
     profile, trace = profile_pipeline(pipe, K20C, initial)
@@ -76,7 +75,6 @@ def _make_tuner(workers, budget=40, bus=None, dominance=True):
             workers=workers,
             dominance_pruning=dominance,
         ),
-        bus=bus,
     )
 
 
@@ -113,24 +111,18 @@ class TestWorkerInvariance:
                 assert a.time_ms == b.time_ms
 
 
-class TestTunerEvents:
-    def test_events_emitted_on_bus(self):
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
-        report = _make_tuner(workers=2, bus=bus).tune()
-        evals = [e for e in events if isinstance(e, TunerEvaluation)]
-        done = [e for e in events if isinstance(e, TunerSearchCompleted)]
-        assert len(evals) == report.num_evaluated
-        assert len(done) == 1
-        assert done[0].evaluated == report.num_evaluated
-        assert done[0].completed == report.num_completed
-        assert done[0].best_time_ms == report.best_time_ms
-        assert done[0].workers == report.workers
-
-    def test_no_bus_no_crash(self):
-        report = _make_tuner(workers=1, bus=None).tune()
-        assert math.isfinite(report.best_time_ms)
+class TestTunerReport:
+    def test_payload_is_the_report(self):
+        report = _make_tuner(workers=2).tune()
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["evaluated"] == report.num_evaluated
+        assert payload["completed"] == report.num_completed
+        assert payload["pruned"] == report.num_evaluated - report.num_completed
+        assert payload["provenance"] == report.provenance()
+        assert sum(payload["provenance"].values()) == payload["evaluated"]
+        assert payload["best_time_ms"] == report.best_time_ms
+        assert payload["best_config"] == report.best_config.describe()
+        assert payload["workers"] == report.workers
 
 
 PACKAGED_WORKLOADS = (

@@ -39,9 +39,10 @@ class TestEventTypes:
         assert seg.duration == 100.0
 
     def test_row_starts_with_kind(self):
-        push = QueuePush(t=1.0, stage="s", shard=0, depth=3)
-        assert push.row()[0] == "queue_push"
-        assert 3 in push.row()
+        recorder = EventRecorder()
+        recorder(QueuePush(t=1.0, stage="s", shard=0, depth=3))
+        (row,) = recorder.canonical_rows()
+        assert row == ("queue_push", 1.0, "s", 0, 3)
 
 
 class TestRecorder:
@@ -54,7 +55,7 @@ class TestRecorder:
         bus.emit(a)
         bus.emit(b)
         assert recorder.events == [a, b]
-        assert recorder.by_kind("queue_pop") == [b]
+        assert recorder.of_type(QueuePop) == [b]
         assert recorder.of_type(QueuePush) == [a]
 
     def test_canonical_rows_renumber_global_ids(self):

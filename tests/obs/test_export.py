@@ -1,10 +1,11 @@
-"""Chrome-trace / JSON / CSV exporters."""
+"""Chrome-trace / JSON exporters."""
 
 import json
 
 from repro.core.models import KBKModel, MegakernelModel
 from repro.gpu.specs import K20C
-from repro.obs import chrome_trace, events_csv, write_report_json
+from repro.obs import chrome_trace, write_report_json
+from repro.obs.events import BlockAdmitted
 from repro.obs.export import HOST_PID, QUEUES_PID
 
 from .conftest import observed_run
@@ -56,7 +57,7 @@ class TestChromeTrace:
         residency = [
             e for e in trace["traceEvents"] if e.get("cat") == "residency"
         ]
-        admits = len(observer.recorder.by_kind("block_admit"))
+        admits = len(observer.recorder.of_type(BlockAdmitted))
         assert len(residency) == admits
 
     def test_host_track_for_kbk(self):
@@ -82,13 +83,6 @@ class TestChromeTrace:
 
 
 class TestOtherExports:
-    def test_events_csv_has_header_and_rows(self):
-        _result, observer = observed_run(MegakernelModel())
-        text = events_csv(observer.recorder)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("kind")
-        assert len(lines) == len(observer.events) + 1
-
     def test_write_report_json(self, tmp_path):
         result, _observer = observed_run(MegakernelModel())
         path = tmp_path / "report.json"

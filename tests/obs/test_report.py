@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.models import KBKModel, MegakernelModel
 from repro.gpu.specs import K20C
-from repro.obs import LatencyHistogram, RunReport, SMActivity
+from repro.obs import RunReport, SMActivity
 from repro.obs.events import (
     BlockAdmitted,
     BlockExited,
@@ -15,39 +15,6 @@ from repro.obs.events import (
 from repro.obs.report import _interval_union
 
 from .conftest import observed_run
-
-
-class TestLatencyHistogram:
-    def test_mean_min_max(self):
-        h = LatencyHistogram()
-        for v in (1.0, 3.0, 5.0):
-            h.add(v)
-        assert h.count == 3
-        assert h.mean == pytest.approx(3.0)
-        assert h.min == 1.0 and h.max == 5.0
-
-    def test_percentiles_monotone_and_bounded(self):
-        h = LatencyHistogram()
-        for v in range(1, 101):
-            h.add(float(v))
-        p50, p90, p99 = h.percentile(50), h.percentile(90), h.percentile(99)
-        assert h.min <= p50 <= p90 <= p99 <= h.max
-
-    def test_merge_matches_combined(self):
-        a, b, both = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
-        for v in (1.0, 10.0, 100.0):
-            a.add(v)
-            both.add(v)
-        for v in (2.0, 20.0):
-            b.add(v)
-            both.add(v)
-        a.merge(b)
-        assert a.count == both.count
-        assert a.total == both.total
-        assert a.buckets == both.buckets
-
-    def test_empty_percentile_is_zero(self):
-        assert LatencyHistogram().percentile(99) == 0.0
 
 
 class TestIntervalUnion:
@@ -94,9 +61,10 @@ class TestFromEvents:
             self.synthetic_events(), K20C, elapsed_cycles=200.0, num_sms=1
         )
         histogram = report.stage_latency["s"]
-        # waits: 10-0 and 10-5 cycles
+        # waits: 10-0 and 10-5 cycles, kept in milliseconds
         assert histogram.count == 2
-        assert histogram.total == pytest.approx(15.0)
+        assert histogram.min == K20C.cycles_to_ms(5.0)
+        assert histogram.max == K20C.cycles_to_ms(10.0)
 
     def test_depth_integral_time_weighted_mean(self):
         report = RunReport.from_events(
@@ -178,7 +146,7 @@ class TestAggregate:
         result, _ = observed_run(MegakernelModel())
         payload = json.loads(json.dumps(result.report.to_dict()))
         assert payload["counters"]["queue_pushes"] > 0
-        assert "p99" in payload["stage_latency"]["producer"]
+        assert "p99_ms" in payload["stage_latency"]["producer"]
 
     def test_summary_text_sections(self):
         result, _ = observed_run(MegakernelModel())

@@ -1,9 +1,10 @@
 """Serving accounting as a property.
 
 Over random open-loop arrival traces, admission policies and batch
-ceilings, every offered request is either completed or shed, the SLO
-ledger agrees with the report, and an admission policy can only lower
-the offered-load attainment below the admitted-stream one.
+ceilings, every offered request is either completed or shed, the
+latency histogram and the window series agree with the SLO ledger, and
+an admission policy can only lower the offered-load attainment below
+the admitted-stream one.
 """
 
 import os
@@ -85,6 +86,9 @@ def test_every_request_completes_or_is_shed(
     assert report.requests == report.completed + report.shed
     assert slo.good + slo.violations == report.completed
     assert slo.shed == report.shed
+    assert report.latency.count == report.completed
+    assert report.completions.total == report.completed
+    assert report.sheds.total == report.shed
     if admission == "none":
         assert report.shed == 0
     assert slo.offered_attainment <= slo.attainment

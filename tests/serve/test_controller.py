@@ -87,7 +87,6 @@ class TestAdmissionPolicies:
     def test_none_never_sheds(self):
         controller = self._controller("none")
         assert not controller.should_shed()
-        assert controller.shed == 0
 
     def test_drop_tail_sheds_at_cap(self):
         controller = self._controller("drop-tail:3")
@@ -95,7 +94,6 @@ class TestAdmissionPolicies:
         assert not controller.should_shed()
         controller._backlog["b"] = 2
         assert controller.should_shed()
-        assert controller.shed == 1
 
     def test_slo_ewma_cold_start_admits(self):
         controller = self._controller("slo-ewma")
@@ -344,6 +342,6 @@ class TestAdaptiveServe:
         for value in range(5):
             qs.push("v2c", value, None)
         assert len(qs.drain("v2c", 3)) == 3
-        assert qs.backlog("v2c") == 2
+        assert qs.depth.current["v2c"] == 2
         assert len(qs.drain("v2c")) == 2
-        assert qs.backlog("v2c") == 0
+        assert qs.depth.current["v2c"] == 0

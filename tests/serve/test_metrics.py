@@ -33,6 +33,21 @@ class TestBucketing:
 
 
 class TestLogBucketHistogram:
+    def test_mean_min_max(self):
+        hist = LogBucketHistogram()
+        for value in (1.0, 3.0, 5.0):
+            hist.add(value)
+        assert hist.count == 3
+        assert hist.mean == 3.0
+        assert hist.min == 1.0 and hist.max == 5.0
+
+    def test_percentiles_monotone_and_bounded(self):
+        hist = LogBucketHistogram()
+        for value in range(1, 101):
+            hist.add(float(value))
+        p50, p90, p99 = (hist.percentile(p) for p in (50, 90, 99))
+        assert hist.min <= p50 <= p90 <= p99 <= hist.max
+
     def test_percentiles_clamped_to_observed_range(self):
         hist = LogBucketHistogram()
         for value in (1.0, 2.0, 3.0):

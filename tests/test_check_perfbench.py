@@ -166,4 +166,4 @@ class TestRecord:
             "serve_mix": 138_862,
         }
         digest = RECORD["workloads"]["fig11_cold"]["digests"]["suite"]
-        assert digest.startswith("fa8fe7db")
+        assert digest.startswith("441f2d77")

@@ -271,6 +271,17 @@ class TestBatchingFlags:
         # the VersaPipe column replays that recording.
         assert "last run: 1 hits / 1 misses" in out
 
+    def test_stats_cache_numbers_are_per_invocation(self, capsys):
+        # Every invocation builds its own replay cache, so a second one
+        # in the same process records again and reports only itself.
+        lines = []
+        for _ in range(2):
+            code, out = run_cli(capsys, "stats", "ldpc")
+            assert code == 0
+            lines.append(out.splitlines()[-1])
+        assert lines[0] == lines[1]
+        assert "last run: 1 hits / 1 misses" in lines[1]
+
 
 class TestArgValidation:
     """Zero/negative --workers and --budget are rejected up front."""
