@@ -154,7 +154,7 @@ def replay_counts(workload: str, device_name: str, n: int) -> dict[str, int]:
                 pipeline, device, ReplayExecutor(pipeline, trace), config
             )
             engine.start(replay_placeholders(trace))
-            device.engine.run(until=engine._complete)
+            device.run_engine(until=engine._complete)
         except ConfigurationError:
             counts["skipped"] += 1
             continue

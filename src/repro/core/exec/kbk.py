@@ -280,6 +280,7 @@ class KBKGroupRunner:
     def _on_work(self, signal: Optional[bool]) -> None:
         if signal is None:
             self.finished = True
+            self.device.done_flag[0] = True  # the run may be over
             return
         for stage_name in self.group.stages:
             if self.ctx.queue_set.has_work(stage_name):

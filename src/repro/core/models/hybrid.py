@@ -129,9 +129,11 @@ class HybridEngine:
         launches alone would stop between a KBK wave's completion and the
         next wave's (event-scheduled) launch.
 
-        Called per engine event as the run's ``until`` predicate, so each
-        leg is an O(1) counter test (outstanding work first: it is nonzero
-        for almost the whole run and short-circuits the rest)."""
+        The run's ``until`` predicate (:meth:`GPUDevice.run_engine`): it
+        confirms each raise of the device's ``done_flag``, which each of
+        the three legs raises where it turns true — the run context when
+        its outstanding work reaches zero, the device when its last
+        launch completes, a KBK group runner when it finishes."""
         return (
             self.ctx.total_outstanding == 0
             and self.device._incomplete_launches == 0

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .stage import TaskCost
+
+if TYPE_CHECKING:
+    from .executor import ExecResult
 
 #: Structured dtype of the per-node event table: the stage (as an index
 #: into the table's stage-name tuple) and the recorded per-thread cost.
@@ -47,9 +50,9 @@ class Trace:
     #: cache, whose traces ``tune_workload`` shares); tuner searches
     #: drop them before shipping a trace to pool workers.
     recorded_outputs: dict[int, list[object]] = field(default_factory=dict)
-    #: Lazily built replay index (see :meth:`replay_children`).  Derived
-    #: data: never pickled, never compared, rebuilt on demand.
-    _replay_children: Optional[list[tuple[tuple[str, int], ...]]] = field(
+    #: Lazily built shared replay results (see :meth:`replay_results`).
+    #: Derived data: never pickled, never compared, rebuilt on demand.
+    _replay_results: Optional[list[ExecResult]] = field(
         default=None, init=False, repr=False, compare=False
     )
     #: Lazily built structured event table (see :meth:`event_table`).
@@ -65,27 +68,44 @@ class Trace:
         default=None, init=False, repr=False, compare=False
     )
 
-    def replay_children(self) -> list[tuple[tuple[str, int], ...]]:
-        """Per-node ``(child_stage, child_id)`` tuples, precomputed.
+    def replay_results(self) -> list[ExecResult]:
+        """One :class:`~repro.core.executor.ExecResult` per node, shared
+        by every replayed task of that node.
 
-        Replay's hot loop needs each task's children *with their stages
-        resolved*; computing that per ``run_task`` call touches every
-        child node on every one of the tuner's dozens of replays.  The
-        index is built once per trace, cached on the instance, shared by
-        every replay of the same in-memory trace (the per-process caches
-        keep traces resident across pool dispatches), and stripped from
-        pickles so shipping a trace across the process boundary stays
-        cheap.
+        A replayed task's result depends on its node alone: the recorded
+        cost, the children with their stages resolved, and the outputs —
+        the recorded payloads when the trace keeps them, else ``None``
+        per output — as a tuple.  The list is built once per trace,
+        cached on the instance, shared by every replay of the same
+        in-memory trace (the per-process caches keep traces resident
+        across pool dispatches), and stripped from pickles so shipping a
+        trace across the process boundary stays cheap.  Consumers must
+        not mutate a result.
         """
-        index = self._replay_children
-        if index is None or len(index) != len(self.nodes):
+        results = self._replay_results
+        if results is None or len(results) != len(self.nodes):
+            from .executor import ExecResult  # local import: avoid cycle
+
             nodes = self.nodes
-            index = [
-                tuple((nodes[cid].stage, cid) for cid in node.children)
-                for node in nodes
-            ]
-            self._replay_children = index
-        return index
+            recorded = self.recorded_outputs
+            results = []
+            for node_id, node in enumerate(nodes):
+                outputs = recorded.get(node_id)
+                results.append(
+                    ExecResult(
+                        cost=node.cost,
+                        children=tuple(
+                            (nodes[cid].stage, cid) for cid in node.children
+                        ),
+                        outputs=(
+                            (None,) * node.n_outputs
+                            if outputs is None
+                            else tuple(outputs)
+                        ),
+                    )
+                )
+            self._replay_results = results
+        return results
 
     def event_table(self) -> tuple[tuple[str, ...], np.ndarray]:
         """``(stage_names, events)``: the trace as a structured array.
@@ -138,7 +158,7 @@ class Trace:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_replay_children"] = None
+        state["_replay_results"] = None
         state["_event_table"] = None
         state["_checked_ids"] = None
         return state

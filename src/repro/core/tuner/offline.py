@@ -324,8 +324,9 @@ class _DrainCut:
         now + BOUND_SAFETY * (1 - l1_bonus) * remaining / (|SMs| * lane_cap)
 
     for every lane limit.  Once that passes the deadline the cut raises
-    the engine's ``until_flag``, which stops the run before its next
-    event.
+    :class:`DeadlineExceeded` from the hand-out itself, stopped at the
+    current event's time, as a run stopped before its next event would
+    report.
 
     Undrained work only shrinks, so the largest term computed at one
     hand-out bounds every later one; the terms are recomputed only when
@@ -334,10 +335,7 @@ class _DrainCut:
     the running subtraction left behind.
     """
 
-    __slots__ = (
-        "_left", "_tasks", "_limits", "_top", "_clock", "_deadline",
-        "_flag",
-    )
+    __slots__ = ("_left", "_tasks", "_limits", "_top", "_clock", "_deadline")
 
     def __init__(
         self,
@@ -347,7 +345,6 @@ class _DrainCut:
         config: PipelineConfig,
         deadline_cycles: float,
         clock: Engine,
-        flag: list[bool],
     ) -> None:
         discount = max(0.0, 1.0 - spec.l1_locality_bonus)
         self._left = {name: 0.0 for name in pipeline.stage_names}
@@ -372,7 +369,6 @@ class _DrainCut:
         self._top = math.inf  # the first hand-out computes the terms
         self._clock = clock
         self._deadline = deadline_cycles
-        self._flag = flag
 
     def on_task(self, stage: str, cost: TaskCost) -> None:
         self._left[stage] -= cost.cycles_per_thread
@@ -394,8 +390,7 @@ class _DrainCut:
                 top = bound
         self._top = top
         if now + top > self._deadline:
-            self._flag[0] = True
-            self._deadline = math.inf  # fired once; later hand-outs skip
+            raise DeadlineExceeded(self._deadline, now)
 
 
 def _replay_config(
@@ -419,12 +414,10 @@ def _replay_config(
     from ..models.hybrid import HybridEngine  # local import: avoid cycle
 
     device = GPUDevice(spec)
-    stop = [False]
     cut = None
     if profile is not None and math.isfinite(deadline_cycles):
         cut = _DrainCut(
-            pipeline, spec, profile, config, deadline_cycles, device.engine,
-            stop,
+            pipeline, spec, profile, config, deadline_cycles, device.engine
         )
     executor = ReplayExecutor(
         pipeline, trace, on_task=cut.on_task if cut is not None else None
@@ -432,17 +425,15 @@ def _replay_config(
     engine = HybridEngine(pipeline, device, executor, config)
     engine.start(replay_placeholders(trace))
 
-    device.engine.run(
+    device.run_engine(
         until=engine._complete,
         deadline=deadline_cycles if math.isfinite(deadline_cycles) else None,
-        until_flag=stop if cut is not None else None,
     )
     now = float(device.engine.now)
-    if stop[0] or now > deadline_cycles:
-        # The cut proved the run too slow, or the clock passed the
-        # deadline — possibly on the very event that completed the run.
-        # Either way the candidate misses its deadline, and both stops
-        # report alike, so arming the cut never changes an outcome.
+    if now > deadline_cycles:
+        # The clock passed the deadline — possibly on the very event that
+        # completed the run.  The candidate misses its deadline either
+        # way, and reports as a cut replay does.
         raise DeadlineExceeded(deadline_cycles, now)
     if not engine._complete():
         raise ExecutionError("replay deadlocked (internal error)")

@@ -49,12 +49,16 @@ class GPUDevice:
         #: perform host work (launch calls, synchronisation, memcpys).
         self.host_time = 0.0
         self._launches: list[KernelLaunch] = []
-        #: Launches issued but not yet complete, with a one-element flag
-        #: mirror for the engine's ``until_flag`` fast stop check:
-        #: ``synchronize`` runs the engine against the flag (a per-event
-        #: list index) instead of re-scanning every launch per event.
+        #: Launches issued but not yet complete.
         self._incomplete_launches = 0
-        self._idle_flag: list[bool] = [True]
+        #: Raised whenever a run on this device may be over: when a run
+        #: starts, when the last issued launch completes, and by the
+        #: layers above where their own end conditions turn true (the run
+        #: context's outstanding work reaching zero, a KBK group runner
+        #: finishing).  :meth:`run_engine` hands it to the engine as
+        #: ``until_flag``, so the run's ``until`` predicate is called
+        #: once per raise instead of once per event.
+        self.done_flag: list[bool] = [True]
         #: Optional telemetry bus (see :meth:`attach_observer`).  Every
         #: emitter guards on ``None`` so no event objects are allocated
         #: unless an observer subscribed — tracing is zero-cost when off.
@@ -110,7 +114,6 @@ class GPUDevice:
         # Track completion incrementally (an empty grid completes inside
         # the add_completion_callback call, so count it first).
         self._incomplete_launches += 1
-        self._idle_flag[0] = False
         launch.add_completion_callback(self._note_launch_done)
         arrival = launch.issue_cycle + self.spec.us_to_cycles(
             self.spec.launch_latency_us
@@ -135,14 +138,14 @@ class GPUDevice:
     def _note_launch_done(self, launch: KernelLaunch) -> None:
         self._incomplete_launches -= 1
         if self._incomplete_launches == 0:
-            self._idle_flag[0] = True
+            self.done_flag[0] = True
 
     def _all_done(self) -> bool:
-        return all(launch.done for launch in self._launches)
+        return self._incomplete_launches == 0
 
     def synchronize(self, charge_host: bool = True) -> None:
         """Run the engine until every issued launch has completed."""
-        self.engine.run(until_flag=self._idle_flag)
+        self.run_engine(until=self._all_done)
         if not self._all_done():
             pending = [launch for launch in self._launches if not launch.done]
             raise SimulationDeadlock(
@@ -170,9 +173,23 @@ class GPUDevice:
                 HostSync(t=self.engine.now, source=source, cycles=cycles)
             )
 
-    def run_engine(self, until: Optional[Callable[[], bool]] = None) -> None:
-        """Expose the engine loop for models with custom stop conditions."""
-        self.engine.run(until=until)
+    def run_engine(
+        self,
+        until: Optional[Callable[[], bool]] = None,
+        deadline: Optional[float] = None,
+    ) -> None:
+        """Run the engine until ``until()`` holds, the heap drains, or the
+        clock passes ``deadline``.
+
+        ``until`` is called only while :attr:`done_flag` is raised, so
+        every change that can make it true must raise the flag.
+        """
+        self.done_flag[0] = True  # a run that is already over runs nothing
+        self.engine.run(
+            until=until,
+            deadline=deadline,
+            until_flag=None if until is None else self.done_flag,
+        )
 
     # ------------------------------------------------------------------
     # Host <-> device transfers.

@@ -16,6 +16,7 @@ has the same steady-state effect at negligible cost).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional
 
 from ..obs.events import EventBus, KernelRetired
@@ -42,6 +43,9 @@ class KernelLaunch:
         self._undispatched = list(reversed(blocks))  # pop() from the end
         self._outstanding = len(blocks)
         self._on_complete: list[Callable[["KernelLaunch"], None]] = []
+        #: The head block found no SM; only a retirement on an SM in its
+        #: filter can make room (see :meth:`HardwareScheduler.dispatch`).
+        self.blocked = False
         for block in blocks:
             block.launch = self
 
@@ -106,6 +110,10 @@ class HardwareScheduler:
     def __init__(self, sms: Iterable[StreamingMultiprocessor]) -> None:
         self.sms = list(sms)
         self._active: list[KernelLaunch] = []
+        #: SM filter -> the SMs it admits, in id order.
+        self._eligible: dict[
+            Optional[frozenset[int]], list[StreamingMultiprocessor]
+        ] = {}
         self._dispatching = False
         #: Blocks currently resident across all SMs, maintained on
         #: admit/retire so residency polls need no per-SM scan.
@@ -122,18 +130,26 @@ class HardwareScheduler:
     def _pick_sm(self, block: ThreadBlock) -> Optional[StreamingMultiprocessor]:
         """Least-loaded SM (by resident threads) that can admit the block.
 
-        Ties break towards the lowest SM id: the scan's strict ``<``
-        keeps the first minimum (pinned by the golden tests).
+        Ties break towards the lowest SM id: the scan runs in id order and
+        only a strictly smaller ``threads_used`` replaces the best, so an
+        SM that cannot beat the best is skipped before its admission test
+        (pinned by the golden tests).
         """
-        kernel = block.kernel
+        sm_filter = block.sm_filter
+        eligible = self._eligible.get(sm_filter)
+        if eligible is None:
+            eligible = self._eligible[sm_filter] = [
+                sm for sm in self.sms if sm_filter is None or sm.sm_id in sm_filter
+            ]
+        if not eligible:
+            return None
+        fp = eligible[0].footprint(block.kernel)
         best: Optional[StreamingMultiprocessor] = None
-        for sm in self.sms:
-            if block.sm_filter is not None and sm.sm_id not in block.sm_filter:
-                continue
-            if not sm.can_admit(kernel):
-                continue
-            if best is None or sm.threads_used < best.threads_used:
+        least = math.inf
+        for sm in eligible:
+            if sm.threads_used < least and sm.can_admit(fp):
                 best = sm
+                least = sm.threads_used
         return best
 
     def dispatch(self) -> None:
@@ -142,6 +158,11 @@ class HardwareScheduler:
         Dispatch is head-of-line per launch (blocks of one grid issue in
         order), but a stalled launch does not prevent other active launches
         from dispatching — matching concurrent-kernel execution.
+
+        A launch whose head block found no SM stays ``blocked``, and is
+        not scanned, until a block retires on an SM in the head block's
+        filter.  That is exact: admissions only shrink capacity, and
+        every retirement dispatches.
         """
         if self._dispatching:
             return  # re-entrancy guard: admit() may trigger retire cascades
@@ -151,12 +172,15 @@ class HardwareScheduler:
             while progress:
                 progress = False
                 for launch in list(self._active):
+                    if launch.blocked:
+                        continue
                     while True:
                         block = launch.next_block()
                         if block is None:
                             break
                         sm = self._pick_sm(block)
                         if sm is None:
+                            launch.blocked = True
                             break
                         launch.pop_block()
                         # Count before admit(): a block program that ends
@@ -184,4 +208,11 @@ class HardwareScheduler:
                         kernel=launch.kernel.name,
                     )
                 )
+        if sm is not None:
+            for other in self._active:
+                if other.blocked:
+                    head = other.next_block()
+                    assert head is not None  # a blocked launch keeps its head
+                    if head.sm_filter is None or sm.sm_id in head.sm_filter:
+                        other.blocked = False
         self.dispatch()

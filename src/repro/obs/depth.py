@@ -35,9 +35,6 @@ class DepthSeries:
         self.current[stage] = depth
         return depth
 
-    def backlog(self, stage: str) -> int:
-        return self.current[stage]
-
     def total(self, stages: Iterable[str]) -> int:
         current = self.current
         return sum(current[s] for s in stages)

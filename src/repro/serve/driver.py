@@ -113,13 +113,18 @@ class RequestTaggingExecutor(Executor):
         )
 
     def run_task(self, stage: str, item: RequestItem) -> ExecResult:
+        # A new result: a replayed inner result is shared by every task
+        # of its trace node (see ExecResult).
         result = self.inner.run_task(stage, item.inner)
         rid = item.rid
-        result.children = [
-            (target, RequestItem(rid, child))
-            for target, child in result.children
-        ]
-        return result
+        return ExecResult(
+            cost=result.cost,
+            children=[
+                (target, RequestItem(rid, child))
+                for target, child in result.children
+            ],
+            outputs=result.outputs,
+        )
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.core.errors import ConfigurationError, ExecutionError
-from repro.core.executor import FunctionalExecutor
+from repro.core.executor import FunctionalExecutor, ReplayExecutor
+from repro.core.tuner.profiler import profile_pipeline
+from repro.gpu.specs import K20C
 from repro.obs import Observer
 from repro.obs.spans import RequestItem
 from repro.serve import (
@@ -114,6 +116,30 @@ class TestRequestTaggingExecutor:
         for _target, child in result.children:
             assert isinstance(child, RequestItem)
             assert child.rid == 42
+
+    def test_replayed_result_is_not_mutated(self):
+        """Replay shares one result per trace node, so tagging must build
+        a new result rather than rewrite the shared one's children."""
+        spec = get_workload("ldpc")
+        params = spec.quick_params()
+        pipeline = spec.build_pipeline(params)
+        _profile, trace = profile_pipeline(
+            pipeline, K20C, spec.initial_items(params)
+        )
+        executor = RequestTaggingExecutor(ReplayExecutor(pipeline, trace))
+        stage, (node, *_rest) = next(iter(trace.initial.items()))
+        shared = trace.replay_results()[node]
+        recorded = tuple(shared.children)
+        assert recorded
+
+        def tagged(result):
+            return [(t, c.rid, c.inner) for t, c in result.children]
+
+        first = executor.run_task(stage, RequestItem(42, node))
+        second = executor.run_task(stage, RequestItem(42, node))
+        assert tuple(shared.children) == recorded
+        assert tagged(first) == tagged(second)
+        assert tagged(first) == [(t, 42, c) for t, c in recorded]
 
     def test_wrap_initial_forbidden(self):
         spec = get_workload("ldpc")
