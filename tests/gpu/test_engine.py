@@ -124,11 +124,19 @@ def test_max_events_guard_needs_a_next_event():
     engine.run(max_events=3, deadline=2.5)
     engine = _three_events(extra=4.0)
     engine.run(max_events=3, until=lambda: engine.now >= 3.0)
+    # With a flag, ``until`` is asked only once the flag is raised: here
+    # by the fourth event, so the spent budget asks it once and ends.
+    asked: list[float] = []
     stop = [False]
     engine = _three_events(extra=4.0)
     engine.schedule_call(3.0, lambda: stop.__setitem__(0, True))
-    engine.run(max_events=4, until_flag=stop)
+    engine.run(
+        max_events=4,
+        until=lambda: asked.append(engine.now) is None,
+        until_flag=stop,
+    )
     assert engine.events_processed == 4
+    assert asked == [3.0]
 
     engine = _three_events(extra=4.0)
     with pytest.raises(RuntimeError, match="livelock"):
