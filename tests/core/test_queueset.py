@@ -54,6 +54,17 @@ class TestSharedQueueSet:
         _, busy_cost = busy.pop("a", 1, 0)
         assert busy_cost > calm_cost
 
+    def test_cost_follows_a_contention_change(self):
+        # Operation costs are memoized per (stage, count); a new
+        # contention level must not reuse the old level's entries.
+        qs = SharedQueueSet(STAGES, K20C)
+        calm = qs.op_cost("a", 1)
+        qs.contention_level = 8.0
+        busy = qs.op_cost("a", 1)
+        assert busy == calm + K20C.queue_contention_cycles * 8.0
+        qs.push("a", "x", None)
+        assert qs.pop("a", 1, 0)[1] == busy
+
     def test_never_steals(self):
         qs = SharedQueueSet(STAGES, K20C)
         qs.push("a", "x", producer_sm=3)
