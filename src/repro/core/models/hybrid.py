@@ -56,8 +56,8 @@ class OnlineAdapter:
         if self.ctx.done:
             return
         freed = runner.group.sm_ids
-        # Backlog is read from the queue set's depth series — the same
-        # ledger the telemetry layer samples — not by probing queues.
+        # Backlog is read from the queue set's depth series — its one
+        # tally, which the telemetry layer samples — not by probing queues.
         depth = self.ctx.depth_series
         candidates = [
             r
@@ -151,7 +151,7 @@ class HybridEngine:
         for runner in self.kbk_runners:
             runner.start()
         total_blocks = sum(r.total_blocks for r in self.persistent_runners)
-        self.ctx.contention_level = total_blocks / max(
+        self.ctx.queue_set.contention_level = total_blocks / max(
             1, self.device.spec.num_sms
         )
         self.device.note_residency()

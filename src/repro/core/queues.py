@@ -1,16 +1,19 @@
-"""Work-queue library (the low-level control layer, Section 5).
+"""Work-queue items, statistics and costs (the low-level control layer,
+Section 5).
 
-Queues buffer data items between stages.  Each queue records statistics the
-harness uses for the overhead analysis (Section 8.5): total enqueues, peak
-length, and bytes moved.  The *timing* cost of queue operations (atomic
-reservation latency, per-byte copy cost, contention) is charged by the
-runners via :meth:`op_cost`, parameterised by the device spec.
+Queues buffer data items between stages; the queue sets of
+:mod:`repro.core.queueset` hold them as plain deques of
+:class:`QueuedItem`.  The statistics the harness uses for the overhead
+analysis (Section 8.5) — enqueues, dequeues, peak length and bytes
+moved — are a :class:`QueueStats` view of the queue set's one tally,
+its :class:`~repro.obs.depth.DepthSeries`.  The *timing* cost of queue
+operations (atomic reservation latency, per-byte copy cost, contention)
+is :func:`queue_op_cost`, parameterised by the device spec.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..gpu.specs import GPUSpec
@@ -28,60 +31,13 @@ class QueuedItem:
 
 @dataclass
 class QueueStats:
+    """One stage's queue traffic over a run."""
+
     enqueued: int = 0
     dequeued: int = 0
+    #: The stage's peak depth (summed over shards when distributed).
     peak_length: int = 0
     bytes_moved: int = 0
-
-    def merge(self, other: "QueueStats") -> None:
-        self.enqueued += other.enqueued
-        self.dequeued += other.dequeued
-        self.peak_length = max(self.peak_length, other.peak_length)
-        self.bytes_moved += other.bytes_moved
-
-
-class WorkQueue:
-    """FIFO buffer of :class:`QueuedItem` for one stage."""
-
-    def __init__(self, stage_name: str, item_bytes: int) -> None:
-        self.stage_name = stage_name
-        self.item_bytes = item_bytes
-        self._items: deque[QueuedItem] = deque()
-        self.stats = QueueStats()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def empty(self) -> bool:
-        return not self._items
-
-    def push(self, payload: object, producer_sm: Optional[int] = None) -> None:
-        self._items.append(QueuedItem(payload, producer_sm))
-        self.stats.enqueued += 1
-        self.stats.bytes_moved += self.item_bytes
-        self.stats.peak_length = max(self.stats.peak_length, len(self._items))
-
-    def push_many(
-        self, payloads: list[object], producer_sm: Optional[int] = None
-    ) -> None:
-        """Bulk :meth:`push`.  Pushes only grow the queue, so updating the
-        peak once after the extend matches per-item peak tracking."""
-        self._items.extend([QueuedItem(p, producer_sm) for p in payloads])
-        n = len(payloads)
-        stats = self.stats
-        stats.enqueued += n
-        stats.bytes_moved += self.item_bytes * n
-        length = len(self._items)
-        if length > stats.peak_length:
-            stats.peak_length = length
-
-    def pop_batch(self, max_items: int) -> list[QueuedItem]:
-        batch = []
-        while self._items and len(batch) < max_items:
-            batch.append(self._items.popleft())
-        self.stats.dequeued += len(batch)
-        return batch
 
 
 def queue_op_cost(

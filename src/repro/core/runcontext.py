@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..gpu.device import GPUDevice
@@ -47,8 +48,8 @@ class _WatchState:
 
     ``outstanding`` is the live sum of the outstanding counts of the
     stages whose work can still reach any watched stage (per the
-    pipeline reachability closure), maintained by ``_enqueue_one`` /
-    ``complete_tasks``.  The watched set is quiescent exactly when the
+    pipeline reachability closure), maintained by ``enqueue_children``
+    / ``complete_tasks``.  The watched set is quiescent exactly when the
     sum is zero, turning every ``is_quiescent`` call — the hottest
     function of a simulated run, previously a full reachability scan per
     completed task per waiter — into a single integer comparison.
@@ -68,10 +69,12 @@ class _Waiter:
     capacity_fn: Callable[[str], int]
     resume: Callable[[object], None]
     sm_id: Optional[int] = None
-    cancelled: bool = False
-    #: Global park order (monotonic), for merging wake order across
-    #: watch-tuple queues that share a stage.
+    #: Global park order (monotonic): blocks parked on different watch
+    #: tuples are woken and released in this order.
     seq: int = 0
+
+
+_park_order = attrgetter("seq")
 
 
 @dataclass
@@ -101,7 +104,6 @@ class RunContext:
         self.device = device
         self.executor = executor
         self.policy = policy
-        self.queue_mode = queue_mode
         self.queue_set = make_queue_set(
             queue_mode,
             {
@@ -116,8 +118,8 @@ class RunContext:
             engine = device.engine
             self.queue_set.attach_bus(device.obs, lambda: engine.now)
         self.outstanding: dict[str, int] = {name: 0 for name in pipeline.stages}
-        #: The queue set's live backlog ledger (stage -> queued items).
-        #: Both organisations keep it exact on every push/pop/drain, so
+        #: The queue set's live depths (stage -> queued items), from its
+        #: one tally.  Every push, pop and drain keeps it exact, so
         #: ``self._backlog[s] > 0`` is ``queue_set.has_work(s)`` without
         #: the method call — the scheduler's queue-pick scan reads it
         #: thousands of times per run.
@@ -137,20 +139,15 @@ class RunContext:
         }
         #: Stage-tuple -> policy-ordered stage preference (memoised).
         self._order_cache: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._waiters: deque[_Waiter] = deque()
-        #: Watch tuple -> parked waiters with exactly that watch set, in
-        #: park order.  Parking appends to ONE deque (blocks of a group
-        #: share their watch tuple); ``_wake_for`` visits only the
-        #: tuples containing the woken stage — usually a single deque —
-        #: and merges multiple by the waiters' global park seq, so wake
-        #: order is identical to a full park scan.
+        #: Watch tuple -> the parked blocks with exactly that watch set,
+        #: in park order: the one index of parked blocks.  Blocks of a
+        #: group share their watch tuple, so parking appends to one
+        #: deque; a woken or released block leaves its deque at once.
         self._watch_deques: dict[tuple[str, ...], deque[_Waiter]] = {}
-        #: Stage -> watch tuples (seen so far) that contain it.
-        self._stage_watch_tuples: dict[str, list[tuple[str, ...]]] = {}
+        #: Stage -> the deques (seen so far) whose watch tuple contains
+        #: it; ``_wake_for`` serves only these.
+        self._stage_deques: dict[str, list[deque[_Waiter]]] = {}
         self._park_seq = 0
-        #: Cancelled waiters still sitting in ``_waiters`` (compacted
-        #: lazily once they outnumber the live ones).
-        self._dead_waiters = 0
         self._peek_waiters: list[tuple[tuple[str, ...], Callable]] = []
         self._rr_cursor: dict[int, int] = {}
         #: Callbacks fired when a quiescence change may have freed blocks
@@ -169,90 +166,69 @@ class RunContext:
         self.batch_governor: Optional[Callable[[str, int], int]] = None
 
     # ------------------------------------------------------------------
-    # Queue-contention knob (set by the engine from the launch plan).
-    # ------------------------------------------------------------------
-    @property
-    def contention_level(self) -> float:
-        return self.queue_set.contention_level
-
-    @contention_level.setter
-    def contention_level(self, value: float) -> None:
-        self.queue_set.contention_level = value
-
-    # ------------------------------------------------------------------
     # Outstanding-work accounting.
     # ------------------------------------------------------------------
     def insert_initial(self, items: dict[str, Sequence[object]]) -> None:
         """Insert user payloads as initial work (the paper's
         ``insertIntoQueue``), charging a host-to-device copy."""
-        total_bytes = 0
-        for stage_name, payloads in items.items():
-            stage = self.pipeline.stage(stage_name)
-            total_bytes += stage.item_bytes * len(payloads)
-            for payload in payloads:
-                wrapped = self.executor.wrap_initial(stage_name, payload)
-                self._enqueue_one(stage_name, wrapped, producer_sm=None)
+        total_bytes = sum(
+            self.pipeline.stage(stage_name).item_bytes * len(payloads)
+            for stage_name, payloads in items.items()
+        )
+        wrap = self.executor.wrap_initial
+        self.enqueue_children(
+            (
+                (stage_name, wrap(stage_name, payload))
+                for stage_name, payloads in items.items()
+                for payload in payloads
+            ),
+            producer_sm=None,
+        )
         if total_bytes:
             self.device.memcpy_h2d(total_bytes)
-
-    def _enqueue_one(
-        self, stage: str, item: object, producer_sm: Optional[int]
-    ) -> None:
-        self.queue_set.push(stage, item, producer_sm)
-        self.outstanding[stage] += 1
-        self.total_outstanding += 1
-        for watch in self._stage_watchers[stage]:
-            watch.outstanding += 1
-        if self.request_tracker is not None:
-            self.request_tracker.note_enqueued(item, self.device.engine.now)
 
     def enqueue_children(
         self, children: Iterable[tuple[str, object]], producer_sm: Optional[int]
     ) -> None:
-        """Push emitted items and wake any block that can serve them.
+        """Push emitted items, one push per target stage, and wake any
+        block that can serve them.
+
+        Grouping cannot change what a run does: pushes only grow a
+        queue, so queue contents, depth peaks and outstanding counters
+        end up as they would item by item, and no event can interleave
+        mid-batch.  An attached bus sees each target's push events
+        together, each with its item's depth.
 
         ``_wake_for`` drains every waiter a stage can satisfy in one
         call, so each distinct target is woken once per batch (repeat
-        calls for the same stage would re-scan the waiter list and find
-        nothing — resumes are deferred, no waiter re-parks in between).
-
-        When nothing observes individual pushes (no telemetry bus, no
-        request ledger), the batch is grouped by target stage and pushed
-        through the queue sets' bulk path: queue contents, depth peaks
-        and outstanding counters end up identical to the per-item path —
-        pushes only grow a queue, and no event can interleave mid-batch —
-        but the per-item bookkeeping runs once per target instead of
-        once per child.  With an observer attached the per-item path is
-        kept so the emitted push-event stream is unchanged.
+        calls for the same stage would find no waiter to serve — resumes
+        are deferred, no waiter re-parks in between).
         """
-        if self.queue_set.bus is None and self.request_tracker is None:
-            by_target: dict[str, list[object]] = {}
-            for target, item in children:
-                group = by_target.get(target)
-                if group is None:
-                    by_target[target] = [item]
-                else:
-                    group.append(item)
-            outstanding = self.outstanding
-            watchers = self._stage_watchers
-            for target, group in by_target.items():
-                self.queue_set.push_many(target, group, producer_sm)
-                n = len(group)
-                outstanding[target] += n
-                self.total_outstanding += n
-                for watch in watchers[target]:
-                    watch.outstanding += n
-            for target in by_target:
-                self._wake_for(target)
-            self._notify_peek_waiters(tuple(by_target))
-            return
-        touched: dict[str, None] = {}
+        by_target: dict[str, list[object]] = {}
         for target, item in children:
-            self._enqueue_one(target, item, producer_sm)
-            touched[target] = None
-        for target in touched:
+            group = by_target.get(target)
+            if group is None:
+                by_target[target] = [item]
+            else:
+                group.append(item)
+        push = self.queue_set.push
+        outstanding = self.outstanding
+        watchers = self._stage_watchers
+        tracker = self.request_tracker
+        for target, group in by_target.items():
+            push(target, group, producer_sm)
+            n = len(group)
+            outstanding[target] += n
+            self.total_outstanding += n
+            for watch in watchers[target]:
+                watch.outstanding += n
+            if tracker is not None:
+                now = self.device.engine.now
+                for item in group:
+                    tracker.note_enqueued(item, now)
+        for target in by_target:
             self._wake_for(target)
-        self._notify_peek_waiters(tuple(touched))
+        self._notify_peek_waiters(tuple(by_target))
 
     def _notify_peek_waiters(self, touched: Sequence[str]) -> None:
         if not self._peek_waiters:
@@ -318,19 +294,7 @@ class RunContext:
         pipeline only reaches quiescence once every reserved arrival has
         been delivered *and* processed.
         """
-        for stage, count in counts.items():
-            if stage not in self.outstanding:
-                raise ConfigurationError(
-                    f"cannot reserve arrivals for unknown stage {stage!r}"
-                )
-            if count < 0:
-                raise ConfigurationError(
-                    f"arrival reservation for {stage!r} must be >= 0"
-                )
-            self.outstanding[stage] += count
-            self.total_outstanding += count
-            for watch in self._stage_watchers[stage]:
-                watch.outstanding += count
+        self._reserve(counts, 1)
 
     def release_arrivals(self, counts: dict[str, int]) -> None:
         """Return unused arrival reservations (the inverse of
@@ -342,25 +306,32 @@ class RunContext:
         admitted work drains, so a run that sheds its last arrivals
         still ends.
         """
+        self._reserve(counts, -1)
+        self._check_quiescence()
+
+    def _reserve(self, counts: dict[str, int], sign: int) -> None:
+        """Add (``sign`` 1) or return (``sign`` -1) arrival reservations
+        to the outstanding counters."""
+        verb = "reserve" if sign > 0 else "release"
         for stage, count in counts.items():
             if stage not in self.outstanding:
                 raise ConfigurationError(
-                    f"cannot release arrivals for unknown stage {stage!r}"
+                    f"cannot {verb} arrivals for unknown stage {stage!r}"
                 )
             if count < 0:
                 raise ConfigurationError(
-                    f"arrival release for {stage!r} must be >= 0"
+                    f"arrivals to {verb} for {stage!r} must be >= 0"
                 )
-            if count > self.outstanding[stage]:
+            if sign < 0 and count > self.outstanding[stage]:
                 raise ExecutionError(
                     f"released more arrivals for {stage!r} than were "
                     "reserved"
                 )
-            self.outstanding[stage] -= count
-            self.total_outstanding -= count
+            delta = sign * count
+            self.outstanding[stage] += delta
+            self.total_outstanding += delta
             for watch in self._stage_watchers[stage]:
-                watch.outstanding -= count
-        self._check_quiescence()
+                watch.outstanding += delta
 
     def deliver_arrival(self, stage: str, item: object) -> None:
         """Inject one previously reserved arrival into ``stage``'s queue.
@@ -371,7 +342,7 @@ class RunContext:
         :meth:`insert_initial` (the host-to-device copy is charged by
         the serving driver, per request).
         """
-        self.queue_set.push(stage, item, None)
+        self.queue_set.push(stage, [item], None)
         if self.request_tracker is not None:
             self.request_tracker.note_enqueued(item, self.device.engine.now)
         self._wake_for(stage)
@@ -425,28 +396,22 @@ class RunContext:
     def _check_quiescence(self) -> None:
         """Release waiters whose watched stages can receive no more work.
 
-        Many parked blocks watch the same stage tuple, so the quiescence
-        verdict is computed once per distinct tuple per check; nothing
-        else in the loop mutates the counters it depends on (resumes are
+        Each watch tuple is tested once; the parked blocks of every
+        quiescent tuple resume in park order, then the peek waiters.
+        Nothing here mutates the counters the verdicts read (resumes are
         deferred through the event engine).
         """
-        released = False
-        if self._waiters:
-            verdicts: dict[tuple[str, ...], bool] = {}
+        quiet: list[_Waiter] = []
+        for stages, dq in self._watch_deques.items():
+            if dq and self.is_quiescent(stages):
+                quiet.extend(dq)
+                dq.clear()
+        released = bool(quiet)
+        if released:
+            quiet.sort(key=_park_order)
             schedule_call = self.device.engine.schedule_call
-            for waiter in self._waiters:
-                if waiter.cancelled:
-                    continue
-                stages = waiter.stages
-                quiet = verdicts.get(stages)
-                if quiet is None:
-                    quiet = self.is_quiescent(stages)
-                    verdicts[stages] = quiet
-                if quiet:
-                    waiter.cancelled = True
-                    released = True
-                    self._dead_waiters += 1
-                    schedule_call(0.0, waiter.resume, None)
+            for waiter in quiet:
+                schedule_call(0.0, waiter.resume, None)
         if self._peek_waiters:
             remaining = []
             for stages, callback in self._peek_waiters:
@@ -461,9 +426,6 @@ class RunContext:
         if released or self.done:
             for listener in self.quiescence_listeners:
                 listener()
-        if released:
-            self._waiters = deque(w for w in self._waiters if not w.cancelled)
-            self._dead_waiters = 0
 
     # ------------------------------------------------------------------
     # Fetching (the task scheduler).
@@ -547,14 +509,11 @@ class RunContext:
     def _park(self, waiter: _Waiter) -> None:
         self._park_seq += 1
         waiter.seq = self._park_seq
-        self._waiters.append(waiter)
         dq = self._watch_deques.get(waiter.stages)
         if dq is None:
             dq = self._watch_deques[waiter.stages] = deque()
             for stage in waiter.stages:
-                self._stage_watch_tuples.setdefault(stage, []).append(
-                    waiter.stages
-                )
+                self._stage_deques.setdefault(stage, []).append(dq)
         dq.append(waiter)
 
     def wait_for_work(
@@ -596,84 +555,38 @@ class RunContext:
     def _wake_for(self, stage: str) -> None:
         """Hand newly arrived work to parked blocks watching ``stage``.
 
-        Only the watch tuples containing ``stage`` are touched — almost
-        always one deque, whose order is the global park order
-        restricted to the stage; several tuples are merged by park seq,
-        which reproduces the same order.  Dead entries left behind in
-        ``_waiters`` by earlier wakes are compacted once they outnumber
-        the live waiters.
+        Each turn serves the earliest-parked head among the deques whose
+        watch tuple contains ``stage`` — almost always one deque, whose
+        order is the park order restricted to the stage — until the
+        stage runs dry or no block watching it is left.
         """
-        tuples = self._stage_watch_tuples.get(stage)
-        if not tuples:
+        deques = self._stage_deques.get(stage)
+        if not deques:
             return
         queue_set = self.queue_set
         backlog = self._backlog
-        watch_deques = self._watch_deques
         poll_cycles = self.device.spec.queue_poll_cycles
         schedule_call = self.device.engine.schedule_call
         tracker = self.request_tracker
         governor = self.batch_governor
-        woke = 0
-        if len(tuples) == 1:
-            dq = watch_deques[tuples[0]]
-            while dq:
-                if not backlog[stage]:
-                    break
-                waiter = dq[0]
-                if waiter.cancelled:
-                    dq.popleft()
-                    continue
-                cap = waiter.capacity_fn(stage)
-                if governor is not None:
-                    cap = governor(stage, cap)
-                batch, cost = queue_set.pop(stage, cap, waiter.sm_id)
-                if not batch:
-                    break
-                if tracker is not None:
-                    tracker.note_dequeued(batch, self.device.engine.now)
-                dq.popleft()
-                waiter.cancelled = True
-                woke += 1
-                schedule_call(
-                    poll_cycles, waiter.resume, (stage, batch, cost)
-                )
-        else:
-            while backlog[stage]:
-                best: Optional[_Waiter] = None
-                best_dq = None
-                for tup in tuples:
-                    dq = watch_deques[tup]
-                    while dq and dq[0].cancelled:
-                        dq.popleft()
-                    if dq and (best is None or dq[0].seq < best.seq):
-                        best = dq[0]
-                        best_dq = dq
-                if best is None:
-                    break
-                cap = best.capacity_fn(stage)
-                if governor is not None:
-                    cap = governor(stage, cap)
-                batch, cost = queue_set.pop(stage, cap, best.sm_id)
-                if not batch:
-                    break
-                if tracker is not None:
-                    tracker.note_dequeued(batch, self.device.engine.now)
-                best_dq.popleft()
-                best.cancelled = True
-                woke += 1
-                schedule_call(
-                    poll_cycles, best.resume, (stage, batch, cost)
-                )
-        if woke:
-            self._dead_waiters += woke
-            if (
-                self._dead_waiters > 32
-                and self._dead_waiters * 2 > len(self._waiters)
-            ):
-                self._waiters = deque(
-                    w for w in self._waiters if not w.cancelled
-                )
-                self._dead_waiters = 0
+        while backlog[stage]:
+            first = None
+            for dq in deques:
+                if dq and (first is None or dq[0].seq < first[0].seq):
+                    first = dq
+            if first is None:
+                break
+            waiter = first[0]
+            cap = waiter.capacity_fn(stage)
+            if governor is not None:
+                cap = governor(stage, cap)
+            batch, cost = queue_set.pop(stage, cap, waiter.sm_id)
+            if not batch:
+                break
+            if tracker is not None:
+                tracker.note_dequeued(batch, self.device.engine.now)
+            first.popleft()
+            schedule_call(poll_cycles, waiter.resume, (stage, batch, cost))
 
     # ------------------------------------------------------------------
     # Queue-operation cost model (pushes; fetch costs come with the batch).
@@ -700,8 +613,8 @@ class RunContext:
 
     @property
     def depth_series(self):
-        """The queue set's always-on backlog ledger
-        (:class:`repro.obs.depth.DepthSeries`) — current queued items
-        per stage.  The online adapter and the serving controller read
-        from here."""
+        """The queue set's one tally
+        (:class:`repro.obs.depth.DepthSeries`) — queued items, pushes
+        and peak per stage.  The online adapter and the serving
+        controller read backlog from here."""
         return self.queue_set.depth

@@ -83,12 +83,6 @@ class GPUSpec:
     pcie_gbps: float = 6.0
     #: Fixed latency of one host<->device copy, in microseconds.
     pcie_latency_us: float = 8.0
-    #: Global memory capacity in GB and its technology (documentation for
-    #: device listings; the simulator does not model capacity pressure).
-    memory_gb: float = 5.0
-    memory_type: str = "GDDR5"
-    #: Last-level (L2) cache size in bytes.
-    l2_bytes: int = 1536 * 1024
 
     def us_to_cycles(self, us: float) -> float:
         """Convert microseconds to cycles of this device's clock."""
@@ -129,9 +123,6 @@ K20C = GPUSpec(
     kernel_launch_us=6.0,
     launch_latency_us=3.0,
     sync_overhead_us=8.0,
-    memory_gb=5.0,
-    memory_type="GDDR5",
-    l2_bytes=1280 * 1024,
 )
 
 #: GeForce GTX 1080: 20 Pascal SMs.  Higher clock, better latency hiding
@@ -154,9 +145,6 @@ GTX1080 = GPUSpec(
     sync_overhead_us=5.0,
     pcie_gbps=11.0,
     pcie_latency_us=6.0,
-    memory_gb=8.0,
-    memory_type="GDDR5X",
-    l2_bytes=2 * 1024 * 1024,
 )
 
 #: The PP-Gaia cross-architecture table.  SM counts derive from the
@@ -186,9 +174,6 @@ H100 = GPUSpec(
     icache_bytes=32 * 1024,
     pcie_gbps=55.0,
     pcie_latency_us=4.0,
-    memory_gb=96.0,
-    memory_type="HBM3",
-    l2_bytes=60 * 1024 * 1024,
 )
 
 #: NVIDIA A100 (Ampere, full GA100 configuration): 124 SMs x 64 = 7936.
@@ -211,9 +196,6 @@ A100 = GPUSpec(
     icache_bytes=32 * 1024,
     pcie_gbps=24.0,
     pcie_latency_us=5.0,
-    memory_gb=64.0,
-    memory_type="HBM2e",
-    l2_bytes=32 * 1024 * 1024,
 )
 
 #: NVIDIA V100 (Volta): 80 SMs x 64 = 5120.
@@ -236,9 +218,6 @@ V100 = GPUSpec(
     icache_bytes=12 * 1024,
     pcie_gbps=12.0,
     pcie_latency_us=6.0,
-    memory_gb=32.0,
-    memory_type="HBM2",
-    l2_bytes=6 * 1024 * 1024,
 )
 
 #: NVIDIA Tesla T4 (Turing): 40 SMs x 64 = 2560.  Turing caps resident
@@ -262,9 +241,6 @@ T4 = GPUSpec(
     icache_bytes=12 * 1024,
     pcie_gbps=12.0,
     pcie_latency_us=6.0,
-    memory_gb=16.0,
-    memory_type="GDDR6",
-    l2_bytes=4 * 1024 * 1024,
 )
 
 #: AMD Instinct MI250X, one GCD (CDNA 2): 110 CUs, 64-wide wavefronts,
@@ -288,9 +264,6 @@ MI250X = GPUSpec(
     icache_bytes=32 * 1024,
     pcie_gbps=36.0,
     pcie_latency_us=5.0,
-    memory_gb=64.0,
-    memory_type="HBM2e",
-    l2_bytes=8 * 1024 * 1024,
 )
 
 PRESETS = {

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core import FunctionalExecutor, Pipeline, Stage, TaskCost
 from repro.core.models import KBKModel, MegakernelModel, RTCModel
-from repro.core.queues import WorkQueue, queue_op_cost
+from repro.core.queues import queue_op_cost
+from repro.core.queueset import SharedQueueSet
 from repro.gpu import GPUDevice
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.occupancy import max_blocks_per_sm, occupancy_report
@@ -95,15 +96,21 @@ class TestOccupancyProperties:
 
 class TestQueueProperties:
     @_SETTINGS
-    @given(values=st.lists(st.integers(), max_size=60), chunk=st.integers(1, 7))
-    def test_fifo_preserves_order_and_count(self, values, chunk):
-        queue = WorkQueue("s", item_bytes=8)
-        for value in values:
-            queue.push(value)
+    @given(
+        values=st.lists(st.integers(), max_size=60),
+        group=st.integers(1, 7),
+        chunk=st.integers(1, 7),
+    )
+    def test_fifo_preserves_order_and_count(self, values, group, chunk):
+        qs = SharedQueueSet({"s": 8}, K20C)
+        for start in range(0, len(values), group):
+            qs.push("s", values[start:start + group], None)
         drained = []
-        while not queue.empty:
-            drained.extend(qi.payload for qi in queue.pop_batch(chunk))
+        while qs.has_work("s"):
+            drained.extend(qi.payload for qi in qs.pop("s", chunk, None)[0])
         assert drained == values
+        stats = qs.stats()["s"]
+        assert stats.enqueued == stats.dequeued == len(values)
 
     @_SETTINGS
     @given(

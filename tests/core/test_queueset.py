@@ -37,8 +37,8 @@ class TestFactory:
 class TestSharedQueueSet:
     def test_push_pop_roundtrip(self):
         qs = SharedQueueSet(STAGES, K20C)
-        qs.push("a", "x", producer_sm=0)
-        qs.push("a", "y", producer_sm=1)
+        qs.push("a", ["x"], producer_sm=0)
+        qs.push("a", ["y"], producer_sm=1)
         batch, cost = qs.pop("a", 10, sm_id=5)
         assert [qi.payload for qi in batch] == ["x", "y"]
         assert cost > 0
@@ -49,7 +49,7 @@ class TestSharedQueueSet:
         busy = SharedQueueSet(STAGES, K20C)
         busy.contention_level = 8.0
         for qs in (calm, busy):
-            qs.push("a", "x", None)
+            qs.push("a", ["x"], None)
         _, calm_cost = calm.pop("a", 1, 0)
         _, busy_cost = busy.pop("a", 1, 0)
         assert busy_cost > calm_cost
@@ -62,12 +62,12 @@ class TestSharedQueueSet:
         qs.contention_level = 8.0
         busy = qs.op_cost("a", 1)
         assert busy == calm + K20C.queue_contention_cycles * 8.0
-        qs.push("a", "x", None)
+        qs.push("a", ["x"], None)
         assert qs.pop("a", 1, 0)[1] == busy
 
     def test_never_steals(self):
         qs = SharedQueueSet(STAGES, K20C)
-        qs.push("a", "x", producer_sm=3)
+        qs.push("a", ["x"], producer_sm=3)
         qs.pop("a", 1, sm_id=9)
         assert qs.steals == 0
 
@@ -75,17 +75,17 @@ class TestSharedQueueSet:
 class TestDistributedQueueSet:
     def test_local_pop_prefers_own_shard(self):
         qs = DistributedQueueSet(STAGES, K20C)
-        qs.push("a", "mine", producer_sm=2)
-        qs.push("a", "theirs", producer_sm=7)
+        qs.push("a", ["mine"], producer_sm=2)
+        qs.push("a", ["theirs"], producer_sm=7)
         batch, _cost = qs.pop("a", 10, sm_id=2)
         assert [qi.payload for qi in batch] == ["mine"]
         assert qs.steals == 0
 
     def test_steals_from_richest_when_local_empty(self):
         qs = DistributedQueueSet(STAGES, K20C)
-        qs.push("a", "r1", producer_sm=7)
-        qs.push("a", "r2", producer_sm=7)
-        qs.push("a", "p", producer_sm=3)
+        qs.push("a", ["r1"], producer_sm=7)
+        qs.push("a", ["r2"], producer_sm=7)
+        qs.push("a", ["p"], producer_sm=3)
         batch, _cost = qs.pop("a", 10, sm_id=2)
         # shard 7 is richest -> stolen wholesale.
         assert [qi.payload for qi in batch] == ["r1", "r2"]
@@ -93,35 +93,46 @@ class TestDistributedQueueSet:
 
     def test_steal_costs_more_than_local(self):
         qs = DistributedQueueSet(STAGES, K20C)
-        qs.push("a", "x", producer_sm=2)
+        qs.push("a", ["x"], producer_sm=2)
         _, local_cost = qs.pop("a", 1, sm_id=2)
-        qs.push("a", "y", producer_sm=2)
+        qs.push("a", ["y"], producer_sm=2)
         _, steal_cost = qs.pop("a", 1, sm_id=9)
         assert steal_cost > local_cost
 
     def test_host_shard_for_initial_items(self):
         qs = DistributedQueueSet(STAGES, K20C)
-        qs.push("a", "init", producer_sm=None)
+        qs.push("a", ["init"], producer_sm=None)
         batch, _ = qs.pop("a", 1, sm_id=None)
         assert batch[0].payload == "init"
 
     def test_backlog_spans_shards(self):
         qs = DistributedQueueSet(STAGES, K20C)
         for sm in (0, 4, 9, None):
-            qs.push("a", sm, producer_sm=sm)
+            qs.push("a", [sm], producer_sm=sm)
         assert qs.depth.current["a"] == 4
         assert qs.has_work("a")
         qs.drain("a")
         assert qs.depth.current["a"] == 0
         assert not qs.has_work("a")
 
+    def test_drain_limit_spans_shards_in_order(self):
+        qs = DistributedQueueSet(STAGES, K20C)
+        qs.push("a", ["x0", "x1"], producer_sm=4)
+        qs.push("a", ["h"], producer_sm=None)
+        qs.push("a", ["y0", "y1"], producer_sm=0)
+        drained = qs.drain("a", 3)
+        assert [qi.payload for qi in drained] == ["h", "y0", "y1"]
+        assert qs.depth.current["a"] == 2
+
     def test_stats_merge_all_shards(self):
         qs = DistributedQueueSet(STAGES, K20C)
-        qs.push("a", 1, producer_sm=0)
-        qs.push("a", 2, producer_sm=5)
+        qs.push("a", [1], producer_sm=0)
+        qs.push("a", [2], producer_sm=5)
         stats = qs.stats()
         assert stats["a"].enqueued == 2
         assert stats["a"].bytes_moved == 32
+        # The stage's peak depth, not the largest single shard's.
+        assert stats["a"].peak_length == 2
 
 
 class TestDistributedEndToEnd:
@@ -159,7 +170,7 @@ class TestQueueCostAccounting:
     def test_batch_pop_amortises_fixed_cost(self):
         qs = SharedQueueSet(STAGES, K20C)
         for index in range(6):
-            qs.push("b", index, None)
+            qs.push("b", [index], None)
         batch, cost = qs.pop("b", 6, sm_id=0)
         assert len(batch) == 6
         # One op moving six items: fixed cost paid once, bytes per item.
@@ -169,7 +180,7 @@ class TestQueueCostAccounting:
     def test_drain_clears_depth_ledger(self):
         qs = SharedQueueSet(STAGES, K20C)
         for index in range(4):
-            qs.push("a", index, None)
+            qs.push("a", [index], None)
         assert qs.depth.current["a"] == 4
         assert len(qs.drain("a")) == 4
         assert qs.depth.current["a"] == 0
@@ -189,7 +200,7 @@ class TestQueueCostAccounting:
                 FunctionalExecutor(pipeline),
                 queue_mode=mode,
             )
-            ctx.contention_level = 8.0
+            ctx.queue_set.contention_level = 8.0
             costs[mode] = ctx.push_cost([("adder", 16)])
         assert costs["distributed"] == calm
         assert costs["shared"] == calm + K20C.queue_contention_cycles * 8.0

@@ -131,6 +131,47 @@ class TestFetchAsync:
             )
 
 
+
+class TestParkOrder:
+    """Blocks parked on overlapping watch tuples are served and released
+    in park order, whichever tuple each one watches."""
+
+    def test_wake_and_release_follow_park_order(self, ctx):
+        # Take doubler's one item: its queue is empty while the item is
+        # outstanding, so nothing the blocks below watch is quiescent.
+        ctx.insert_initial({"doubler": [1]})
+        ctx.fetch_async(("doubler",), lambda s: 1, lambda r: None)
+        ctx.device.engine.run()
+        got = []
+        for label, stages in [
+            ("a1", ("doubler", "sink")),
+            ("b1", ("sink",)),
+            ("a2", ("doubler", "sink")),
+            ("b2", ("sink",)),
+            ("a3", ("doubler", "sink")),
+            ("b3", ("sink",)),
+        ]:
+            ctx.fetch_async(
+                stages,
+                lambda s: 1,
+                lambda r, label=label: got.append(
+                    (label, r and [qi.payload for qi in r[1]])
+                ),
+            )
+        ctx.device.engine.run()
+        assert got == []  # all parked
+        ctx.enqueue_children(
+            [("sink", 10), ("sink", 11), ("sink", 12)], producer_sm=None
+        )
+        ctx.device.engine.run()
+        assert got == [("a1", [10]), ("b1", [11]), ("a2", [12])]
+        got.clear()
+        ctx.complete_tasks("sink", 3)
+        assert got == []
+        ctx.complete_tasks("doubler", 1)  # both tuples quiescent at once
+        ctx.device.engine.run()
+        assert got == [("b2", None), ("a3", None), ("b3", None)]
+
 class TestWaitForWork:
     def test_signals_existing_work(self, ctx):
         ctx.insert_initial({"doubler": [1]})

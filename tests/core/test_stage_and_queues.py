@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import OUTPUT, EmitContext, ExecutionError, Stage, TaskCost
 from repro.core.errors import PipelineDefinitionError
-from repro.core.queues import QueuedItem, WorkQueue, queue_op_cost
+from repro.core.queues import QueuedItem, QueueStats, queue_op_cost
+from repro.core.queueset import SharedQueueSet
 from repro.gpu.specs import K20C
 
 
@@ -96,35 +97,36 @@ class TestStageValidation:
 
 
 class TestWorkQueue:
+    """One stage queue of a queue set: FIFO order, the statistics read
+    off its tally, and the producer tag."""
+
     def test_fifo_order(self):
-        queue = WorkQueue("s", item_bytes=8)
-        for value in range(5):
-            queue.push(value)
-        batch = queue.pop_batch(3)
+        qs = SharedQueueSet({"s": 8}, K20C)
+        qs.push("s", list(range(5)), None)
+        batch, _cost = qs.pop("s", 3, None)
         assert [qi.payload for qi in batch] == [0, 1, 2]
-        assert len(queue) == 2
+        assert qs.depth.current["s"] == 2
 
     def test_stats_tracking(self):
-        queue = WorkQueue("s", item_bytes=16)
-        queue.push(1)
-        queue.push(2)
-        queue.pop_batch(1)
-        assert queue.stats.enqueued == 2
-        assert queue.stats.dequeued == 1
-        assert queue.stats.peak_length == 2
-        assert queue.stats.bytes_moved == 32
+        qs = SharedQueueSet({"s": 16}, K20C)
+        qs.push("s", [1], None)
+        qs.push("s", [2], None)
+        qs.pop("s", 1, None)
+        assert qs.stats()["s"] == QueueStats(
+            enqueued=2, dequeued=1, peak_length=2, bytes_moved=32
+        )
 
     def test_producer_sm_recorded(self):
-        queue = WorkQueue("s", item_bytes=8)
-        queue.push("payload", producer_sm=7)
-        item = queue.pop_batch(1)[0]
+        qs = SharedQueueSet({"s": 8}, K20C)
+        qs.push("s", ["payload"], producer_sm=7)
+        item = qs.pop("s", 1, None)[0][0]
         assert isinstance(item, QueuedItem)
         assert item.producer_sm == 7
 
     def test_pop_from_empty(self):
-        queue = WorkQueue("s", item_bytes=8)
-        assert queue.pop_batch(4) == []
-        assert queue.empty
+        qs = SharedQueueSet({"s": 8}, K20C)
+        assert qs.pop("s", 4, None) == ([], 0.0)
+        assert not qs.has_work("s")
 
 
 class TestQueueCost:

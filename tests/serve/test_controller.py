@@ -321,7 +321,7 @@ class TestAdaptiveServe:
         )
         stage = "c2v"
         for value in range(6):
-            ctx.queue_set.push(stage, value, None)
+            ctx.queue_set.push(stage, [value], None)
 
         # Governed KBK drain: the oversized wave is split to the clamp.
         ctx.batch_governor = lambda s, cap: 2
@@ -340,7 +340,7 @@ class TestAdaptiveServe:
         )
         qs = ctx.queue_set
         for value in range(5):
-            qs.push("v2c", value, None)
+            qs.push("v2c", [value], None)
         assert len(qs.drain("v2c", 3)) == 3
         assert qs.depth.current["v2c"] == 2
         assert len(qs.drain("v2c")) == 2
